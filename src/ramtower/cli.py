@@ -5,7 +5,9 @@ tower {schedule,torsion,verify}, verify — all print a single RunReport as
 JSON on stdout and use the exit-code contract
 
     0  ok
-    1  domain error (guard violations, failed hypotheses, bad mathematics)
+    1  domain error (guard violations, failed hypotheses, bad mathematics);
+       any other exception is reported the same way, with payload.kind
+       naming its class
     2  insufficient precision
     64 usage error (malformed flags or literals; grammar printed to stderr)
 
@@ -22,12 +24,7 @@ import sys
 from fractions import Fraction
 from multiprocessing import get_context
 
-from .errors import (
-    FieldMismatch,
-    GuardViolation,
-    InsufficientPrecision,
-    IntegralityError,
-)
+from .errors import InsufficientPrecision, RamtowerError
 from .formal import (
     atypical_module,
     check_group_law,
@@ -66,6 +63,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low; anything else is a usage error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def _default_prec(flag_value):
     if flag_value is not None:
         return flag_value
@@ -73,9 +88,9 @@ def _default_prec(flag_value):
     if env is None:
         return None
     try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{PREC_ENV} must be an integer, got {env!r}")
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"{PREC_ENV}: {e}")
 
 
 def _parse_rat_arg(text, what):
@@ -119,7 +134,11 @@ def _parse_layer(text):
         bits = pair.split(":")
         if len(bits) != 2:
             raise UsageError('herbrand --layer wants "ORDER:BREAK:DROP[,BREAK:DROP...]"')
-        breaks.append((_parse_rat_arg(bits[0], "break"), int(bits[1])))
+        try:
+            drop = int(bits[1])
+        except ValueError:
+            raise UsageError(f"herbrand --layer: DROP must be an integer, got {bits[1]!r}")
+        breaks.append((_parse_rat_arg(bits[0], "break"), drop))
     return BreakFiltration(order, tuple(breaks))
 
 
@@ -294,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_for.add_argument("--q", type=int, required=True)
     p_for.add_argument("--values", help="structural constants v_1,v_2,... (rationals)")
     p_for.add_argument("--honda", type=int, help="height h: specialize to the Honda module")
-    p_for.add_argument("--prec", type=int, help="series truncation degree D")
+    p_for.add_argument("--prec", type=_positive_int, help="series truncation degree D")
     p_for.add_argument("--check", action="store_true", help="run group-law and congruence checks")
     p_for.add_argument(
         "--assoc",
@@ -317,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         help='ascending-degree coefficients as series literals separated by ";", '
         'e.g. "t; t^2*(1); 1" for x^2 + t^2 x + t',
     )
-    p_tate.add_argument("--prec", type=int, help="default precision for exact literals")
+    p_tate.add_argument(
+        "--prec", type=_positive_int, help="default precision for exact literals"
+    )
     p_tate.add_argument("--assume-totally-ramified", action="store_true")
     p_tate.add_argument("--svg", help="render the ramification polygon to this file")
     p_tate.set_defaults(handler=_cmd_tate)
@@ -334,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tors.add_argument("--vals", required=True, help="v(a_1),...,v(a_d) as rationals")
     p_tors.add_argument("--q", type=int, required=True)
     p_tors.add_argument("--g", type=int, required=True)
-    p_tors.add_argument("--nmax", type=int, required=True)
+    p_tors.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_tors.add_argument("--branch", default="max", choices=["max", "min"])
     p_tors.add_argument("--svg", help="render the last step's polygon to this file")
     p_tors.set_defaults(handler=_cmd_tower_torsion)
@@ -342,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_verify(node):
         node.add_argument("--grid", default="default", choices=["default", "small"])
         node.add_argument("--depth", type=int, help="layers per tuple (overrides grid)")
-        node.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
+        node.add_argument(
+            "--jobs", type=_positive_int, help="worker processes (default: cpu count)"
+        )
         node.set_defaults(handler=_cmd_verify)
 
     add_verify(tower_sub.add_parser("verify", help="cross-validate the closed forms"))
@@ -363,7 +386,13 @@ def main(argv=None) -> int:
         return 64
     except InsufficientPrecision as e:
         report, poly = RunReport(STATUS_PRECISION, {"error": str(e)}), None
-    except (GuardViolation, FieldMismatch, IntegralityError, ValueError) as e:
+    except Exception as e:
+        # domain errors, and as a last resort anything else, get one fail
+        # report; an unexpected one also leaves its traceback on stderr
+        if not isinstance(e, (RamtowerError, ValueError)):
+            import traceback  # here, so that commands do not pay for its import
+
+            traceback.print_exc()
         report, poly = (
             RunReport(STATUS_FAIL, {"error": str(e), "kind": type(e).__name__}),
             None,

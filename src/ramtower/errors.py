@@ -9,8 +9,10 @@ class InsufficientPrecision(RamtowerError):
     """A truncated series does not carry enough known digits to decide the result.
 
     Raised, for example, when asking for the valuation of a series whose known
-    coefficients are all zero but whose precision is finite, or when a resultant's
-    valuation cannot be read off from the available digits.
+    coefficients are all zero but whose precision is finite, or when an extension
+    element's valuation is undecided: a basis coefficient known only to O(t^P)
+    could undercut every determined term (or, for a flagged non-Eisenstein
+    extension, the resultant's valuation cannot be read off the known digits).
     """
 
 

@@ -137,17 +137,6 @@ class QPoly:
         out = {e: c for e, c in self.terms.items() if all(e[j] == 0 for j in js)}
         return QPoly(self.k, out)
 
-    def substitute(self, values) -> Fraction:
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for j, exp in enumerate(e):
-                if exp:
-                    term *= vals[j] ** exp
-            total += term
-        return total
-
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.k == other.k and self.terms == other.terms
 
@@ -1141,9 +1130,6 @@ class PiPolynomial:
     def s(self):
         return self.g + self.d
 
-    def q(self, q_base: int):  # pragma: no cover - convenience only
-        return q_base
-
 
 def pi_series(P: PiPolynomial, q: int) -> SeriesPoly:
     """The polynomial itself, exponents q^{g+i-1} and monic top q^s."""
@@ -1164,9 +1150,3 @@ def v_twist(P: PiPolynomial, i: int, q: int) -> SeriesPoly:
     if i == 0:
         return v_polynomial(P, q)
     return v_polynomial(P, q).twist(q ** (i * P.g))
-
-
-def inflate(poly: SeriesPoly, m: int) -> SeriesPoly:
-    """Substitute x ↦ x^m."""
-    terms = {e * m: c for e, c in enumerate(poly.coeffs) if not c.is_exact_zero()}
-    return SeriesPoly.from_terms(poly.field, terms)

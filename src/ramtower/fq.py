@@ -187,10 +187,6 @@ class FqField:
             return self.zero()
         return self.from_int(self.p)
 
-    def elements(self):
-        for n in range(self.q):
-            yield self.from_int(n)
-
     def __repr__(self):
         return f"FqField(p={self.p}, m={self.m})"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .herbrand import BreakFiltration, PiecewiseLinear
 from .polygon import parse_rat, polygon_from_json
 from .tate import HypothesisReport, TateBreaks
 from .towers import BreakSchedule, TorsionTrace, TowerParams
@@ -58,14 +57,6 @@ def read_report(text: str) -> RunReport:
 
 
 # readers for payload shapes whose writers live on the dataclasses
-
-
-def filtration_from_json(obj) -> BreakFiltration:
-    return BreakFiltration.from_json(obj)
-
-
-def transition_from_json(obj) -> PiecewiseLinear:
-    return PiecewiseLinear.from_json(obj)
 
 
 def tower_params_from_json(obj) -> TowerParams:

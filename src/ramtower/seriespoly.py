@@ -2,7 +2,11 @@
 
 This is the carrier for Newton-polygon input, Eisenstein polynomials and
 ramification polynomials.  Resultants are computed as Sylvester determinants
-by division-free minor expansion, so precision propagates through +/* only.
+by division-free minor expansion, so precision propagates through +/* only;
+the expansion is exponential in the degree.  Extension valuations are read
+off basis coefficients (tate.ext_valuation); a resultant is taken only for
+an extension flagged totally ramified whose polynomial is not verifiably
+Eisenstein.
 """
 
 from __future__ import annotations
@@ -90,16 +94,6 @@ class SeriesPoly:
                     if not b.is_exact_zero():
                         out[i + j] = out[i + j] + a * b
         return SeriesPoly(self.field, out)
-
-    def evaluate(self, x):
-        """Horner evaluation at anything that can add/multiply with the
-        coefficients (a LaurentSeries, or an element of an extension)."""
-        if not self.coeffs:
-            return LaurentSeries.zero(self.field)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
 
     def twist(self, power: int) -> "SeriesPoly":
         """Coefficient-wise q^e-power Frobenius (power = q^e);

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import InsufficientPrecision
 from .fq import FqField
 from .polygon import NewtonPolygon, build_polygon, y_intercepts
-from .series import LaurentSeries
+from .series import INF, LaurentSeries
 from .seriespoly import SeriesPoly, resultant
 
 
@@ -52,7 +52,10 @@ class EisensteinExtension:
     Coefficients with undetermined valuation raise InsufficientPrecision at
     construction.  A monic non-Eisenstein polynomial is accepted only with
     assume_totally_ramified=True; the valuation normalization is then the
-    caller's assertion, not a verified fact.
+    caller's assertion, not a verified fact.  `uniformiser` records whether
+    alpha is verifiably a uniformiser (v(a_0) = 1 on a known digit, every
+    interior coefficient in the maximal ideal), which decides how
+    ext_valuation reads valuations.
     """
 
     def __init__(self, poly: SeriesPoly, assume_totally_ramified: bool = False):
@@ -73,6 +76,10 @@ class EisensteinExtension:
         self.poly = poly
         self.n = n
         self.field: FqField = poly.field
+        a0 = poly.coeff(0)
+        self.uniformiser = not a0.known_zero() and a0.valuation() == 1 and all(
+            poly.coeff(i).valuation_lower_bound() >= 1 for i in range(1, n)
+        )
 
     def element(self, coeffs) -> "ExtElement":
         """Element from a list of LaurentSeries coefficients in alpha."""
@@ -147,14 +154,37 @@ class ExtElement:
 
 
 def ext_valuation(elt: ExtElement) -> int:
-    """v_L of a nonzero element: v_K of the resultant of f with any
-    representative (the norm of the representative evaluated at alpha).
+    """v_L of a nonzero element, with v_L(alpha) = 1 and v_L = n·v_K on K.
 
-    v_L(alpha) = 1 and v_L restricted to K is n·v_K."""
+    For a verified uniformiser alpha this is min_k (n·v(c_k) + k) over the
+    reduced representative sum c_k·alpha^k.  A c_k known only to O(t^P)
+    bounds its term below by n·P + k; unless some determined term lies
+    strictly below every bound the valuation is undecided and
+    InsufficientPrecision is raised.  A flagged non-Eisenstein extension
+    reads v_K of the resultant of f with the representative (the norm of
+    the element) instead."""
     if elt.is_exact_zero():
         raise ValueError("valuation of zero")
-    res = resultant(elt.ext.poly, elt.rep)
-    return res.valuation()
+    ext = elt.ext
+    if not ext.uniformiser:
+        return resultant(ext.poly, elt.rep).valuation()
+    n, rep = ext.n, elt.rep
+    if rep.degree >= n:
+        rep = _reduce(list(rep.coeffs), ext.poly)
+    best = bound = INF
+    for k, c in enumerate(rep.coeffs):
+        if c.known_zero():
+            bound = min(bound, n * c.valuation_lower_bound() + k)
+        else:
+            best = min(best, n * c.valuation() + k)
+    if best == bound == INF:
+        raise ValueError("valuation of zero")
+    if best >= bound:
+        raise InsufficientPrecision(
+            "valuation undecided: a coefficient known only to finite precision "
+            "could undercut every determined term"
+        )
+    return best
 
 
 def ramification_polynomial(ext: EisensteinExtension) -> list:

@@ -64,6 +64,46 @@ def test_unknown_flag_exits_64(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        ("herbrand --layer 2:3:x", None),
+        ("formal --p 2 --q 2 --honda 1 --prec 0", None),
+        ("formal --p 2 --q 2 --honda 1 --prec -3", None),
+        ("formal --p 2 --q 2 --honda 1", "0"),
+        ("formal --p 2 --q 2 --honda 1", "-5"),
+        ("tate --p 2 --poly t;t;1 --prec -1", None),
+        ("tower torsion --vals 1 --q 2 --g 1 --nmax -1", None),
+        ("verify --grid small --jobs -1", None),
+        ("tower verify --grid small --jobs 0", None),
+    ],
+)
+def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("RAMTOWER_PREC", env)
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 64
+    assert out.out == ""
+    assert out.err.strip()
+
+
+def test_unexpected_error_still_reports_json(capsys, monkeypatch):
+    def boom(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("ramtower.cli._cmd_polygon", boom)
+    code, out, err = run(capsys, "polygon", "--points", "1:1")
+    assert code == 1
+    assert "ZeroDivisionError" in err
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["payload"] == {"error": "division by zero", "kind": "ZeroDivisionError"}
+
+
 def test_herbrand_composition(capsys):
     code, rep = report_of(
         capsys, "herbrand", "--layer", "2:3:2", "--layer", "2:15:2", "--eval", "63"

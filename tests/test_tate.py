@@ -1,5 +1,7 @@
 """Ramification breaks of Eisenstein layers via the twisted polygon."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,10 @@ from ramtower.errors import InsufficientPrecision
 from ramtower.fq import fq_field
 from ramtower.jsonio import tate_breaks_from_json
 from ramtower.series import LaurentSeries
-from ramtower.seriespoly import SeriesPoly
+from ramtower.seriespoly import SeriesPoly, resultant
 from ramtower.tate import (
     EisensteinExtension,
+    ExtElement,
     check_tate_hypothesis,
     closed_form_break,
     eisenstein_trinomial,
@@ -160,3 +163,148 @@ def test_trinomial_break_closed_form_generic(case):
     ext = eisenstein_trinomial(field, c, unit=unit, lin_unit=unit)
     result = tate_breaks(ext)
     assert result.breaks == (closed_form_break(q, c),)
+
+
+# --- valuations read off basis coefficients ---------------------------------
+
+PRECISION = "refused"
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InsufficientPrecision:
+        return PRECISION
+
+
+def _twisted_coefficients(ext):
+    """b_i = sum_{j >= i} C(j,i)·a_j·alpha^j for i = 1..n, built by extension
+    arithmetic."""
+    field, f, n = ext.field, ext.poly, ext.n
+    alpha = ext.alpha()
+    powers = [ext.from_base(LaurentSeries.one(field))]
+    for _ in range(n):
+        powers.append(powers[-1] * alpha)
+    out = []
+    for i in range(1, n + 1):
+        total = ext.from_base(LaurentSeries.zero(field))
+        for j in range(i, n + 1):
+            c = math.comb(j, i) % field.p
+            if c:
+                total = total + ext.from_base(f.coeff(j) * field.from_int(c)) * powers[j]
+        out.append(total)
+    return out
+
+
+def _unit_literal(rng, q, v, tail):
+    """t^v times a random unit with 1-3 digits, known to O(t^(v+tail)) when
+    tail is set."""
+    digits = [rng.randrange(1, q) for _ in range(rng.randint(1, 3))]
+    lit = f"t^{v}*(" + " + ".join(f"{c}*t^{k}" for k, c in enumerate(digits)) + ")"
+    return lit + (f" + O(t^{v + tail})" if tail else "")
+
+
+def _random_eisenstein(rng, field, n):
+    """Eisenstein literals a_0..a_n; most coefficients are known only to
+    finite precision, some interior ones are exact zeros."""
+    lits = [_unit_literal(rng, field.q, 1, rng.choice([None, 1, 3, 6]))]
+    for _ in range(1, n):
+        if rng.random() < 0.15:
+            lits.append("0")
+        else:
+            lits.append(_unit_literal(rng, field.q, rng.randint(1, 3), rng.choice([None, 1, 4])))
+    return lits + ["1"]
+
+
+def _random_coefficient(rng, field):
+    """t^k, t^k + O(t^(k+2)) or O(t^k)."""
+    k = rng.randint(0, 3)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return LaurentSeries.zero(field, prec=k)
+    return LaurentSeries.t_power(field, k, prec=k + 2 if kind else None)
+
+
+def test_coefficient_reading_matches_resultant():
+    # the resultant norm stays the reference: v_L(beta) = v_K(res(f, B))
+    rng = random.Random(20210217)
+    answered = refused = 0
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        field = fq_field(p, m)
+        for n in range(2, 6):
+            for _ in range(3):
+                ext = _ext(field, _random_eisenstein(rng, field, n))
+                assert ext.uniformiser
+                elements = _twisted_coefficients(ext)
+                elements.append(ext.element([_random_coefficient(rng, field) for _ in range(n + 2)]))
+                for b in elements:
+                    if b.is_exact_zero():
+                        continue
+                    got = _outcome(lambda: ext_valuation(b))
+                    want = _outcome(lambda: resultant(ext.poly, b.rep).valuation())
+                    assert got == want, (p, m, ext.poly, b.rep)
+                    if got == PRECISION:
+                        refused += 1
+                    else:
+                        answered += 1
+    assert answered > 100 and refused > 0
+
+
+def test_flagged_precision_refuses_when_a_bound_undercuts():
+    # x^3 + t^2·x^2 + O(t^P)·x + t over F_3: in b_1 = a_1·alpha + 2·a_2·alpha^2
+    # the determined term has v_L = 3·2 + 2 = 8 and the unknown one is
+    # bounded below by 3·P + 1
+    f3 = fq_field(3)
+    short = _ext(f3, ["t", "O(t^2)", "t^2", "1"], assume_totally_ramified=True)
+    assert short.uniformiser
+    with pytest.raises(InsufficientPrecision):
+        ramification_polynomial(short)
+    enough = _ext(f3, ["t", "O(t^3)", "t^2", "1"], assume_totally_ramified=True)
+    assert enough.uniformiser
+    assert ramification_polynomial(enough) == [(1, 5), (2, 5), (3, 0)]
+
+
+def test_flagged_non_eisenstein_keeps_norm_reading():
+    # x^2 + t·x + t^2 over F_2: alpha is not a uniformiser, so the norm decides
+    f2 = fq_field(2)
+    ext = _ext(f2, ["t^2", "t", "1"], assume_totally_ramified=True)
+    assert not ext.uniformiser
+    assert ramification_polynomial(ext) == [(1, 2), (2, 2)]
+
+
+def test_ext_valuation_edge_cases():
+    f2 = fq_field(2)
+    ext = _ext(f2, ["t", "t", "1"])  # exact coefficients, n = 2
+    # representatives of degree >= n are reduced first: alpha^2 = t·alpha + t
+    alpha_squared = ExtElement(ext, SeriesPoly.from_literals(f2, ["0", "0", "1"]))
+    assert ext_valuation(alpha_squared) == 2
+    with pytest.raises(ValueError):
+        ext_valuation(ExtElement(ext, ext.poly))
+    undecided = ExtElement(ext, SeriesPoly.from_literals(f2, ["t^3", "O(t^1)"]))
+    with pytest.raises(InsufficientPrecision):
+        ext_valuation(undecided)
+    decided = ExtElement(ext, SeriesPoly.from_literals(f2, ["t^3", "O(t^3)"]))
+    assert ext_valuation(decided) == 6
+    with pytest.raises(ValueError):
+        ext_valuation(ext.from_base(LaurentSeries.zero(f2)))
+
+
+def _greve_pauli_points(vals, p):
+    n = len(vals) - 1
+    pts = []
+    for i in range(1, n + 1):
+        cands = [n * vals[j] + j for j in range(i, n + 1) if math.comb(j, i) % p]
+        if cands:
+            pts.append((i, min(cands) - n))
+    return pts
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_dense_high_degree_matches_greve_pauli(n):
+    # 17 s at degree 7 and over 137 s at degree 9 through Sylvester resultants
+    rng = random.Random(n)
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        field = fq_field(p, m)
+        vals = [1] + [rng.randint(1, 3) for _ in range(n - 1)] + [0]
+        lits = [_unit_literal(rng, field.q, v, None) for v in vals[:-1]] + ["1"]
+        assert ramification_polynomial(_ext(field, lits)) == _greve_pauli_points(vals, p)
