@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     tower_sub = p_tower.add_subparsers(dest="tower_command")
 
     p_sched = tower_sub.add_parser("schedule", help="lower/upper break schedule")
-    for flag in ("p", "q", "g", "d", "N", "c", "n"):
+    for flag in ("p", "q", "g", "d", "N", "c"):
         p_sched.add_argument(f"--{flag}", type=int, required=True)
+    p_sched.add_argument("--n", type=_positive_int, required=True)
     p_sched.set_defaults(handler=_cmd_tower_schedule)
 
     p_tors = tower_sub.add_parser("torsion", help="iterated torsion valuations")
@@ -362,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_verify(node):
         node.add_argument("--grid", default="default", choices=["default", "small"])
-        node.add_argument("--depth", type=int, help="layers per tuple (overrides grid)")
+        node.add_argument(
+            "--depth", type=_positive_int, help="layers per tuple (overrides grid)"
+        )
         node.add_argument(
             "--jobs", type=_positive_int, help="worker processes (default: cpu count)"
         )

@@ -14,7 +14,9 @@ linear coefficient.  Two exact quantities drive everything:
 
 `upper_break_by_composition` recomputes the second from the first by
 actually composing the piecewise-linear transition maps; agreement of the
-two is the main cross-check this module exists for.
+two is the main cross-check this module exists for.  `verify_tuple` runs
+that check incrementally, extending one transition chain by one layer map
+per layer instead of rebuilding it from K_N each time.
 
 The torsion side iterates Newton polygons: v(y_i) is a root valuation of
 the i-times-twisted defining polynomial shifted by y_{i-1}, and from the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import GuardViolation
-from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower
+from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower, phi_from_filtration
 from .polygon import NewtonPolygon, build_polygon, format_rat
 from .tate import closed_form_break
 
@@ -396,20 +398,33 @@ DEFAULT_GRID = {
 
 
 def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
-    """All internal consistency checks for one parameter tuple."""
+    """Check layers N+1 .. N+depth of one tower against each other.
+
+    At every layer n the closed form tower_upper_break(n) must equal
+    layer_break(n) pushed through the transition of K_{n-1}/K_N, and the
+    transition of K_n/K_N must carry the lower break to the upper one and
+    back (phi/psi round trip).  The breaks must increase strictly, the
+    upper break must sit below the lower one above the first layer (equal
+    on it), and layer_break must match the trinomial closed form.
+    Non-integral lower breaks of the schedule come back as diagnostics.
+
+    The transition chain is built from layer_break alone, never from the
+    closed form, and only once per tuple: phi_n = phi_{n-1} after
+    phi_layer(n), in `depth` compositions."""
     report = VerifyReport()
     N = params.N
     prev_b = prev_w = None
+    phi = PiecewiseLinear.identity()  # transition of K_N/K_N
     for n in range(N + 1, N + depth + 1):
         b = layer_break(params, n)
         w = tower_upper_break(params, n)
         report.cases += 1
-        composed = upper_break_by_composition(params, n)
+        composed = phi(b)
         if composed != w:
             report.failures.append(
                 f"{params}: upper break at {n}: closed form {w} != composed {composed}"
             )
-        phi = transition_to_base(params, n)
+        phi = phi.compose(phi_from_filtration(layer_filtration(params, n)))
         if phi(b) != w or phi.inverse()(w) != b:
             report.failures.append(f"{params}: phi/psi round trip failed at layer {n}")
         if n == N + 1 and b != w:

@@ -76,6 +76,12 @@ def test_unknown_flag_exits_64(capsys):
         ("tower torsion --vals 1 --q 2 --g 1 --nmax -1", None),
         ("verify --grid small --jobs -1", None),
         ("tower verify --grid small --jobs 0", None),
+        ("verify --grid small --depth -1", None),
+        ("verify --grid small --depth 0", None),
+        ("tower verify --grid small --depth -1", None),
+        ("tower verify --grid small --depth 0", None),
+        ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n -1", None),
+        ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n 0", None),
     ],
 )
 def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):

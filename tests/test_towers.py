@@ -324,6 +324,35 @@ def test_torsion_json_round_trip():
     assert torsion_trace_from_json(trace.as_json()) == trace
 
 
+def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
+    ps = TowerParams(p=3, q=3, g=2, d=1, N=1, c=2)
+    bad = ps.N + 3
+    right = tower_upper_break
+
+    def skewed(params, k):
+        w = right(params, k)
+        return w + 1 if k == bad else w
+
+    monkeypatch.setattr("ramtower.towers.tower_upper_break", skewed)
+    rep = verify_tuple(ps, 6)
+    assert rep.cases == 6
+    w = right(ps, bad)
+    assert f"{ps}: upper break at {bad}: closed form {w + 1} != composed {w}" in rep.failures
+    assert f"{ps}: phi/psi round trip failed at layer {bad}" in rep.failures
+    for n in range(ps.N + 1, ps.N + 7):
+        if n == bad:
+            continue
+        assert not any(f.startswith(f"{ps}: upper break at {n}: closed form") for f in rep.failures)
+        assert f"{ps}: phi/psi round trip failed at layer {n}" not in rep.failures
+
+
+def test_verify_default_grid_at_depth_12():
+    for ps, _ in verify_grid(DEFAULT_GRID):
+        rep = verify_tuple(ps, 12)
+        assert rep.ok, rep.failures
+        assert rep.cases == 12
+
+
 def test_verify_tuple_and_grid():
     rep = verify_tuple(BASE, depth=4)
     assert rep.ok and rep.cases == 4
