@@ -191,12 +191,19 @@ def _cmd_formal(args):
     payload = module.as_json()
     diagnostics = []
     if args.check:
-        law = check_group_law(module.law, method=args.assoc)
-        payload["group_law"] = _group_law_json(law)
+        law = module.law
+        if args.assoc in ("dense", "sampled") or (args.assoc == "auto" and law.D > 32):
+            # the finite-field engines check the reduction mod p; building the
+            # law already asserted that every coefficient is p-integral
+            law = module.residue_module().law
+        report = check_group_law(law, method=args.assoc)
+        payload["group_law"] = _group_law_json(report)
+        # every level i whose cap q^i fits under the truncation (q >= 2)
+        levels = [i for i in range(1, law.D.bit_length()) if args.q**i <= law.D]
         payload["congruences"] = [
-            _congruence_json(check_pi_congruence(module, i)) for i in (1, 2, 3)
+            _congruence_json(check_pi_congruence(module, i)) for i in levels
         ]
-        if not law.ok:
+        if not report.ok:
             return RunReport(STATUS_FAIL, payload, diagnostics), None
     return RunReport(STATUS_OK, payload, diagnostics), None
 

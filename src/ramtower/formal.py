@@ -11,10 +11,14 @@ and the brackets are [a](T) = f^{-1}(a·f(T)); the functional-equation lemma
 guarantees every coefficient is p-integral even though each b_n has p-power
 denominators, and that integrality is asserted, not assumed.
 
-All character-zero staging uses exact rationals.  Hot loops (composing the
-inverse logarithm with a sparse series at large truncation) run on plain
-integers at a fixed common p-power scale; every descaling division is
-remainder-checked, so a bookkeeping bug raises instead of corrupting.
+Every truncated series here is a dict {(i, j): c} that drops total degree
+above D (univariate series use (e, 0) keys), and one kernel does all of
+their arithmetic: `_mul` for products and `_compose` for g(S) = Σ g_e·S^e.
+The one exception is the hot path, composing the inverse logarithm with
+f(x)+f(y) or a·f(T) at large truncation: `_compose_scaled` runs it on plain
+integers at a fixed common p-power scale, every descaling division
+remainder-checked, so a bookkeeping bug raises instead of corrupting.  All
+character-zero staging uses exact rationals.
 """
 
 from __future__ import annotations
@@ -47,17 +51,19 @@ def _vp(x: Fraction, p: int):
     return v
 
 
-def _den_exp(x: Fraction, p: int, what="coefficient") -> int:
-    """Exponent e with denominator(x) = p^e; any other prime factor is an
-    integrality violation."""
+def _den_exp(x: Fraction, p: int, what=None) -> int | None:
+    """Exponent e with denominator(x) = p^e.  Any other prime factor gives
+    None, or, when `what` names the coefficient, an IntegralityError."""
     den = x.denominator
     e = 0
     while den % p == 0:
         den //= p
         e += 1
-    if den != 1:
-        raise IntegralityError(f"{what} has non-{p}-power denominator {x.denominator}")
-    return e
+    if den == 1:
+        return e
+    if what is None:
+        return None
+    raise IntegralityError(f"{what} has non-{p}-power denominator {x.denominator}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +95,8 @@ class QPoly:
         e[index - 1] = power
         return cls(k, {tuple(e): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -254,7 +260,50 @@ def _inverse_log_coeffs(b, q, D) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sparse composition engines
+# the truncated-series kernel and the scaled composition engine
+
+
+def _mul(a: dict, b: dict, D: int) -> dict:
+    """a·b for series {(i, j): c}, dropping terms of total degree above D."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + i2 + j1 + j2 > D:
+                continue
+            key = (i1 + i2, j1 + j2)
+            prod = c1 * c2
+            if key in out:
+                out[key] = out[key] + prod
+            else:
+                out[key] = prod
+    return {k: v for k, v in out.items() if v}
+
+
+def _univariate(coeffs: dict) -> dict:
+    """An exponent-keyed series rewritten with the kernel's (e, 0) keys."""
+    return {(e, 0): c for e, c in coeffs.items()}
+
+
+def _compose(outer: dict, inner: dict, D: int, one) -> dict:
+    """Σ_e outer[e]·inner^e truncated at total degree D.  `outer` is keyed
+    by exponent; `inner` is a {(i, j): c} series with no constant term, so
+    exponents above D contribute nothing."""
+    if inner.get((0, 0)):
+        raise ValueError("inner series has a constant term")
+    out = {}
+    power = {(0, 0): one}
+    prev = 0
+    for e in sorted(outer):
+        if e > D:
+            break
+        for _ in range(e - prev):
+            power = _mul(power, inner, D)
+        prev = e
+        c = outer[e]
+        for key, v in power.items():
+            prod = c * v
+            out[key] = out[key] + prod if key in out else prod
+    return {k: v for k, v in out.items() if v}
 
 
 def _scale_bound(g, s_terms, p, D):
@@ -342,31 +391,16 @@ def _compose_scaled(g: dict, s_terms, p: int, D: int) -> dict:
     return out
 
 
-def _compose_fraction(g: dict, s_terms, D: int) -> dict:
-    """Same contract as _compose_scaled but plain Fraction arithmetic, for
-    specialization values whose denominators are not p-powers.  Only sound
-    for small truncations; callers guard."""
-    g = {e: Fraction(c) for e, c in g.items() if c and e <= D}
-    if not g:
-        return {}
-    s = [(dx, dy, Fraction(c)) for dx, dy, c in s_terms if c]
-    e_top = max(g)
-    acc = {(0, 0): g[e_top]}
-    for e in range(e_top - 1, -1, -1):
-        bound = D - e
-        nxt = {}
-        for (i, j), v in acc.items():
-            if i + j > bound:
-                continue
-            for dx, dy, c in s:
-                if i + j + dx + dy > bound:
-                    continue
-                key = (i + dx, j + dy)
-                nxt[key] = nxt.get(key, Fraction(0)) + v * c
-        acc = nxt
-        if e in g:
-            acc[(0, 0)] = acc.get((0, 0), Fraction(0)) + g[e]
-    return {k: v for k, v in acc.items() if v}
+def _compose_log(g: dict, s_terms, p: int, D: int) -> dict:
+    """g(S) for the inverse logarithm g and sparse S = [(dx, dy, c)]: the
+    scaled-integer engine when every denominator of S is a p-power, exact
+    rationals through `_compose` otherwise (only sound for small D)."""
+    if all(_den_exp(Fraction(c), p) is not None for _, _, c in s_terms):
+        return _compose_scaled(g, s_terms, p, D)
+    if D > 160:
+        raise ValueError("non-p-power denominators only supported for D <= 160")
+    inner = {(dx, dy): Fraction(c) for dx, dy, c in s_terms if c}
+    return _compose(g, inner, D, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +470,6 @@ class UnivariateSeries:
         if c is not None:
             return c
         return Fraction(0) if self.ring == RATIONALS else self.ring.zero()
-
-    def is_zero(self):
-        return not self.coeffs
 
     def reduce_mod_p(self, field: FqField) -> "UnivariateSeries":
         if self.ring != RATIONALS:
@@ -577,26 +608,9 @@ def _log_series_terms(b, q, D, factor=Fraction(1), axis=0):
     return out
 
 
-def _p_power_values(values, p):
-    return all(_den_exp_ok(Fraction(v), p) for v in values)
-
-
-def _den_exp_ok(fr, p):
-    den = fr.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
-
-
 def _bracket_series(b, g, a, descriptor, D) -> UnivariateSeries:
-    p, q = descriptor.p, descriptor.q
-    s_terms = _log_series_terms(b, q, D, factor=Fraction(a))
-    if _p_power_values([a], p) and _p_power_values([c for _, _, c in s_terms], p):
-        raw = _compose_scaled(g, s_terms, p, D)
-    else:
-        if D > 160:
-            raise ValueError("non-p-power denominators only supported for D <= 160")
-        raw = _compose_fraction(g, s_terms, D)
+    s_terms = _log_series_terms(b, descriptor.q, D, factor=Fraction(a))
+    raw = _compose_log(g, s_terms, descriptor.p, D)
     coeffs = {i: c for (i, _), c in raw.items()}
     lead = coeffs.get(1, Fraction(0))
     if lead != Fraction(a):
@@ -642,12 +656,7 @@ def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModul
 def _law_series(b, g, descriptor, D) -> BivariateSeries:
     p, q = descriptor.p, descriptor.q
     s_law = _log_series_terms(b, q, D, axis=0) + _log_series_terms(b, q, D, axis=1)
-    if _p_power_values([c for _, _, c in s_law], p):
-        raw = _compose_scaled(g, s_law, p, D)
-    else:
-        if D > 160:
-            raise ValueError("non-p-power denominators only supported for D <= 160")
-        raw = _compose_fraction(g, s_law, D)
+    raw = _compose_log(g, s_law, p, D)
     for (i, j), c in raw.items():
         if c.denominator % p == 0:
             raise IntegralityError(
@@ -716,74 +725,24 @@ def check_pi_congruence_universal(p: int, q: int, i: int) -> CongruenceReport:
     uni = atypical_logarithm(p, q, k=i, n_terms=i)
     killed = [bj.kill(range(1, i)) for bj in uni.b]
     for j in range(1, i):
-        if not killed[j].is_zero():
+        if killed[j]:
             raise IntegralityError(f"b_{j} should vanish mod (v_1..v_{i-1})")
-    # truncated series with QPoly coefficients, exponent-indexed
-    f_ser = {1: QPoly.const(i, 1)}
-    for j in range(1, i + 1):
-        if q**j <= cap and not killed[j].is_zero():
-            f_ser[q**j] = killed[j]
-
-    def mul(a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                if e1 + e2 > cap:
-                    continue
-                prod = c1 * c2
-                if e1 + e2 in out:
-                    out[e1 + e2] = out[e1 + e2] + prod
-                else:
-                    out[e1 + e2] = prod
-        return {e: c for e, c in out.items() if not c.is_zero()}
-
-    def add(a, b):
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out[e] + c if e in out else c
-        return {e: c for e, c in out.items() if not c.is_zero()}
-
-    def scale(a, c):
-        return {e: cc.scale(c) for e, cc in a.items()}
-
+    one = QPoly.const(i, 1)
     # fixed point g = T - Σ_j b_j g^{q^j}; degree-of-correctness grows every pass
-    g_ser = {1: QPoly.const(i, 1)}
-    passes = (cap - 1) // max(q - 1, 1) + 1
-    for _ in range(passes):
-        acc = {1: QPoly.const(i, 1)}
-        for j in range(1, i + 1):
-            e = q**j
-            if e > cap or j >= len(killed) or killed[j].is_zero():
-                continue
-            power = {0: QPoly.const(i, 1)}
-            base = g_ser
-            n = e
-            while n:
-                if n & 1:
-                    power = mul(power, base)
-                n >>= 1
-                if n:
-                    base = mul(base, base)
-            acc = add(acc, scale(mul({0: killed[j]}, power), -1))
-        if acc == g_ser:
+    neg_b = {q**j: killed[j].scale(-1) for j in range(1, i + 1) if killed[j]}
+    g_ser = {(1, 0): one}
+    for _ in range((cap - 1) // max(q - 1, 1) + 1):
+        nxt = {(1, 0): one, **_compose(neg_b, g_ser, cap, one)}
+        if nxt == g_ser:
             break
-        g_ser = acc
+        g_ser = nxt
     # [p] = g(p·f)
-    pf = scale(f_ser, p)
-    pi_ser = {}
-    power = {0: QPoly.const(i, 1)}
-    exps = sorted(g_ser)
-    prev = 0
-    for e in exps:
-        for _ in range(e - prev):
-            power = mul(power, pf)
-        prev = e
-        pi_ser = add(pi_ser, mul({0: g_ser[e]}, power))
-    target = QPoly.variable(i, i)
-    diff = add(pi_ser, {cap: target.scale(-1)})
-    for e in sorted(diff):
-        for mono, c in sorted(diff[e].terms.items()):
-            if _vp(c, p) < 1:
+    pf = {(q**j, 0): killed[j].scale(p) for j in range(i + 1) if killed[j]}
+    pi_ser = _compose({e: c for (e, _), c in g_ser.items()}, pf, cap, one)
+    pi_ser[(cap, 0)] = pi_ser.get((cap, 0), QPoly(i)) - QPoly.variable(i, i)
+    for (e, _), c in sorted(pi_ser.items()):
+        for mono, cm in sorted(c.terms.items()):
+            if _vp(cm, p) < 1:
                 return CongruenceReport(False, i, 1, (e, mono))
     return CongruenceReport(True, i, 1)
 
@@ -806,21 +765,6 @@ class GroupLawReport:
         return bool(self.unit_ok and self.commutative_ok and self.associative_ok)
 
 
-def _bi_mult(a: dict, b: dict, D):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + i2 + j1 + j2 > D:
-                continue
-            key = (i1 + i2, j1 + j2)
-            prod = c1 * c2
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return {k: v for k, v in out.items() if v}
-
-
 def _assoc_exact(F: BivariateSeries):
     """Trivariate identity F(F(x,y),z) = F(x,F(y,z)) checked term by term.
 
@@ -834,7 +778,7 @@ def _assoc_exact(F: BivariateSeries):
     powers = {0: {(0, 0): one}, 1: dict(cf)}
     top = max(imax, jmax)
     for n in range(2, top + 1):
-        powers[n] = _bi_mult(powers[n - 1], cf, D)
+        powers[n] = _mul(powers[n - 1], cf, D)
     lhs, rhs = {}, {}
     for (i, j), c in cf.items():
         for (a, bb), v in powers[i].items():
@@ -957,36 +901,6 @@ class HomReport:
         return self.law_ok and all(self.linearity.values())
 
 
-def _uni_mult(a: dict, b: dict, D):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            if e1 + e2 > D:
-                continue
-            e = e1 + e2
-            prod = c1 * c2
-            out[e] = out[e] + prod if e in out else prod
-    return {e: c for e, c in out.items() if c}
-
-
-def _uni_compose(outer: dict, inner: dict, D, one):
-    """outer(inner(T)) truncated at D; inner must have no constant term."""
-    if inner.get(0):
-        raise ValueError("inner series has a constant term")
-    out = {}
-    power = {0: one}
-    prev = 0
-    for e in sorted(outer):
-        for _ in range(e - prev):
-            power = _uni_mult(power, inner, D)
-        prev = e
-        c = outer[e]
-        for ee, v in power.items():
-            prod = c * v
-            out[ee] = out[ee] + prod if ee in out else prod
-    return {e: c for e, c in out.items() if c}
-
-
 def check_hom(f: UnivariateSeries, F: FormalModule, G: FormalModule) -> HomReport:
     """f is a morphism when f(F(X,Y)) = G(f(X), f(Y)) and f intertwines every
     bracket stored on both modules."""
@@ -997,35 +911,19 @@ def check_hom(f: UnivariateSeries, F: FormalModule, G: FormalModule) -> HomRepor
     ring = F.law.ring
     one = Fraction(1) if ring == RATIONALS else ring.one()
     D = min(f.D, F.law.D, G.law.D)
-    # f(F(X,Y)) via powers of the law
-    lhs = {}
-    power = {(0, 0): one}
-    prev = 0
-    for e in sorted(f.coeffs):
-        for _ in range(e - prev):
-            power = _bi_mult(power, F.law.coeffs, D)
-        prev = e
-        c = f.coeffs[e]
-        for key, v in power.items():
-            prod = c * v
-            lhs[key] = lhs[key] + prod if key in lhs else prod
-    lhs = {k: v for k, v in lhs.items() if v}
+    lhs = _compose(f.coeffs, F.law.coeffs, D, one)
     # G(f(X), f(Y)) via powers of f on each axis
-    fpow = {0: {0: one}, 1: dict(f.coeffs)}
+    fx = _univariate(f.coeffs)
+    fy = {(0, e): c for (e, _), c in fx.items()}
     top = max((max(i, j) for i, j in G.law.coeffs), default=0)
-    for n in range(2, top + 1):
-        fpow[n] = _uni_mult(fpow[n - 1], f.coeffs, D)
+    xpow, ypow = [{(0, 0): one}], [{(0, 0): one}]
+    for _ in range(top):
+        xpow.append(_mul(xpow[-1], fx, D))
+        ypow.append(_mul(ypow[-1], fy, D))
     rhs = {}
     for (i, j), c in G.law.coeffs.items():
-        for a, va in fpow[i].items():
-            if a > D:
-                continue
-            for bb, vb in fpow[j].items():
-                if a + bb > D:
-                    continue
-                key = (a, bb)
-                prod = c * va * vb
-                rhs[key] = rhs[key] + prod if key in rhs else prod
+        for key, v in _mul(xpow[i], ypow[j], D).items():
+            rhs[key] = rhs[key] + c * v if key in rhs else c * v
     rhs = {k: v for k, v in rhs.items() if v}
     law_ok = lhs == rhs
     first = None
@@ -1037,13 +935,13 @@ def check_hom(f: UnivariateSeries, F: FormalModule, G: FormalModule) -> HomRepor
     linearity = {}
     shared = set(F.brackets) & set(G.brackets)
     for a in sorted(shared, key=str):
-        left = _uni_compose(f.coeffs, F.brackets[a].coeffs, D, one)
-        right = _uni_compose(G.brackets[a].coeffs, f.coeffs, D, one)
+        left = _compose(f.coeffs, _univariate(F.brackets[a].coeffs), D, one)
+        right = _compose(G.brackets[a].coeffs, fx, D, one)
         linearity[a] = left == right
         if not linearity[a] and first is None:
-            for e in sorted(set(left) | set(right)):
-                if left.get(e) != right.get(e):
-                    first = (f"bracket {a}", (e,))
+            for key in sorted(set(left) | set(right)):
+                if left.get(key) != right.get(key):
+                    first = (f"bracket {a}", key[:1])
                     break
     return HomReport(law_ok=law_ok, linearity=linearity, first_failure=first)
 
@@ -1089,12 +987,11 @@ class AdditivityReport:
 def height_additivity_check(f: UnivariateSeries, g: UnivariateSeries, q: int) -> AdditivityReport:
     """ht(g∘f) = ht(f) + ht(g), certified only when all three heights are
     visible at the working truncation."""
-    D = min(f.D, g.D)
-    one = f.ring.one()
-    comp = _uni_compose(g.coeffs, f.coeffs, D, one)
     hf = height(f, q)
     hg = height(g, q)
-    hc = height(UnivariateSeries(f.ring, D, comp), q)
+    D = min(f.D, g.D)
+    comp = _compose(g.coeffs, _univariate(f.coeffs), D, f.ring.one())
+    hc = height(UnivariateSeries(f.ring, D, {e: c for (e, _), c in comp.items()}), q)
     if hf.h is None or hg.h is None or hc.h is None:
         return AdditivityReport("inconclusive", hf.h, hg.h, hc.h)
     status = "ok" if hc.h == hf.h + hg.h else "fail"

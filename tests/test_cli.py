@@ -134,6 +134,19 @@ def test_formal_honda_check(capsys):
     assert rep.payload["law"]["D"] == 8
 
 
+def test_formal_readme_sampled_example(capsys):
+    # the sampled engine needs finite-field coefficients: --check reduces the
+    # law mod p, and lists congruences only where q^i fits under D = 81
+    code, rep = report_of(
+        capsys, "formal", "--p", "3", "--q", "9", "--honda", "2", "--prec", "81",
+        "--check", "--assoc", "sampled",
+    )
+    assert code == 0 and rep.status == "ok"
+    assert rep.payload["group_law"]["ok"] is True
+    assert rep.payload["group_law"]["method"] == "sampled"
+    assert [(c["i"], c["ok"]) for c in rep.payload["congruences"]] == [(1, True), (2, True)]
+
+
 def test_formal_values_flag_required(capsys):
     code, _, err = run(capsys, "formal", "--p", "2", "--q", "2")
     assert code == 64 and "--values" in err

@@ -191,13 +191,14 @@ def test_hom_ring_mismatch():
 
 def test_bracket_composition_is_multiplicative():
     """[a]([b](T)) = [ab](T), and each [a] is an endomorphism."""
-    from ramtower.formal import _uni_compose
+    from ramtower.formal import _compose
 
     F = atypical_module(3, 3, values=(1, 2), D=27)
     D = F.D
     for a, b in [(2, 2), (2, 4)]:
-        lhs = _uni_compose(F.bracket(a).coeffs, F.bracket(b).coeffs, D, Fraction(1))
-        assert lhs == F.bracket(a * b).coeffs
+        inner = {(e, 0): c for e, c in F.bracket(b).coeffs.items()}
+        lhs = _compose(F.bracket(a).coeffs, inner, D, Fraction(1))
+        assert {e: c for (e, _), c in lhs.items()} == F.bracket(a * b).coeffs
     rep = check_hom(F.bracket(2), F, F)
     assert rep.law_ok and all(rep.linearity.values())
 
@@ -222,6 +223,29 @@ def test_height_additivity():
     rep = height_additivity_check(f, g, q=2)
     assert rep.status == "ok"
     assert rep.ht_f + rep.ht_g == rep.ht_composite == 3
+
+
+def test_height_additivity_needs_finite_field():
+    f = UnivariateSeries(RATIONALS, 8, {2: Fraction(1)})
+    with pytest.raises(ValueError, match="characteristic-p"):
+        height_additivity_check(f, f, q=2)
+
+
+@pytest.mark.parametrize("p,q,values,D", [(2, 2, (1, 2, 1), 32), (3, 3, (1, 2), 27)])
+def test_rational_composition_matches_scaled_engine(p, q, values, D):
+    """The exact-rational fallback and the scaled-integer hot path give the
+    same law and the same [p], [p+1] brackets, coefficient for coefficient."""
+    from ramtower.formal import _compose, _compose_scaled, _log_series_terms
+
+    M = atypical_module(p, q, values, D=D)
+    b, g = M.log_coeffs, M.inv_coeffs
+    law = _log_series_terms(b, q, D, axis=0) + _log_series_terms(b, q, D, axis=1)
+    brackets = [_log_series_terms(b, q, D, factor=Fraction(a)) for a in (p, p + 1)]
+    for s_terms in [law] + brackets:
+        inner = {(dx, dy): c for dx, dy, c in s_terms}
+        exact = _compose(g, inner, D, Fraction(1))
+        assert exact and exact == _compose_scaled(g, s_terms, p, D)
+    assert exact == {(e, 0): c for e, c in M.bracket(p + 1).coeffs.items()}
 
 
 def test_pi_polynomial_model():
