@@ -14,11 +14,11 @@ denominators, and that integrality is asserted, not assumed.
 Every truncated series here is a dict {(i, j): c} that drops total degree
 above D (univariate series use (e, 0) keys), and one kernel does all of
 their arithmetic: `_mul` for products and `_compose` for g(S) = Σ g_e·S^e.
-The one exception is the hot path, composing the inverse logarithm with
-f(x)+f(y) or a·f(T) at large truncation: `_compose_scaled` runs it on plain
-integers at a fixed common p-power scale, every descaling division
-remainder-checked, so a bookkeeping bug raises instead of corrupting.  All
-character-zero staging uses exact rationals.
+The inverse logarithm g comes from a recurrence on powers of a series, and
+both the law and the brackets are assembled from the powers f^k of the
+logarithm, each kept as integer numerators over one shared denominator, so
+their hot loops run on plain integers for any rational input.  All
+character-zero staging is exact.
 """
 
 from __future__ import annotations
@@ -49,21 +49,6 @@ def _vp(x: Fraction, p: int):
         den //= p
         v -= 1
     return v
-
-
-def _den_exp(x: Fraction, p: int, what=None) -> int | None:
-    """Exponent e with denominator(x) = p^e.  Any other prime factor gives
-    None, or, when `what` names the coefficient, an IntegralityError."""
-    den = x.denominator
-    e = 0
-    while den % p == 0:
-        den //= p
-        e += 1
-    if den == 1:
-        return e
-    if what is None:
-        return None
-    raise IntegralityError(f"{what} has non-{p}-power denominator {x.denominator}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,55 +197,50 @@ def _numeric_log_coeffs(p, q, values, i_max):
 def _inverse_log_coeffs(b, q, D) -> dict:
     """Compositional inverse g of f(T) = T + Σ b_i T^{q^i}, to degree D.
 
-    Lagrange inversion: with φ = f/T, g_e = [T^{e-1}] φ^{-e} / e, and φ is
-    1 + Σ b_i u_i with u_i = T^{q^i - 1}, so the coefficient is a finite sum
-    of multinomials over solutions of Σ k_i (q^i - 1) = e - 1:
+    Write g = T·φ.  Then f(g) = T reads φ = 1 − Σ_i b_i·u^{(q^i−1)/s}·φ^{q^i}
+    with u = T^s and s = gcd(q^i − 1), so the u^k coefficient φ_k needs only
+    φ_{<k} and the powers φ^{q^i} at lower degrees.  Each power w = φ^n grows
+    one coefficient per step by the recurrence for powers of a series
+    (Knuth, TAOCP vol. 2, §4.7, after J.C.P. Miller):
 
-        (-1)^K · C(e-1+K, K) · K!/Πk_i! · Π b_i^{k_i},   K = Σ k_i.
+        w_m = (1/m)·Σ_{j=1..m} ((n+1)·j − m)·φ_j·w_{m−j}.
 
-    Every g_e is an integer polynomial in the b_i, so denominators stay
-    p-powers; the division by e always cancels.
+    The 1/m are not p-powers, but every g_e = φ_k (e = 1 + k·s) is an
+    integer polynomial in the b_i, so its denominator is one of theirs.
     """
-    steps = [(q**i - 1, b[i]) for i in range(1, len(b)) if b[i] and q**i <= D]
+    levels = [(q**i - 1, q**i, b[i]) for i in range(1, len(b)) if b[i] and q**i <= D]
     g = {1: Fraction(1)}
-    if not steps:
+    if not levels:
         return g
-    stride = math.gcd(*[s for s, _ in steps])
-    for e in range(1 + stride, D + 1, stride):
-        m = e - 1
-        total = Fraction(0)
-
-        def walk(pos, rem, K, prod):
-            nonlocal total
-            if rem == 0:
-                total += (
-                    (-1) ** K
-                    * math.comb(e - 1 + K, K)
-                    * prod
-                    * math.factorial(K)
+    s = math.gcd(*[d for d, _, _ in levels])
+    levels = [(d // s, n, bi) for d, n, bi in levels]
+    K = (D - 1) // s
+    phi = [Fraction(1)]
+    support = []  # the k >= 1 with φ_k != 0
+    powers = [[Fraction(1)] for _ in levels]  # φ^n to u-degree K − d
+    for k in range(1, K + 1):
+        phi_k = -sum(
+            (bi * w[k - d] for (d, _, bi), w in zip(levels, powers) if d <= k),
+            Fraction(0),
+        )
+        phi.append(phi_k)
+        if phi_k:
+            support.append(k)
+            g[1 + k * s] = phi_k
+        for (d, n, _), w in zip(levels, powers):
+            if k <= K - d:
+                w.append(
+                    sum(
+                        (((n + 1) * j - k) * phi[j] * w[k - j] for j in support),
+                        Fraction(0),
+                    )
+                    / k
                 )
-                return
-            if pos == len(steps):
-                return
-            size, coeff = steps[pos]
-            count = 0
-            power = Fraction(1)
-            fact = 1
-            while rem - size * count >= 0:
-                if count:
-                    power *= coeff
-                    fact *= count
-                walk(pos + 1, rem - size * count, K + count, prod * power / fact)
-                count += 1
-
-        walk(0, m, 0, Fraction(1))
-        if total:
-            g[e] = total / e
     return g
 
 
 # ---------------------------------------------------------------------------
-# the truncated-series kernel and the scaled composition engine
+# the truncated-series kernel and the powers of the logarithm
 
 
 def _mul(a: dict, b: dict, D: int) -> dict:
@@ -306,101 +286,24 @@ def _compose(outer: dict, inner: dict, D: int, one) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _scale_bound(g, s_terms, p, D):
-    mg = max((_den_exp(c, p, "inverse-log coefficient") for c in g.values()), default=0)
-    mb = 0
-    rho = Fraction(0)
-    for dx, dy, c in s_terms:
-        e = _den_exp(Fraction(c), p, "series coefficient")
-        mb = max(mb, e)
-        deg = dx + dy
-        if deg > 0 and e > 0:
-            rho = max(rho, Fraction(e, deg))
-    return mg, mb, mg + math.ceil(D * rho) + mb + 4
-
-
-def _compose_scaled(g: dict, s_terms, p: int, D: int) -> dict:
-    """Σ_e g_e·S^e truncated at total degree D, S sparse bivariate.
-
-    Horner over e walking down to 0; dictionary keys pack (i, j) into one
-    integer so the inner loop is integer adds and one checked division.
-    Terms of S sharing a coefficient and a total degree (the f(x)/f(y)
-    mirror pairs) are fused so the scaled product is computed once.
-    Requires every coefficient denominator to be a p-power.
-    """
-    g = {e: Fraction(c) for e, c in g.items() if c and e <= D}
-    if not g:
-        return {}
-    shift = (D + 1).bit_length()
-    mask = (1 << shift) - 1
-    mg, mb, M = _scale_bound(g, s_terms, p, D)
-    pmb = p**mb
-    pM = p**M
-    grouped = {}
-    for dx, dy, c in s_terms:
-        c = Fraction(c)
-        if not c:
-            continue
-        e = _den_exp(c, p)
-        bn = c.numerator * p ** (mb - e)
-        grouped.setdefault((dx + dy, bn), []).append((dx << shift) | dy)
-    if not grouped:
-        return {}
-    s_enc = [(dd, bn, tuple(keys)) for (dd, bn), keys in sorted(grouped.items())]
-
-    def scaled(fr: Fraction) -> int:
-        e = _den_exp(fr, p)
-        return fr.numerator * p ** (M - e)
-
-    e_top = max(g)
-    acc = {0: scaled(g[e_top])}
-    for e in range(e_top - 1, -1, -1):
-        bound = D - e
-        nxt = {}
-        for key, v in acc.items():
-            d0 = (key >> shift) + (key & mask)
-            for dd, bn, deltas in s_enc:
-                if d0 + dd > bound:
-                    continue
-                if bn == pmb:
-                    w = v
-                else:
-                    w, r = divmod(v * bn, pmb)
-                    if r:
-                        raise IntegralityError("scale exhausted during composition")
-                for dk in deltas:
-                    kk = key + dk
-                    if kk in nxt:
-                        nxt[kk] += w
-                    else:
-                        nxt[kk] = w
-        acc = nxt
-        ge = g.get(e)
-        if ge is not None:
-            acc[0] = acc.get(0, 0) + scaled(ge)
-        if e % 16 == 0:
-            acc = {
-                k: v
-                for k, v in acc.items()
-                if v and (k >> shift) + (k & mask) <= bound
-            }
-    out = {}
-    for key, v in acc.items():
-        if v:
-            out[(key >> shift, key & mask)] = Fraction(v, pM)
-    return out
-
-
-def _compose_log(g: dict, s_terms, p: int, D: int) -> dict:
-    """g(S) for the inverse logarithm g and sparse S = [(dx, dy, c)]: the
-    scaled-integer engine when every denominator of S is a p-power, exact
-    rationals through `_compose` otherwise (only sound for small D)."""
-    if all(_den_exp(Fraction(c), p) is not None for _, _, c in s_terms):
-        return _compose_scaled(g, s_terms, p, D)
-    if D > 160:
-        raise ValueError("non-p-power denominators only supported for D <= 160")
-    inner = {(dx, dy): Fraction(c) for dx, dy, c in s_terms if c}
-    return _compose(g, inner, D, Fraction(1))
+def _log_powers(b, q, D):
+    """Yield f^k = num/den for k = 0, 1, ... truncated at degree D, where
+    f(T) = Σ b_i T^{q^i}, stopping at the first zero power.  `num` holds
+    integer numerators under (e, 0) keys and `den` is their one shared
+    denominator, exact for any rational b_i; each step divides both by
+    their common gcd to keep them small."""
+    f = {(q**i, 0): Fraction(bi) for i, bi in enumerate(b) if bi and q**i <= D}
+    fden = math.lcm(*(c.denominator for c in f.values()))
+    fnum = {key: c.numerator * (fden // c.denominator) for key, c in f.items()}
+    num, den = {(0, 0): 1}, 1
+    while num:
+        yield num, den
+        num = _mul(num, fnum, D)
+        den *= fden
+        common = math.gcd(den, *num.values())
+        if common > 1:
+            num = {key: v // common for key, v in num.items()}
+            den //= common
 
 
 # ---------------------------------------------------------------------------
@@ -596,24 +499,28 @@ class FormalModule:
         }
 
 
-def _log_series_terms(b, q, D, factor=Fraction(1), axis=0):
-    """Sparse terms of factor·f(x) (axis 0) or factor·f(y) (axis 1)."""
-    out = []
-    for i, bi in enumerate(b):
-        if not bi or q**i > D:
-            continue
-        e = q**i
-        term = (e, 0, bi * factor) if axis == 0 else (0, e, bi * factor)
-        out.append(term)
-    return out
-
-
 def _bracket_series(b, g, a, descriptor, D) -> UnivariateSeries:
-    s_terms = _log_series_terms(b, descriptor.q, D, factor=Fraction(a))
-    raw = _compose_log(g, s_terms, descriptor.p, D)
-    coeffs = {i: c for (i, _), c in raw.items()}
+    """[a](T) = Σ_e g_e·a^e·f(T)^e, each power of f used as it is generated.
+
+    The sum is kept as integer numerators over one denominator, widened
+    whenever a term needs a factor it lacks, so no denominator is assumed."""
+    a = Fraction(a)
+    acc, den, a_e = {}, 1, Fraction(1)
+    for e, (num, fden) in enumerate(_log_powers(b, descriptor.q, D)):
+        ge = g.get(e)
+        if ge is not None:
+            r = ge * a_e / fden
+            if den % r.denominator:
+                widen = r.denominator // math.gcd(den, r.denominator)
+                acc = {i: v * widen for i, v in acc.items()}
+                den *= widen
+            c = r.numerator * (den // r.denominator)
+            for (i, _), v in num.items():
+                acc[i] = acc.get(i, 0) + c * v
+        a_e *= a
+    coeffs = {i: Fraction(v, den) for i, v in acc.items() if v}
     lead = coeffs.get(1, Fraction(0))
-    if lead != Fraction(a):
+    if lead != a:
         raise IntegralityError(f"bracket linear term {lead} != {a}", (1,))
     return UnivariateSeries(RATIONALS, D, coeffs)
 
@@ -654,9 +561,41 @@ def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModul
 
 
 def _law_series(b, g, descriptor, D) -> BivariateSeries:
-    p, q = descriptor.p, descriptor.q
-    s_law = _log_series_terms(b, q, D, axis=0) + _log_series_terms(b, q, D, axis=1)
-    raw = _compose_log(g, s_law, p, D)
+    """F(x, y) = g(f(x) + f(y)) = Σ_k f(x)^k·B_k(y), where
+    B_k = Σ_l g_{k+l}·C(k+l, k)·f^l is truncated at degree D − k.
+
+    One table of the powers f^k serves both axes.  The powers are brought to
+    the lcm P of their denominators and g to the lcm G of its own, so the
+    whole sum runs on integers over P²·G.  That denominator is read off the
+    actual table rather than assumed from a p-adic bound, so there is no
+    scale for a remainder check to guard; the p-integrality that the
+    functional-equation lemma promises is asserted on the result."""
+    p = descriptor.p
+    table = list(_log_powers(b, descriptor.q, D))
+    P = math.lcm(*(den for _, den in table))
+    A = [sorted((e, v * (P // den)) for (e, _), v in num.items()) for num, den in table]
+    G = math.lcm(*(c.denominator for c in g.values()))
+    g_num = sorted((e, c.numerator * (G // c.denominator)) for e, c in g.items())
+    acc = {}
+    for k, row in enumerate(A):
+        bk = {}
+        for e, c in g_num:
+            l = e - k
+            if l < 0:
+                continue
+            c *= math.comb(e, k)
+            for j, v in A[l]:
+                if j > D - k:
+                    break
+                bk[j] = bk.get(j, 0) + c * v
+        bk = sorted(bk.items())
+        for i, v in row:
+            for j, w in bk:
+                if i + j > D:
+                    break
+                acc[(i, j)] = acc.get((i, j), 0) + v * w
+    scale = P * P * G
+    raw = {key: Fraction(v, scale) for key, v in acc.items() if v}
     for (i, j), c in raw.items():
         if c.denominator % p == 0:
             raise IntegralityError(

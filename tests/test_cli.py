@@ -147,6 +147,15 @@ def test_formal_readme_sampled_example(capsys):
     assert [(c["i"], c["ok"]) for c in rep.payload["congruences"]] == [(1, True), (2, True)]
 
 
+def test_formal_non_p_power_values_above_degree_160(capsys):
+    code, rep = report_of(
+        capsys, "formal", "--p", "3", "--q", "3", "--values", "1/2,1", "--prec", "200"
+    )
+    assert code == 0 and rep.status == "ok"
+    assert rep.payload["law"]["D"] == 200
+    assert rep.payload["brackets"]["3"]["coeffs"][0] == [1, "3"]
+
+
 def test_formal_values_flag_required(capsys):
     code, _, err = run(capsys, "formal", "--p", "2", "--q", "2")
     assert code == 64 and "--values" in err

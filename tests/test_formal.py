@@ -231,21 +231,61 @@ def test_height_additivity_needs_finite_field():
         height_additivity_check(f, f, q=2)
 
 
-@pytest.mark.parametrize("p,q,values,D", [(2, 2, (1, 2, 1), 32), (3, 3, (1, 2), 27)])
-def test_rational_composition_matches_scaled_engine(p, q, values, D):
-    """The exact-rational fallback and the scaled-integer hot path give the
-    same law and the same [p], [p+1] brackets, coefficient for coefficient."""
-    from ramtower.formal import _compose, _compose_scaled, _log_series_terms
+@pytest.mark.parametrize(
+    "p,q,values,D",
+    [(2, 2, (1, 2, 1), 32), (3, 3, (1, 2), 27), (3, 3, (Fraction(1, 2), 1), 27)],
+)
+def test_rational_composition_matches_power_table(p, q, values, D):
+    """Composing g with f(x)+f(y) or a·f(T) over Fractions gives the law and
+    the [p], [p+1] brackets that the power table assembles, coefficient for
+    coefficient."""
+    from ramtower.formal import _compose
 
     M = atypical_module(p, q, values, D=D)
     b, g = M.log_coeffs, M.inv_coeffs
-    law = _log_series_terms(b, q, D, axis=0) + _log_series_terms(b, q, D, axis=1)
-    brackets = [_log_series_terms(b, q, D, factor=Fraction(a)) for a in (p, p + 1)]
-    for s_terms in [law] + brackets:
-        inner = {(dx, dy): c for dx, dy, c in s_terms}
-        exact = _compose(g, inner, D, Fraction(1))
-        assert exact and exact == _compose_scaled(g, s_terms, p, D)
-    assert exact == {(e, 0): c for e, c in M.bracket(p + 1).coeffs.items()}
+    f = {q**i: bi for i, bi in enumerate(b) if bi and q**i <= D}
+    law = {**{(e, 0): c for e, c in f.items()}, **{(0, e): c for e, c in f.items()}}
+    exact = _compose(g, law, D, Fraction(1))
+    assert exact and exact == M.law.coeffs
+    for a in (p, p + 1):
+        exact = _compose(g, {(e, 0): a * c for e, c in f.items()}, D, Fraction(1))
+        assert exact and exact == {(e, 0): c for e, c in M.bracket(a).coeffs.items()}
+
+
+INVERSE_LOG_CASES = [
+    (2, 2, (1, 2, 1), 32),
+    (2, 2, (1, 2, 1), 64),
+    (2, 4, (1, 2, 1), 64),
+    (3, 3, (1, 2, 1), 27),
+    (3, 9, (1, 2, 1), 729),
+    (2, 2, (0, 1), 64),
+    (3, 9, (0, 0, 1), 729),
+    (5, 5, (1, 1, 1), 125),
+    (2, 2, (1, 2, 1), 128),
+]
+
+
+@pytest.mark.parametrize("p,q,values,D", INVERSE_LOG_CASES)
+def test_inverse_log_composes_to_identity(p, q, values, D):
+    # g(f(T)) = T to degree D, checked by plain composition, independent of
+    # how g was computed
+    from ramtower.formal import _compose
+
+    M = atypical_module(p, q, values, D=D)
+    f = {(q**i, 0): bi for i, bi in enumerate(M.log_coeffs) if bi and q**i <= D}
+    assert _compose(M.inv_coeffs, f, D, Fraction(1)) == {(1, 0): 1}
+
+
+def test_atypical_module_at_q2_degree_128():
+    M = atypical_module(2, 2, (1, 2, 1), D=128)
+    for i in (1, 2, 3):
+        assert check_pi_congruence(M, i).ok
+
+
+def test_bracket_with_non_p_power_value_above_degree_160():
+    br = honda_module(2, 4, 1, D=256).bracket(Fraction(1, 3))
+    assert br.coeff(1) == Fraction(1, 3)
+    assert all(c.denominator % 2 for c in br.coeffs.values())
 
 
 def test_pi_polynomial_model():
@@ -279,8 +319,8 @@ def test_atypical_rejects_non_integral_values():
 
 
 def test_fraction_engine_accepts_odd_denominators():
-    # 1/3 is a 2-adic unit, so the specialization is legal; the law assembly
-    # has to fall back to full-rational composition and still close
+    # 1/3 is a 2-adic unit, so the specialization is legal; the law's
+    # denominators are then not powers of 2, and it still has to close
     F = atypical_module(2, 2, values=(Fraction(1, 3),), D=12)
     rep = check_group_law(F.law, method="exact")
     assert rep.ok, rep
