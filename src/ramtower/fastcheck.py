@@ -1,14 +1,18 @@
-"""Vectorized associativity checks for group laws over finite fields.
+"""Vectorized associativity checks for group laws over the prime field.
 
-Two strategies, both exact despite running through floating-point FFTs:
-convolution inputs are reduced residues, so every true convolution value is
-a small integer far below 2^53, and each inverse transform is rounded and
-asserted to be within 0.01 of an integer before reduction.  A rounding
-failure is therefore impossible to miss — it raises, it cannot corrupt.
+Both engines take an F_q law whose coefficients lie in the prime subfield F_p
+(every law reduced from a p-integral one does) and raise ValueError on any
+other; method="exact" in `check_group_law` answers those.  Both are exact
+despite running through floating-point FFTs: convolution inputs are reduced
+residues, so every true convolution value is a small integer far below 2^53,
+and `_rint_exact` rounds each inverse transform and raises ArithmeticError
+unless every value was within 0.01 of an integer.  A rounding failure is
+therefore impossible to miss — it raises, it cannot corrupt.
 
-- dense_associativity: assembles both trivariate compositions on a full
-  (D+1)^3 coefficient grid, one coordinate plane per basis vector of F_q
-  over F_p.  Certain, but memory-bound; guarded to moderate truncations.
+- dense_associativity: the powers F^i as (D+1)×(D+1) planes of residues mod
+  p, each one FFT product with the base plane, and the associator
+  F(F(x,y),z) − F(x,F(y,z)) on the full (D+1)^3 coefficient grid.  Certain,
+  but memory-bound; guarded to moderate truncations.
 
 - sampled_associativity: substitutes (a·t, b·t, c·t) for random a, b, c in
   a large extension of F_p and compares the two compositions as univariate
@@ -24,7 +28,7 @@ import random
 
 import numpy as np
 
-from .fq import FqElem, FqField, fq_field
+from .fq import FqField, fq_field
 
 _MAX_DENSE_D = 200
 
@@ -64,8 +68,23 @@ def _reduction_rows(field: FqField) -> np.ndarray:
     return rows
 
 
-def _conv2_exact(fa, fb, shape, s0, s1):
-    raw = np.fft.irfft2(fa * fb, shape)[:s0, :s1]
+def _check_prime_subfield(F, engine: str) -> int:
+    """Return p after checking that every coefficient of F lies in F_p."""
+    field = F.ring
+    if not isinstance(field, FqField):
+        raise ValueError(f"{engine} check needs finite-field coefficients")
+    for (i, j), c in sorted(F.coeffs.items()):
+        if any(c.coeffs[1:]):
+            raise ValueError(
+                f"{engine} check needs prime-subfield coefficients; ({i},{j}) is not"
+                ' (use method="exact")'
+            )
+    return field.p
+
+
+def _rint_exact(raw: np.ndarray) -> np.ndarray:
+    """Round an inverse FFT to the integers it approximates; raise
+    ArithmeticError if any value was more than 0.01 from one."""
     out = np.rint(raw)
     err = np.max(np.abs(raw - out)) if out.size else 0.0
     if err > 0.01:
@@ -74,117 +93,48 @@ def _conv2_exact(fa, fb, shape, s0, s1):
 
 
 # ---------------------------------------------------------------------------
-# dense plane assembly
-
-
-def _mult_matrix(c: FqElem) -> np.ndarray:
-    field = c.field
-    m = field.m
-    M = np.zeros((m, m), dtype=np.int64)
-    col = c
-    theta = field.elem((0, 1)) if m > 1 else None
-    for k in range(m):
-        M[:, k] = col.coeffs
-        if k + 1 < m:
-            col = col * theta
-    return M
-
-
-def _coord_planes(F) -> np.ndarray:
-    field = F.ring
-    m, D = field.m, F.D
-    arr = np.zeros((m, D + 1, D + 1), dtype=np.int64)
-    for (i, j), c in F.coeffs.items():
-        arr[:, i, j] = c.coeffs
-    return arr
-
-
-def _fq_bivar_mul(A, fb, R, p, D, shape, s0):
-    """A * base for (m, D+1, D+1) coordinate planes; fb holds the rfft2 of
-    each base plane.  Exact, reduced mod p, truncated past total degree D."""
-    m = A.shape[0]
-    freq = [None] * (2 * m - 1)
-    for da in range(m):
-        fa = np.fft.rfft2(A[da], shape)
-        for db in range(m):
-            t = fa * fb[db]
-            if freq[da + db] is None:
-                freq[da + db] = t
-            else:
-                freq[da + db] += t
-    planes = []
-    for k in range(2 * m - 1):
-        raw = np.fft.irfft2(freq[k], shape)[: D + 1, : D + 1]
-        out = np.rint(raw)
-        err = np.max(np.abs(raw - out))
-        if err > 0.01:
-            raise ArithmeticError(f"FFT convolution left residue {err}")
-        planes.append(out.astype(np.int64) % p)
-    low = np.stack(planes[:m])
-    for r in range(m - 1):
-        hi = planes[m + r]
-        for j in range(m):
-            if R[r, j]:
-                low[j] += R[r, j] * hi
-    low %= p
-    ii, jj = np.indices((D + 1, D + 1))
-    low[:, ii + jj > D] = 0
-    return low
+# dense grid
 
 
 def dense_associativity(F):
     """Compare F(F(x,y),z) and F(x,F(y,z)) cell by cell on the full grid.
 
     Returns (ok, first_failing_monomial)."""
-    field = F.ring
-    if not isinstance(field, FqField):
-        raise ValueError("dense check needs finite-field coefficients")
+    p = _check_prime_subfield(F, "dense")
     D = F.D
     if D > _MAX_DENSE_D:
         raise ValueError(f"dense grid at D={D} would not fit; use the sampled check")
-    m, p = field.m, field.p
-    R = _reduction_rows(field)
-    base = _coord_planes(F)
     if not F.coeffs:
         return True, None
-    top = max(max(i, j) for i, j in F.coeffs)
-    s0 = 2 * D + 1
-    shape = (_fast_len(s0), _fast_len(s0))
-    fb = [np.fft.rfft2(base[db], shape) for db in range(m)]
-    powers = [None] * (top + 1)
-    P0 = np.zeros((m, D + 1, D + 1), dtype=np.int64)
-    P0[0, 0, 0] = 1
-    powers[0] = P0
-    if top >= 1:
-        powers[1] = base
-    for n in range(2, top + 1):
-        powers[n] = _fq_bivar_mul(powers[n - 1], fb, R, p, D, shape, s0)
-    W1 = np.zeros((m, D + 1, D + 1, D + 1), dtype=np.int64)
-    W2 = np.zeros_like(W1)
-    mat_cache = {}
-    for (i, j), c in F.coeffs.items():
-        key = c.coeffs
-        M = mat_cache.get(key)
-        if M is None:
-            M = mat_cache[key] = _mult_matrix(c)
-        left = np.tensordot(M, powers[i], axes=(1, 0)) % p
-        W1[:, :, :, j] += left
-        right = np.tensordot(M, powers[j], axes=(1, 0)) % p
-        W2[:, i, :, :] += right
-    W1 %= p
-    W2 %= p
-    a, b, cg = np.indices((D + 1, D + 1, D + 1), sparse=True)
-    outside = (a + b + cg) > D
-    W1[:, outside] = 0
-    W2[:, outside] = 0
-    diff = np.any(W1 != W2, axis=0)
-    if not diff.any():
+    terms = [(i, j, c.coeffs[0]) for (i, j), c in F.coeffs.items()]
+    top = max(max(i, j) for i, j, _ in terms)
+    base = np.zeros((D + 1, D + 1), dtype=np.int64)
+    for i, j, c in terms:
+        base[i, j] = c
+    shape = (_fast_len(2 * D + 1),) * 2
+    fb = np.fft.rfft2(base, shape)
+    x, y = np.indices((D + 1, D + 1))
+    beyond = x + y > D
+    powers = [np.zeros_like(base), base]
+    powers[0][0, 0] = 1
+    while len(powers) <= top:
+        prod = np.fft.irfft2(np.fft.rfft2(powers[-1], shape) * fb, shape)
+        power = _rint_exact(prod[: D + 1, : D + 1]) % p
+        power[beyond] = 0
+        powers.append(power)
+    # the associator F(F(x,y),z) - F(x,F(y,z)) on the (x, y, z) exponent grid
+    W = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
+    for i, j, c in terms:
+        W[:, :, j] += c * powers[i]
+        W[i] -= c * powers[j]
+    W %= p
+    x, y, z = np.indices((D + 1, D + 1, D + 1), sparse=True)
+    W[x + y + z > D] = 0
+    cells = np.argwhere(W)
+    if not len(cells):
         return True, None
-    cells = np.argwhere(diff)
-    sums = cells.sum(axis=1)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], sums))
-    first = tuple(int(x) for x in cells[order[0]])
-    return False, first
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], cells.sum(axis=1)))
+    return False, tuple(cells[order[0]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +180,7 @@ def _line_value(support, pow_a, pow_b, L, R, p):
 
 def _series_mul_fft(acc, fu, shape, L, width, R, p):
     fa = np.fft.rfft2(acc, shape)
-    raw = np.fft.irfft2(fa * fu, shape)[:L, :width]
-    out = np.rint(raw)
-    err = np.max(np.abs(raw - out))
-    if err > 0.01:
-        raise ArithmeticError(f"FFT series product left residue {err}")
-    out = out.astype(np.int64)
+    out = _rint_exact(np.fft.irfft2(fa * fu, shape)[:L, :width])
     r = R.shape[1]
     low = out[:, :r] + out[:, r:] @ R
     return low % p
@@ -265,15 +210,7 @@ def sampled_associativity(F, seed=0, reps=2, ext_degree=None):
     Needs prime-subfield coefficients (every law built here reduces from
     rational integrality, so that is the common case).  Returns
     (ok, first_failing_t_degree_or_None, detail)."""
-    field = F.ring
-    if not isinstance(field, FqField):
-        raise ValueError("sampled check needs finite-field coefficients")
-    p = field.p
-    for (i, j), c in F.coeffs.items():
-        if any(c.coeffs[1:]):
-            raise ValueError(
-                f"sampled check needs prime-subfield coefficients; ({i},{j}) is not"
-            )
+    p = _check_prime_subfield(F, "sampled")
     D = F.D
     if ext_degree is None:
         ext_degree = 1

@@ -415,6 +415,7 @@ class ADescriptor:
     pi_symbol: str = "p"
 
     def __post_init__(self):
+        fq_field(self.p)  # raises "p must be prime"
         q, p = self.q, self.p
         while q % p == 0:
             q //= p
@@ -749,8 +750,8 @@ def check_group_law(
     dictionary.  Associativity strategy:
 
     - "exact": sparse trivariate assembly, any ring — the default for small D;
-    - "dense": coordinate arrays over F_p with certified-exact convolutions
-      (finite-field rings only);
+    - "dense": the full (D+1)^3 grid of residues mod p, built with
+      certified-exact FFT convolutions (prime-subfield coefficients only);
     - "sampled": substitute (a·t, b·t, c·t) with a, b, c random in a large
       extension field and compare the two compositions as univariate series
       in t — each total-degree slice of the defect is a homogeneous

@@ -48,12 +48,6 @@ class BreakFiltration:
             left //= d
             prev = b
 
-    def residual_order(self) -> int:
-        left = self.order
-        for _, d in self.breaks:
-            left //= d
-        return left
-
     def as_json(self):
         return {
             "order": self.order,

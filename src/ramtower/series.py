@@ -195,12 +195,6 @@ class LaurentSeries:
             return NotImplemented
         return self * other.inverse()
 
-    def shift(self, k: int):
-        """Multiply by t^k."""
-        return LaurentSeries(
-            self.field, self.v0 + k, self.coeffs, None if self.prec is None else self.prec + k
-        )
-
     def truncate(self, prec: int):
         return LaurentSeries(self.field, self.v0, self.coeffs, _min_prec(self.prec, prec))
 

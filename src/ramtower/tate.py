@@ -1,13 +1,15 @@
 """Ramification breaks of Eisenstein extensions of F_q((t)).
 
 An Eisenstein polynomial f(x) = x^n + a_{n-1}x^{n-1} + ... + a_0 over
-K = F_q((t)) cuts out a totally ramified extension L = K(alpha).  Inside L
-every valuation is computed exactly through resultants:
+K = F_q((t)) cuts out a totally ramified extension L = K(alpha).  Inside L,
+normalized so v_L(alpha) = 1 and v_L = n·v_K on the base, every valuation
+is read exactly off basis coefficients: for beta = Σ c_k·alpha^k with
+k < n the terms n·v_K(c_k) + k are distinct mod n, so
 
-    v_L(beta) = v_K(res(f, B))
+    v_L(beta) = min_k n·v_K(c_k) + k.
 
-for any polynomial representative B of beta, normalized so v_L(alpha) = 1
-and v_L = n·v_K on the base.
+Only an extension not verifiably Eisenstein falls back to the norm,
+v_L(beta) = v_K(res(f, B)) for a polynomial representative B of beta.
 
 The break data lives on the twisted polynomial g(x) = f(alpha·x + alpha) /
 alpha^n, whose roots are sigma(alpha)/alpha - 1.  `ramification_polynomial`

@@ -6,6 +6,10 @@ prints one complete JSON report; --svg output is byte-stable.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,22 @@ def test_formal_non_p_power_values_above_degree_160(capsys):
 def test_formal_values_flag_required(capsys):
     code, _, err = run(capsys, "formal", "--p", "2", "--q", "2")
     assert code == 64 and "--values" in err
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (4, 4)])
+def test_formal_rejects_non_prime_p(p, q):
+    # p = 1 once looped forever dividing q by p, so run in a subprocess whose
+    # timeout turns a regression into a failure instead of a hung suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["formal", "--p", str(p), "--q", str(q), "--values", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramtower.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    rep = read_report(proc.stdout)
+    assert rep.status == "fail" and rep.payload["error"] == "p must be prime"
 
 
 def test_prec_env_var_supplies_default(capsys, monkeypatch):

@@ -8,12 +8,13 @@ values worked by hand.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import FieldMismatch, IntegralityError
-from ramtower.fastcheck import dense_associativity, sampled_associativity
+from ramtower.fastcheck import _rint_exact, dense_associativity, sampled_associativity
 from ramtower.formal import (
     RATIONALS,
     BivariateSeries,
@@ -128,12 +129,13 @@ def test_multiplicative_law_passes():
     assert rep.ok
 
 
-def test_broken_associativity_found_by_all_engines():
-    # X + Y + X^2·Y + X·Y^2 over F_2: unit and commutativity hold, the
+@pytest.mark.parametrize("m", [1, 2], ids=["F_2", "F_4"])
+def test_broken_associativity_found_by_all_engines(m):
+    # X + Y + X^2·Y + X·Y^2 over F_2 and F_4: unit and commutativity hold, the
     # associator first differs in degree 5
-    f2 = fq_field(2)
-    one = f2.one()
-    F = BivariateSeries(f2, 12, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
+    field = fq_field(2, m)
+    one = field.one()
+    F = BivariateSeries(field, 12, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
     exact = check_group_law(F, method="exact")
     dense = check_group_law(F, method="dense")
     assert not exact.ok and not dense.ok
@@ -150,11 +152,21 @@ def test_dense_matches_exact_on_valid_law():
     assert ok and first is None
 
 
-def test_sampled_rejects_extension_field_coefficients():
+@pytest.mark.parametrize("engine", [dense_associativity, sampled_associativity],
+                         ids=["dense", "sampled"])
+def test_sampled_rejects_extension_field_coefficients(engine):
     f4 = fq_field(2, 2)
     F = BivariateSeries(f4, 6, {(1, 0): f4.one(), (0, 1): f4.one(), (1, 1): f4.gen()})
-    with pytest.raises(ValueError):
-        sampled_associativity(F, seed=0)
+    with pytest.raises(ValueError, match=r'\(1,1\) is not \(use method="exact"\)'):
+        engine(F)
+    assert check_group_law(F, method="exact").ok  # X + Y + θ·XY is associative
+
+
+def test_fft_rounding_is_certified():
+    raw = np.array([[2.004, -0.995], [7.0, 1e-9]])
+    assert _rint_exact(raw).tolist() == [[2, -1], [7, 0]]
+    with pytest.raises(ArithmeticError):
+        _rint_exact(np.array([1.0, 2.5]))
 
 
 def test_group_law_skip_leaves_associativity_open():
