@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from multiprocessing import get_context
 
 from .errors import InsufficientPrecision, RamtowerError

@@ -208,12 +208,11 @@ def _inverse_log_coeffs(b, q, D) -> dict:
     The 1/m are not p-powers, but every g_e = φ_k (e = 1 + k·s) is an
     integer polynomial in the b_i, so its denominator is one of theirs.
     """
-    levels = [(q**i - 1, q**i, b[i]) for i in range(1, len(b)) if b[i] and q**i <= D]
     g = {1: Fraction(1)}
-    if not levels:
+    s = _log_step(b, q, D)
+    if not s:
         return g
-    s = math.gcd(*[d for d, _, _ in levels])
-    levels = [(d // s, n, bi) for d, n, bi in levels]
+    levels = [((q**i - 1) // s, q**i, b[i]) for i in range(1, len(b)) if b[i] and q**i <= D]
     K = (D - 1) // s
     phi = [Fraction(1)]
     support = []  # the k >= 1 with φ_k != 0
@@ -286,24 +285,43 @@ def _compose(outer: dict, inner: dict, D: int, one) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _log_powers(b, q, D):
-    """Yield f^k = num/den for k = 0, 1, ... truncated at degree D, where
-    f(T) = Σ b_i T^{q^i}, stopping at the first zero power.  `num` holds
-    integer numerators under (e, 0) keys and `den` is their one shared
-    denominator, exact for any rational b_i; each step divides both by
-    their common gcd to keep them small."""
+def _log_step(b, q, D) -> int:
+    """s = gcd(q^i − 1) over the i >= 1 with b_i != 0 and q^i <= D, or 0 if
+    there is none.  Every exponent of f(T) = Σ b_i T^{q^i} is ≡ 1 mod s, and
+    so is every exponent of its inverse g."""
+    return math.gcd(*(q**i - 1 for i in range(1, len(b)) if b[i] and q**i <= D))
+
+
+def _log_powers(b, q, D, first=0, step=1):
+    """Yield f^k = num/den for k = first, first + step, ... truncated at
+    degree D, where f(T) = Σ b_i T^{q^i}, stopping at the first zero power.
+    `num` holds integer numerators under (e, 0) keys and `den` is their one
+    shared denominator, exact for any rational b_i; each product divides both
+    by their common gcd to keep them small."""
     f = {(q**i, 0): Fraction(bi) for i, bi in enumerate(b) if bi and q**i <= D}
     fden = math.lcm(*(c.denominator for c in f.values()))
     fnum = {key: c.numerator * (fden // c.denominator) for key, c in f.items()}
-    num, den = {(0, 0): 1}, 1
-    while num:
-        yield num, den
-        num = _mul(num, fnum, D)
-        den *= fden
+
+    def times(num, den, other, oden):
+        num = _mul(num, other, D)
+        den *= oden
         common = math.gcd(den, *num.values())
         if common > 1:
             num = {key: v // common for key, v in num.items()}
             den //= common
+        return num, den
+
+    def power(n):
+        num, den = {(0, 0): 1}, 1
+        for _ in range(n):
+            num, den = times(num, den, fnum, fden)
+        return num, den
+
+    num, den = power(first)
+    snum, sden = power(step)
+    while num:
+        yield num, den
+        num, den = times(num, den, snum, sden)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +521,16 @@ class FormalModule:
 def _bracket_series(b, g, a, descriptor, D) -> UnivariateSeries:
     """[a](T) = Σ_e g_e·a^e·f(T)^e, each power of f used as it is generated.
 
-    The sum is kept as integer numerators over one denominator, widened
-    whenever a term needs a factor it lacks, so no denominator is assumed."""
+    Only e ≡ 1 mod s (s from `_log_step`) can have g_e != 0, so the powers
+    start at f and step by f^s.  The sum is kept as integer numerators over
+    one denominator, widened whenever a term needs a factor it lacks, so no
+    denominator is assumed."""
     a = Fraction(a)
-    acc, den, a_e = {}, 1, Fraction(1)
-    for e, (num, fden) in enumerate(_log_powers(b, descriptor.q, D)):
-        ge = g.get(e)
+    q = descriptor.q
+    s = _log_step(b, q, D) or D  # f(T) = T: only e = 1 contributes
+    acc, den, a_e, a_s = {}, 1, a, a**s
+    for k, (num, fden) in enumerate(_log_powers(b, q, D, first=1, step=s)):
+        ge = g.get(1 + k * s)
         if ge is not None:
             r = ge * a_e / fden
             if den % r.denominator:
@@ -518,7 +540,7 @@ def _bracket_series(b, g, a, descriptor, D) -> UnivariateSeries:
             c = r.numerator * (den // r.denominator)
             for (i, _), v in num.items():
                 acc[i] = acc.get(i, 0) + c * v
-        a_e *= a
+        a_e *= a_s
     coeffs = {i: Fraction(v, den) for i, v in acc.items() if v}
     lead = coeffs.get(1, Fraction(0))
     if lead != a:

@@ -5,8 +5,12 @@ The polygon of f(x) = sum a_i x^i is the lower convex hull of the points
 length mu certifies exactly mu roots of valuation -s, and the y-intercept of
 a side is the data consumed by the ramification-break extraction.
 
-`build_polygon` is a monotone-chain hull; `brute_force_hull` re-derives the
-same polygon straight from the definition and exists purely as an oracle.
+`build_polygon` is a monotone-chain hull whose orientation test runs on
+integers: each ordinate is split into numerator and denominator once, and
+"on or above the chord" is decided by cross-multiplying, so the loop makes
+no `Fraction` and pays no gcd.  `brute_force_hull` re-derives the same
+polygon straight from the definition, on `Fraction`s, and exists purely as
+an oracle.
 """
 
 from __future__ import annotations
@@ -78,23 +82,45 @@ def build_polygon(points) -> NewtonPolygon:
     """Lower convex hull by monotone chain; collinear interior points are
     dropped, so the vertex list is canonical.
 
+    Each point keeps the lowest ordinate given for its abscissa, and the
+    vertices are those (x, Fraction) pairs as given.  The chain drops the
+    middle of three points (x0, n0/d0), (x1, n1/d1), (x, n/d) when
+
+        (n1·d0 − n0·d1)·d·(x − x0) >= (n·d0 − n0·d)·d1·(x1 − x0),
+
+    which is (y1 − y0)·(x − x0) >= (y − y0)·(x1 − x0) multiplied by
+    d0·d1·d > 0, so the test is exact on plain integers.  Only three
+    denominators meet in each test; one common denominator for the whole
+    point set would be the lcm of all of them, whose size grows with the
+    number of distinct denominators and makes every product a long one.
+
     >>> build_polygon([(1, 1), (2, 1), (4, 0)]).vertices
     ((1, Fraction(1, 1)), (4, Fraction(0, 1)))
     """
-    pts = _dedupe(points)
-    if not pts:
+    best: dict[int, Fraction] = {}
+    for x, y in points:
+        x = int(x)
+        if not isinstance(y, Fraction):
+            y = Fraction(y)
+        low = best.get(x)
+        if low is None or y.numerator * low.denominator < low.numerator * y.denominator:
+            best[x] = y
+    if not best:
         raise ValueError("no points with finite valuation")
-    hull: list[tuple[int, Fraction]] = []
-    for x, y in pts:
+    hull: list[tuple[int, int, int, Fraction]] = []
+    for x in sorted(best):
+        y = best[x]
+        n, d = y.numerator, y.denominator
         while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            x0, n0, d0, _ = hull[-2]
+            x1, n1, d1, _ = hull[-1]
             # drop the middle point if it sits on or above the chord
-            if (y1 - y0) * (x - x0) >= (y - y0) * (x1 - x0):
+            if (n1 * d0 - n0 * d1) * d * (x - x0) >= (n * d0 - n0 * d) * d1 * (x1 - x0):
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    return NewtonPolygon(tuple(hull))
+        hull.append((x, n, d, y))
+    return NewtonPolygon(tuple((x, y) for x, _, _, y in hull))
 
 
 def brute_force_hull(points) -> NewtonPolygon:

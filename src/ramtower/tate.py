@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision
 from .fq import FqField
-from .polygon import NewtonPolygon, build_polygon, y_intercepts
+from .polygon import NewtonPolygon, build_polygon, format_rat, y_intercepts
 from .series import INF, LaurentSeries
 from .seriespoly import SeriesPoly, resultant
 
@@ -277,8 +277,6 @@ class TateBreaks:
     hypothesis: HypothesisReport
 
     def as_json(self):
-        from .polygon import format_rat
-
         return {
             "breaks": [format_rat(b) for b in self.breaks],
             "points": [[i, v] for i, v in self.points],

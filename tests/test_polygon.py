@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 
@@ -127,3 +128,70 @@ def test_json_round_trip():
 def test_rat_string_round_trip():
     for x in (Fraction(7, 2), Fraction(-3), Fraction(0), Fraction(22, 7)):
         assert parse_rat(format_rat(x)) == x
+
+
+def _lowest(pts):
+    best = {}
+    for x, y in pts:
+        y = Fraction(y)
+        if x not in best or y < best[x]:
+            best[x] = y
+    return best
+
+
+integer_points = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(-10**6, 10**6)), min_size=1, max_size=40
+)
+large_denominator_points = st.lists(
+    st.tuples(
+        st.integers(0, 60),
+        st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+repeated_abscissa_points = st.builds(
+    lambda xs, ys: [(xs[k % len(xs)], y) for k, y in enumerate(ys)],
+    st.lists(st.integers(0, 8), min_size=1, max_size=12),
+    st.lists(rationals, min_size=1, max_size=40),
+)
+
+
+@given(st.one_of(integer_points, large_denominator_points, repeated_abscissa_points))
+@settings(max_examples=300, deadline=None)
+def test_hull_matches_brute_force_on_three_input_kinds(pts):
+    np_ = build_polygon(pts)
+    assert np_ == brute_force_hull(pts)
+    # integer input still yields Fraction vertices, so as_json is unchanged
+    assert all(type(y) is Fraction for _, y in np_.vertices)
+    best = _lowest(pts)
+    assert all(best[x] == y for x, y in np_.vertices)
+
+
+def test_large_hull_with_distinct_denominators():
+    # 20,000 points near a parabola, each ordinate built over its own
+    # denominator below 10^6, so the hull has many vertices and its chords
+    # meet many different denominators
+    rng = random.Random(20000)
+    dens = rng.sample(range(2, 10**6), 20000)
+    pts = []
+    for d in dens:
+        x = rng.randrange(10**4)
+        height = (x - 5000) ** 2 * d // 997 + rng.randrange(50 * d)
+        pts.append((x, Fraction(height, d)))
+    vs = build_polygon(pts).vertices
+    best = _lowest(pts)
+    xs = sorted(best)
+    assert len(vs) > 20
+    # it spans the point set and its vertices are lowest input points
+    assert vs[0] == (xs[0], best[xs[0]]) and vs[-1] == (xs[-1], best[xs[-1]])
+    assert all(best.get(x) == y for x, y in vs)
+    # its slopes strictly increase
+    slopes = [Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(vs, vs[1:])]
+    assert all(a < b for a, b in zip(slopes, slopes[1:]))
+    # no point lies below it
+    vx = [x for x, _ in vs]
+    for x, y in best.items():
+        k = min(bisect.bisect_right(vx, x) - 1, len(vs) - 2)
+        (x0, y0), (x1, y1) = vs[k], vs[k + 1]
+        assert y * (x1 - x0) >= y0 * (x1 - x) + y1 * (x - x0)
