@@ -24,12 +24,7 @@ import sys
 from multiprocessing import get_context
 
 from .errors import InsufficientPrecision, RamtowerError
-from .formal import (
-    atypical_module,
-    check_group_law,
-    check_pi_congruence,
-    honda_module,
-)
+from .formal import atypical_module, honda_module
 from .fq import fq_field
 from .herbrand import BreakFiltration, compose_tower
 from .jsonio import STATUS_FAIL, STATUS_OK, STATUS_PRECISION, RunReport
@@ -157,27 +152,6 @@ def _cmd_herbrand(args):
     return RunReport(STATUS_OK, payload), None
 
 
-def _congruence_json(rep):
-    return {
-        "ok": rep.ok,
-        "i": rep.i,
-        "ideal_exponent": rep.ideal_exponent,
-        "first_failure": None if rep.first_failure is None else str(rep.first_failure),
-    }
-
-
-def _group_law_json(rep):
-    return {
-        "ok": rep.ok,
-        "unit_ok": rep.unit_ok,
-        "commutative_ok": rep.commutative_ok,
-        "associative_ok": rep.associative_ok,
-        "method": rep.method,
-        "first_failure": None if rep.first_failure is None else list(rep.first_failure),
-        "detail": rep.detail,
-    }
-
-
 def _cmd_formal(args):
     prec = _default_prec(args.prec)
     if args.honda is not None:
@@ -188,23 +162,14 @@ def _cmd_formal(args):
         values = [_parse_rat_arg(v, "--values") for v in args.values.split(",")]
         module = atypical_module(args.p, args.q, values, D=prec)
     payload = module.as_json()
-    diagnostics = []
+    status = STATUS_OK
     if args.check:
-        law = module.law
-        if args.assoc in ("dense", "sampled") or (args.assoc == "auto" and law.D > 32):
-            # the finite-field engines check the reduction mod p; building the
-            # law already asserted that every coefficient is p-integral
-            law = module.residue_module().law
-        report = check_group_law(law, method=args.assoc)
-        payload["group_law"] = _group_law_json(report)
-        # every level i whose cap q^i fits under the truncation (q >= 2)
-        levels = [i for i in range(1, law.D.bit_length()) if args.q**i <= law.D]
-        payload["congruences"] = [
-            _congruence_json(check_pi_congruence(module, i)) for i in levels
-        ]
+        report, congruences = module.check(args.assoc)
+        payload["group_law"] = report.as_json()
+        payload["congruences"] = [c.as_json() for c in congruences]
         if not report.ok:
-            return RunReport(STATUS_FAIL, payload, diagnostics), None
-    return RunReport(STATUS_OK, payload, diagnostics), None
+            status = STATUS_FAIL
+    return RunReport(status, payload), None
 
 
 def _cmd_tate(args):

@@ -204,7 +204,7 @@ def _horner_side(by_outer, u, pow_inner, L, R, p, shape, width):
     return acc
 
 
-def sampled_associativity(F, seed=0, reps=2, ext_degree=None):
+def sampled_associativity(F, seed=0, reps=2):
     """Probabilistic associativity check on random scalar lines.
 
     Needs prime-subfield coefficients (every law built here reduces from
@@ -212,13 +212,10 @@ def sampled_associativity(F, seed=0, reps=2, ext_degree=None):
     (ok, first_failing_t_degree_or_None, detail)."""
     p = _check_prime_subfield(F, "sampled")
     D = F.D
-    if ext_degree is None:
-        ext_degree = 1
-        while p**ext_degree < 1 << 26:
-            ext_degree += 1
-    ext = fq_field(p, ext_degree)
-    R = _reduction_rows(ext)
-    r = ext_degree
+    r = 1  # extension degree: the least with p^r >= 2^26
+    while p**r < 1 << 26:
+        r += 1
+    R = _reduction_rows(fq_field(p, r))
     L = D + 1
     width = 2 * r - 1
     shape = (_fast_len(2 * L - 1), _fast_len(width))

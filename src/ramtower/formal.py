@@ -28,11 +28,15 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import FieldMismatch, IntegralityError
-from .fq import FqField, fq_field
+from .fq import FqField, exact_log, fq_field
 from .series import LaurentSeries
 from .seriespoly import SeriesPoly
 
 RATIONALS = "Q"
+
+# largest truncation whose associativity "auto" checks exactly, on the law
+# itself; above it the law is reduced mod p for the finite-field engines
+EXACT_ASSOC_MAX_D = 32
 
 
 def _vp(x: Fraction, p: int):
@@ -143,13 +147,12 @@ class QPoly:
 
 @dataclass(frozen=True)
 class UniversalATypical:
-    """Universal logarithm coefficients b_0..b_prec as polynomials in
+    """Universal logarithm coefficients b_0..b_n as polynomials in
     v_1..v_k.  Invariant: b_0 = 1 and p^i·b_i has p-integral coefficients."""
 
     p: int
     q: int
     k: int
-    prec: int
     b: tuple
 
 
@@ -177,7 +180,7 @@ def atypical_logarithm(p: int, q: int, k: int, n_terms: int) -> UniversalATypica
         for e, c in bi.terms.items():
             if _vp(c, p) < -i:
                 raise IntegralityError(f"p^{i}·b_{i} not integral at {e}", e)
-    return UniversalATypical(p=p, q=q, k=k, prec=n_terms, b=tuple(b))
+    return UniversalATypical(p=p, q=q, k=k, b=tuple(b))
 
 
 def _numeric_log_coeffs(p, q, values, i_max):
@@ -352,9 +355,6 @@ class BivariateSeries:
             return c
         return Fraction(0) if self.ring == RATIONALS else self.ring.zero()
 
-    def support(self):
-        return sorted(self.coeffs, key=lambda ij: (ij[0] + ij[1], ij))
-
     def reduce_mod_p(self, field: FqField) -> "BivariateSeries":
         if self.ring != RATIONALS:
             raise ValueError("already over a finite field")
@@ -430,14 +430,10 @@ class ADescriptor:
 
     p: int
     q: int
-    pi_symbol: str = "p"
 
     def __post_init__(self):
         fq_field(self.p)  # raises "p must be prime"
-        q, p = self.q, self.p
-        while q % p == 0:
-            q //= p
-        if q != 1 or self.q < 2:
+        if not exact_log(self.q, self.p):
             raise ValueError("q must be a positive power of p")
 
 
@@ -496,17 +492,30 @@ class FormalModule:
     def residue_module(self, field: FqField | None = None) -> "FormalModule":
         """Reduce the law and all stored brackets mod p into F_q."""
         if field is None:
-            q, p, m = self.descriptor.q, self.descriptor.p, 0
-            while q > 1:
-                q //= p
-                m += 1
-            field = fq_field(p, m)
+            p = self.descriptor.p
+            field = fq_field(p, exact_log(self.descriptor.q, p))
         return FormalModule(
             descriptor=self.descriptor,
             law=self.law.reduce_mod_p(field),
             brackets={a: s.reduce_mod_p(field) for a, s in self.brackets.items()},
             values=self.values,
         )
+
+    def check(self, method: str = "auto"):
+        """(GroupLawReport, [CongruenceReport]) as `formal --check` reports
+        them: the group-law axioms by `check_group_law` with the given
+        associativity method, on the law reduced mod p for "dense",
+        "sampled" and for "auto" above EXACT_ASSOC_MAX_D, then the [p]
+        congruence at every level i whose cap q^i fits under D."""
+        law = self.law
+        if method in ("dense", "sampled") or (method == "auto" and law.D > EXACT_ASSOC_MAX_D):
+            # the finite-field engines check the reduction mod p; building the
+            # law already asserted that every coefficient is p-integral
+            law = self.residue_module().law
+        report = check_group_law(law, method=method)
+        q = self.descriptor.q
+        levels = [i for i in range(1, law.D.bit_length()) if q**i <= law.D]
+        return report, [check_pi_congruence(self, i) for i in levels]
 
     def as_json(self):
         ring = self.law.ring
@@ -645,6 +654,14 @@ class CongruenceReport:
     ideal_exponent: int
     first_failure: tuple | None = None
 
+    def as_json(self):
+        return {
+            "ok": self.ok,
+            "i": self.i,
+            "ideal_exponent": self.ideal_exponent,
+            "first_failure": None if self.first_failure is None else str(self.first_failure),
+        }
+
 
 def check_pi_congruence(module: FormalModule, i: int) -> CongruenceReport:
     """[p](x) ≡ v_i x^{q^i} modulo (p, v_1,…,v_{i-1}, x^{q^i + 1}) for the
@@ -726,6 +743,26 @@ class GroupLawReport:
     def ok(self):
         return bool(self.unit_ok and self.commutative_ok and self.associative_ok)
 
+    def as_json(self):
+        return {
+            "ok": self.ok,
+            "unit_ok": self.unit_ok,
+            "commutative_ok": self.commutative_ok,
+            "associative_ok": self.associative_ok,
+            "method": self.method,
+            "first_failure": None if self.first_failure is None else list(self.first_failure),
+            "detail": self.detail,
+        }
+
+
+def _first_difference(a: dict, b: dict):
+    """The first key, ordered by (total degree, key), at which the series
+    a and b differ, or None when they are equal."""
+    for key in sorted(a.keys() | b.keys(), key=lambda t: (sum(t), t)):
+        if a.get(key) != b.get(key):
+            return key
+    return None
+
 
 def _assoc_exact(F: BivariateSeries):
     """Trivariate identity F(F(x,y),z) = F(x,F(y,z)) checked term by term.
@@ -757,10 +794,8 @@ def _assoc_exact(F: BivariateSeries):
             rhs[key] = rhs[key] + prod if key in rhs else prod
     lhs = {k: v for k, v in lhs.items() if v}
     rhs = {k: v for k, v in rhs.items() if v}
-    for key in sorted(set(lhs) | set(rhs), key=lambda t: (sum(t), t)):
-        if lhs.get(key) != rhs.get(key):
-            return False, key
-    return True, None
+    key = _first_difference(lhs, rhs)
+    return key is None, key
 
 
 def check_group_law(
@@ -771,7 +806,8 @@ def check_group_law(
     Unit and commutativity are always checked exactly on the coefficient
     dictionary.  Associativity strategy:
 
-    - "exact": sparse trivariate assembly, any ring — the default for small D;
+    - "exact": sparse trivariate assembly, any ring — the "auto" choice up to
+      D = EXACT_ASSOC_MAX_D;
     - "dense": the full (D+1)^3 grid of residues mod p, built with
       certified-exact FFT convolutions (prime-subfield coefficients only);
     - "sampled": substitute (a·t, b·t, c·t) with a, b, c random in a large
@@ -817,7 +853,7 @@ def check_group_law(
     elif comm_fail:
         report.first_failure = ("commutativity", comm_fail)
     if method == "auto":
-        if F.D <= 32:
+        if F.D <= EXACT_ASSOC_MAX_D:
             method = "exact"
         elif isinstance(F.ring, FqField):
             method = "dense" if F.D <= 200 else "sampled"
@@ -887,24 +923,18 @@ def check_hom(f: UnivariateSeries, F: FormalModule, G: FormalModule) -> HomRepor
         for key, v in _mul(xpow[i], ypow[j], D).items():
             rhs[key] = rhs[key] + c * v if key in rhs else c * v
     rhs = {k: v for k, v in rhs.items() if v}
-    law_ok = lhs == rhs
-    first = None
-    if not law_ok:
-        for key in sorted(set(lhs) | set(rhs), key=lambda t: (sum(t), t)):
-            if lhs.get(key) != rhs.get(key):
-                first = ("hom", key)
-                break
+    bad = _first_difference(lhs, rhs)
+    law_ok = bad is None
+    first = None if law_ok else ("hom", bad)
     linearity = {}
     shared = set(F.brackets) & set(G.brackets)
     for a in sorted(shared, key=str):
         left = _compose(f.coeffs, _univariate(F.brackets[a].coeffs), D, one)
         right = _compose(G.brackets[a].coeffs, fx, D, one)
-        linearity[a] = left == right
-        if not linearity[a] and first is None:
-            for key in sorted(set(left) | set(right)):
-                if left.get(key) != right.get(key):
-                    first = (f"bracket {a}", key[:1])
-                    break
+        bad = _first_difference(left, right)
+        linearity[a] = bad is None
+        if bad is not None and first is None:
+            first = (f"bracket {a}", bad[:1])
     return HomReport(law_ok=law_ok, linearity=linearity, first_failure=first)
 
 

@@ -131,6 +131,21 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def exact_log(n: int, p: int) -> int | None:
+    """k with n = p^k, or None when n is no power of p (p >= 2).
+
+    >>> exact_log(16, 2), exact_log(1, 3), exact_log(12, 2), exact_log(0, 2)
+    (4, 0, None, None)
+    """
+    if n < 1 or p < 2:
+        return None
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k if n == 1 else None
+
+
 @functools.lru_cache(maxsize=None)
 def fq_field(p: int, m: int = 1) -> "FqField":
     """Return the field with p^m elements, deterministically constructed.
@@ -156,15 +171,6 @@ class FqField:
     @property
     def q(self) -> int:
         return self.p**self.m
-
-    def elem(self, coeffs) -> "FqElem":
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) < self.m:
-            c = c + (0,) * (self.m - len(c))
-        elif len(c) > self.m:
-            c = _poly_mod(c, self.modulus, self.p)
-            c = c + (0,) * (self.m - len(c))
-        return FqElem(self, c)
 
     def from_int(self, n: int) -> "FqElem":
         """Integer -> element through base-p digits on the power basis."""

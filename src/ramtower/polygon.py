@@ -11,14 +11,17 @@ integers: each ordinate is split into numerator and denominator once, and
 no `Fraction` and pays no gcd.  `brute_force_hull` re-derives the same
 polygon straight from the definition, on `Fraction`s, and exists purely as
 an oracle.
+
+The module imports nothing from the rest of ramtower: `root_valuations`
+reads a polynomial only through its `.coeffs` and their `.valuation()`,
+and the JSON reader `NewtonPolygon.from_json` sits beside its writer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .seriespoly import SeriesPoly, poly_valuations
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,10 @@ class NewtonPolygon:
             "vertices": [[x, format_rat(y)] for x, y in self.vertices],
             "sides": [s.as_json() for s in self.sides],
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(tuple((int(x), parse_rat(y)) for x, y in obj["vertices"]))
 
 
 def format_rat(r) -> str:
@@ -161,27 +168,33 @@ def brute_force_hull(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull))
 
 
-def root_valuations(f: SeriesPoly) -> list[tuple[Fraction, int]]:
-    """[(valuation, multiplicity)] of the nonzero roots of f in an algebraic
-    closure, read off the polygon: a side of slope s and length mu gives mu
-    roots of valuation -s.  Roots at zero (trailing zero coefficients) are
-    excluded; multiplicities sum to deg f minus the order of vanishing at 0.
+def poly_valuations(f):
+    """[(i, v(a_i))] for the coefficients of a SeriesPoly with decidable
+    valuation; exact zeros are omitted, indeterminate zeros raise
+    InsufficientPrecision."""
+    pts = []
+    for i, c in enumerate(f.coeffs):
+        v = c.valuation()  # may raise InsufficientPrecision
+        if v != math.inf:
+            pts.append((i, v))
+    if not pts:
+        raise ValueError("zero polynomial has no Newton polygon")
+    return pts
+
+
+def root_valuations(f) -> list[tuple[Fraction, int]]:
+    """[(valuation, multiplicity)] of the nonzero roots of a SeriesPoly f in
+    an algebraic closure, read off the polygon: a side of slope s and length
+    mu gives mu roots of valuation -s.  Roots at zero (trailing zero
+    coefficients) are excluded; multiplicities sum to deg f minus the order
+    of vanishing at 0.
     """
     pts = poly_valuations(f)
     np = build_polygon(pts)
     return [(-s.slope, s.length) for s in np.sides]
 
 
-def y_intercepts(np: NewtonPolygon, nontrivial_only: bool = True) -> list[Fraction]:
-    """Y-intercepts of the sides, ascending; by default only sides of
-    strictly negative slope ("non-trivial" sides) are reported."""
-    out = [
-        s.intercept
-        for s in np.sides
-        if (s.slope < 0 if nontrivial_only else True)
-    ]
-    return sorted(out)
-
-
-def polygon_from_json(obj) -> NewtonPolygon:
-    return NewtonPolygon(tuple((int(x), parse_rat(y)) for x, y in obj["vertices"]))
+def y_intercepts(np: NewtonPolygon) -> list[Fraction]:
+    """Y-intercepts of the sides of strictly negative slope ("non-trivial"
+    sides), ascending."""
+    return sorted(s.intercept for s in np.sides if s.slope < 0)

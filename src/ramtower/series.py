@@ -198,25 +198,6 @@ class LaurentSeries:
     def truncate(self, prec: int):
         return LaurentSeries(self.field, self.v0, self.coeffs, _min_prec(self.prec, prec))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use inverse() for negative powers")
-        p = self.field.p
-        # peel off p-power part exactly (freshman's dream in characteristic p)
-        k = 0
-        while n and n % p == 0:
-            n //= p
-            k += 1
-        base = self.pth_power(k) if k else self
-        result = LaurentSeries.one(self.field)
-        acc = base
-        while n:
-            if n & 1:
-                result = result * acc
-            acc = acc * acc
-            n >>= 1
-        return result
-
     def pth_power(self, k: int):
         """The p^k-th power: exponents scale by p^k, coefficients are raised
         to the p^k, and so does the absolute precision."""

@@ -1,8 +1,9 @@
 """Polynomials in one variable with Laurent-series coefficients.
 
-This is the carrier for Newton-polygon input, Eisenstein polynomials and
-ramification polynomials.  Resultants are computed as Sylvester determinants
-by division-free minor expansion, so precision propagates through +/* only;
+This is the carrier for Eisenstein polynomials and ramification
+polynomials; `polygon.root_valuations` reads root valuations off its
+coefficients.  Resultants are computed as Sylvester determinants by
+division-free minor expansion, so precision propagates through +/* only;
 the expansion is exponential in the degree.  Extension valuations are read
 off basis coefficients (tate.ext_valuation); a resultant is taken only for
 an extension flagged totally ramified whose polynomial is not verifiably
@@ -11,9 +12,8 @@ Eisenstein.
 
 from __future__ import annotations
 
-from .errors import InsufficientPrecision
 from .fq import FqField
-from .series import INF, LaurentSeries, frobenius_twist, parse_series
+from .series import LaurentSeries, frobenius_twist, parse_series
 
 
 class SeriesPoly:
@@ -162,16 +162,3 @@ def _det(rows, field: FqField) -> LaurentSeries:
         return acc
 
     return minor(full)
-
-
-def poly_valuations(f: SeriesPoly):
-    """[(i, v(a_i))] for the coefficients with decidable valuation; exact
-    zeros are omitted, indeterminate zeros raise InsufficientPrecision."""
-    pts = []
-    for i, c in enumerate(f.coeffs):
-        v = c.valuation()  # may raise InsufficientPrecision
-        if v != INF:
-            pts.append((i, v))
-    if not pts:
-        raise ValueError("zero polynomial has no Newton polygon")
-    return pts

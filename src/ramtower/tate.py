@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
-from .fq import FqField
-from .polygon import NewtonPolygon, build_polygon, format_rat, y_intercepts
+from .fq import FqField, exact_log
+from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat, y_intercepts
 from .series import INF, LaurentSeries
 from .seriespoly import SeriesPoly, resultant
 
@@ -260,13 +260,8 @@ def check_tate_hypothesis(ext: EisensteinExtension) -> HypothesisReport:
             if vi < v1:
                 ok, witness = False, (i, vi, v1)
                 break
-    p = ext.field.p
-    m, k = n, 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    p_power = m == 1
-    return HypothesisReport(ok, witness, p_power, k if p_power else None)
+    k = exact_log(n, ext.field.p)
+    return HypothesisReport(ok, witness, k is not None, k)
 
 
 @dataclass(frozen=True)
@@ -290,6 +285,22 @@ class TateBreaks:
                 "degree_log": self.hypothesis.degree_log,
             },
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        hyp = obj["hypothesis"]
+        witness = hyp.get("witness")
+        return cls(
+            breaks=tuple(parse_rat(b) for b in obj["breaks"]),
+            polygon=NewtonPolygon.from_json(obj["polygon"]),
+            points=tuple((int(i), int(v)) for i, v in obj["points"]),
+            hypothesis=HypothesisReport(
+                ok=bool(hyp["ok"]),
+                witness=None if witness is None else tuple(witness),
+                p_power_degree=bool(hyp["p_power_degree"]),
+                degree_log=hyp["degree_log"],
+            ),
+        )
 
 
 def tate_breaks(ext: EisensteinExtension) -> TateBreaks:

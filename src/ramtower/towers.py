@@ -33,8 +33,9 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import GuardViolation
+from .fq import exact_log, fq_field
 from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower, phi_from_filtration
-from .polygon import NewtonPolygon, build_polygon, format_rat
+from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat
 from .tate import closed_form_break
 
 
@@ -48,12 +49,8 @@ class TowerParams:
     c: int
 
     def __post_init__(self):
-        q, p = self.q, self.p
-        if p < 2:
-            raise ValueError("p must be at least 2")
-        while q > 1 and q % p == 0:
-            q //= p
-        if q != 1 or self.q < 2:
+        fq_field(self.p)  # raises "p must be prime"
+        if not exact_log(self.q, self.p):
             raise ValueError("q must be a positive power of p")
         if self.g < 1 or self.d < 1 or self.c < 1:
             raise ValueError("g, d, c must be positive")
@@ -69,6 +66,10 @@ class TowerParams:
             "N": self.N,
             "c": self.c,
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(**{k: int(obj[k]) for k in ("p", "q", "g", "d", "N", "c")})
 
 
 def _require_above_N(params: TowerParams, k: int):
@@ -166,6 +167,27 @@ class BreakSchedule:
             "upper_table": table(self.upper_table),
             "diagnostics": list(self.diagnostics),
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        def table(rows):
+            return tuple(
+                (
+                    (parse_rat(r["from"]), None if r["to"] is None else parse_rat(r["to"])),
+                    int(r["order"]),
+                )
+                for r in rows
+            )
+
+        return cls(
+            params=TowerParams.from_json(obj["params"]),
+            n=int(obj["n"]),
+            lower=tuple(parse_rat(b) for b in obj["lower"]),
+            upper=tuple(parse_rat(w) for w in obj["upper"]),
+            lower_table=table(obj["lower_table"]),
+            upper_table=table(obj["upper_table"]),
+            diagnostics=tuple(obj["diagnostics"]),
+        )
 
 
 def _interval_table(breaks, params: TowerParams, n: int):
@@ -298,6 +320,18 @@ class TorsionTrace:
             "m": self.m,
             "polygons": [s.as_json() for s in self.snapshots],
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(
+            q=int(obj["q"]),
+            g=int(obj["g"]),
+            a_vals=tuple(parse_rat(v) for v in obj["a_vals"]),
+            branch=obj["branch"],
+            valuations=tuple(parse_rat(v) for v in obj["valuations"]),
+            m=None if obj["m"] is None else int(obj["m"]),
+            snapshots=tuple(NewtonPolygon.from_json(s) for s in obj["polygons"]),
+        )
 
 
 def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") -> TorsionTrace:

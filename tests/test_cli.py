@@ -14,15 +14,16 @@ from pathlib import Path
 import pytest
 
 from ramtower.cli import main
-from ramtower.jsonio import (
-    read_report,
-    schedule_from_json,
-    tate_breaks_from_json,
-    torsion_trace_from_json,
+from ramtower.jsonio import read_report
+from ramtower.polygon import NewtonPolygon, build_polygon
+from ramtower.tate import TateBreaks, eisenstein_trinomial, tate_breaks
+from ramtower.towers import (
+    BreakSchedule,
+    TorsionTrace,
+    TowerParams,
+    filtration_tables,
+    torsion_valuations,
 )
-from ramtower.polygon import build_polygon, polygon_from_json
-from ramtower.tate import eisenstein_trinomial, tate_breaks
-from ramtower.towers import TowerParams, filtration_tables, torsion_valuations
 from ramtower.fq import fq_field
 
 
@@ -40,7 +41,7 @@ def report_of(capsys, *argv):
 def test_polygon_happy_path(capsys):
     code, rep = report_of(capsys, "polygon", "--points", "1:1,2:1,4:0")
     assert code == 0 and rep.status == "ok"
-    assert polygon_from_json(rep.payload) == build_polygon([(1, 1), (2, 1), (4, 0)])
+    assert NewtonPolygon.from_json(rep.payload) == build_polygon([(1, 1), (2, 1), (4, 0)])
     assert rep.payload["vertices"] == [[1, "1"], [4, "0"]]
     assert rep.payload["sides"][0]["slope"] == "-1/3"
 
@@ -86,6 +87,7 @@ def test_unknown_flag_exits_64(capsys):
         ("tower verify --grid small --depth 0", None),
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n -1", None),
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n 0", None),
+        ("tower schedule --p 4 --q 16 --g 1 --d 1 --N 0 --c 1 --n 2", None),
     ],
 )
 def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -181,6 +183,22 @@ def test_formal_rejects_non_prime_p(p, q):
     assert rep.status == "fail" and rep.payload["error"] == "p must be prime"
 
 
+def test_formal_rejects_zero_q():
+    # q = 0 once looped forever dividing q by p; a subprocess timeout turns a
+    # regression into a failure instead of a hung suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["formal", "--p", "2", "--q", "0", "--values", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramtower.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    rep = read_report(proc.stdout)
+    assert rep.status == "fail"
+    assert rep.payload["error"] == "q must be a positive power of p"
+
+
 def test_prec_env_var_supplies_default(capsys, monkeypatch):
     monkeypatch.setenv("RAMTOWER_PREC", "12")
     code, rep = report_of(capsys, "formal", "--p", "2", "--q", "2", "--honda", "1")
@@ -197,7 +215,7 @@ def test_tate_single_break(capsys):
     code, rep = report_of(capsys, "tate", "--p", "2", "--poly", "t;t;1")
     assert code == 0
     assert rep.payload["breaks"] == ["1"]
-    again = tate_breaks_from_json(rep.payload)
+    again = TateBreaks.from_json(rep.payload)
     assert again.breaks == tate_breaks(eisenstein_trinomial(fq_field(2), 1)).breaks
 
 
@@ -245,7 +263,7 @@ def test_tower_schedule(capsys):
     assert code == 0
     assert rep.payload["upper"] == ["3", "9", "21"]
     params = TowerParams(p=2, q=2, g=1, d=1, N=0, c=1)
-    assert schedule_from_json(rep.payload) == filtration_tables(params, 3)
+    assert BreakSchedule.from_json(rep.payload) == filtration_tables(params, 3)
 
 
 def test_tower_schedule_guard(capsys):
@@ -272,7 +290,7 @@ def test_tower_torsion(capsys):
     )
     assert code == 0
     assert rep.payload["valuations"][:2] == ["1/3", "1/12"]
-    assert torsion_trace_from_json(rep.payload) == torsion_valuations(
+    assert TorsionTrace.from_json(rep.payload) == torsion_valuations(
         (1, 1), q=2, g=1, n_max=4
     )
 

@@ -1,0 +1,38 @@
+"""Import structure: the leaf modules load nothing else from ramtower, and
+the CLI leaves numpy to the engines that need it.
+
+Each case runs in a fresh interpreter, so modules that other tests have
+already imported cannot hide an import edge.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def loaded_after(module):
+    """Names in sys.modules after `import module` in a fresh interpreter."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("module", ["ramtower.jsonio", "ramtower.polygon"])
+def test_leaf_module_imports_no_other_ramtower_module(module):
+    ours = {name for name in loaded_after(module) if name.split(".")[0] == "ramtower"}
+    assert ours == {"ramtower", "ramtower.errors", module}
+
+
+def test_cli_does_not_import_numpy():
+    assert "numpy" not in loaded_after("ramtower.cli")

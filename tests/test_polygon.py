@@ -13,7 +13,6 @@ from ramtower.polygon import (
     build_polygon,
     format_rat,
     parse_rat,
-    polygon_from_json,
     root_valuations,
     y_intercepts,
 )
@@ -121,7 +120,7 @@ def test_y_intercepts_sorted_and_positive_slopes_dropped():
 
 def test_json_round_trip():
     np_ = build_polygon([(0, Fraction(7, 2)), (1, 1), (5, 0)])
-    again = polygon_from_json(np_.as_json())
+    again = NewtonPolygon.from_json(np_.as_json())
     assert again == np_
 
 

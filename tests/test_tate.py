@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from ramtower.errors import InsufficientPrecision
 from ramtower.fq import fq_field
-from ramtower.jsonio import tate_breaks_from_json
 from ramtower.series import LaurentSeries
 from ramtower.seriespoly import SeriesPoly, resultant
 from ramtower.tate import (
     EisensteinExtension,
     ExtElement,
+    TateBreaks,
     check_tate_hypothesis,
     closed_form_break,
     eisenstein_trinomial,
@@ -139,7 +139,7 @@ def test_ramification_points_shift():
 def test_json_round_trip():
     ext = eisenstein_trinomial(fq_field(3), 1)
     result = tate_breaks(ext)
-    again = tate_breaks_from_json(result.as_json())
+    again = TateBreaks.from_json(result.as_json())
     assert again.breaks == result.breaks
     assert again.points == result.points
     assert again.polygon == result.polygon

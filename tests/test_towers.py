@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import GuardViolation
-from ramtower.jsonio import schedule_from_json, torsion_trace_from_json
 from ramtower.tate import closed_form_break
 from ramtower.towers import (
     DEFAULT_GRID,
     BottomLayer,
+    BreakSchedule,
     TorsionTrace,
     TowerParams,
     breaks_over_base,
@@ -316,12 +316,12 @@ def test_torsion_ratio_law_and_bound(case):
 
 def test_schedule_json_round_trip():
     sched = filtration_tables(TowerParams(p=3, q=3, g=2, d=1, N=1, c=2), 4)
-    assert schedule_from_json(sched.as_json()) == sched
+    assert BreakSchedule.from_json(sched.as_json()) == sched
 
 
 def test_torsion_json_round_trip():
     trace = torsion_valuations((9, 1), q=2, g=1, n_max=3)
-    assert torsion_trace_from_json(trace.as_json()) == trace
+    assert TorsionTrace.from_json(trace.as_json()) == trace
 
 
 def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
