@@ -167,7 +167,9 @@ def _cmd_formal(args):
         report, congruences = module.check(args.assoc)
         payload["group_law"] = report.as_json()
         payload["congruences"] = [c.as_json() for c in congruences]
-        if not report.ok:
+        # a skipped associativity check is left open (report.ok is False),
+        # not failed: only a check that ran and failed fails the run
+        if report.first_failure is not None or not all(c.ok for c in congruences):
             status = STATUS_FAIL
     return RunReport(status, payload), None
 
@@ -283,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_for.add_argument("--p", type=int, required=True)
     p_for.add_argument("--q", type=int, required=True)
     p_for.add_argument("--values", help="structural constants v_1,v_2,... (rationals)")
-    p_for.add_argument("--honda", type=int, help="height h: specialize to the Honda module")
+    p_for.add_argument(
+        "--honda", type=_positive_int, help="height h: specialize to the Honda module"
+    )
     p_for.add_argument("--prec", type=_positive_int, help="series truncation degree D")
     p_for.add_argument("--check", action="store_true", help="run group-law and congruence checks")
     p_for.add_argument(
@@ -300,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="ramification-polygon breaks of an Eisenstein extension",
     )
     p_tate.add_argument("--p", type=int, required=True)
-    p_tate.add_argument("--field-ext", type=int, default=1, help="residue extension degree m")
+    p_tate.add_argument(
+        "--field-ext", type=_positive_int, default=1, help="residue extension degree m"
+    )
     p_tate.add_argument(
         "--poly",
         required=True,
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tors = tower_sub.add_parser("torsion", help="iterated torsion valuations")
     p_tors.add_argument("--vals", required=True, help="v(a_1),...,v(a_d) as rationals")
     p_tors.add_argument("--q", type=int, required=True)
-    p_tors.add_argument("--g", type=int, required=True)
+    p_tors.add_argument("--g", type=_positive_int, required=True)
     p_tors.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_tors.add_argument("--branch", default="max", choices=["max", "min"])
     p_tors.add_argument("--svg", help="render the last step's polygon to this file")

@@ -29,8 +29,6 @@ from fractions import Fraction
 
 from .errors import FieldMismatch, IntegralityError
 from .fq import FqField, exact_log, fq_field
-from .series import LaurentSeries
-from .seriespoly import SeriesPoly
 
 RATIONALS = "Q"
 
@@ -988,54 +986,3 @@ def height_additivity_check(f: UnivariateSeries, g: UnivariateSeries, q: int) ->
         return AdditivityReport("inconclusive", hf.h, hg.h, hc.h)
     status = "ok" if hc.h == hf.h + hg.h else "fail"
     return AdditivityReport(status, hf.h, hg.h, hc.h)
-
-
-# ---------------------------------------------------------------------------
-# the polynomial model of multiplication by p
-
-
-@dataclass(frozen=True)
-class PiPolynomial:
-    """[p](x) = a_1 x^{q^g} + … + a_d x^{q^{g+d-1}} + x^{q^s} with s = g+d,
-    coefficients in the valuation ideal and a_1 nonzero."""
-
-    g: int
-    d: int
-    a: tuple
-    field: FqField
-
-    def __post_init__(self):
-        if self.g < 1 or self.d < 1:
-            raise ValueError("g and d must be positive")
-        if len(self.a) != self.d:
-            raise ValueError(f"expected {self.d} coefficients, got {len(self.a)}")
-        if self.a[0].is_exact_zero():
-            raise ValueError("a_1 must be nonzero")
-        for i, ai in enumerate(self.a, start=1):
-            if not ai.is_exact_zero() and ai.valuation() < 1:
-                raise ValueError(f"v(a_{i}) must be >= 1")
-
-    @property
-    def s(self):
-        return self.g + self.d
-
-
-def pi_series(P: PiPolynomial, q: int) -> SeriesPoly:
-    """The polynomial itself, exponents q^{g+i-1} and monic top q^s."""
-    terms = {q ** (P.g + i - 1): ai for i, ai in enumerate(P.a, start=1)}
-    terms[q**P.s] = LaurentSeries.one(P.field)
-    return SeriesPoly.from_terms(P.field, terms)
-
-
-def v_polynomial(P: PiPolynomial, q: int) -> SeriesPoly:
-    """V with V(x^{q^g}) = [p](x): exponents drop to q^{i-1} and q^d."""
-    terms = {q ** (i - 1): ai for i, ai in enumerate(P.a, start=1)}
-    terms[q**P.d] = LaurentSeries.one(P.field)
-    return SeriesPoly.from_terms(P.field, terms)
-
-
-def v_twist(P: PiPolynomial, i: int, q: int) -> SeriesPoly:
-    """Coefficients of V pushed through the q^{ig}-power Frobenius."""
-    if i == 0:
-        return v_polynomial(P, q)
-    return v_polynomial(P, q).twist(q ** (i * P.g))

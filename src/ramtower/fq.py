@@ -67,18 +67,9 @@ def _poly_powmod(base, e: int, mod, p):
 def _poly_gcd(a, b, p):
     a, b = _trim(a), _trim(b)
     while b:
-        # a mod b with b made monic on the fly
+        # a mod b, with b made monic
         inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                for j in range(db):
-                    r[i - db + j] = (r[i - db + j] - c * bm[j]) % p
-            r[i] = 0
-        a, b = b, _trim(tuple(x % p for x in r))
+        a, b = b, _poly_mod(a, tuple((c * inv) % p for c in b), p)
     return a
 
 
@@ -103,19 +94,18 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         raise ValueError("polynomial must be monic of degree >= 1")
     if m == 1:
         return True
-    mod = coeffs
-    x = (0, 1)
+
+    def frobenius_minus_x(k):
+        # x^{p^k} - x mod f
+        h = list(_poly_powmod((0, 1), p**k, coeffs, p)) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        return _trim(tuple(h))
+
     for r in _prime_factors(m):
-        h = _poly_powmod(x, p ** (m // r), mod, p)
         # gcd(x^{p^{m/r}} - x, f) must be 1
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(_trim(tuple(diff)), mod, p)) > 1:
+        if len(_poly_gcd(frobenius_minus_x(m // r), coeffs, p)) > 1:
             return False
-    h = _poly_powmod(x, p**m, mod, p)
-    diff = list(h) + [0] * (2 - len(h))
-    diff[1] = (diff[1] - 1) % p
-    return not _trim(tuple(diff))
+    return not frobenius_minus_x(m)
 
 
 def _find_modulus(p: int, m: int) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
-"""Truncated Laurent series over a finite field, with absolute precision.
+"""Truncated Laurent series over a finite field F_q, with absolute precision.
 
 A series is a finite table of known coefficients plus an optional absolute
-precision P, meaning "known modulo t^P".  Operations propagate precision
-pessimistically and never fabricate digits; a question that the known digits
-cannot answer raises InsufficientPrecision instead of guessing.
+precision P, meaning "known modulo t^P".  The operations are the ring ones
+(+, -, * by a series or a scalar) and truncation, plus a literal grammar
+that parses and formats series; there is no division or composition.  They
+propagate precision pessimistically and never fabricate digits; a question
+that the known digits cannot answer raises InsufficientPrecision instead of
+guessing.
 
 The zero series comes in two flavours: exact zero (precision None, valuation
 +infinity) and "zero modulo t^P", whose valuation is undecidable.
@@ -100,11 +103,6 @@ class LaurentSeries:
             return self.coeffs[e - self.v0]
         return self.field.zero()
 
-    def terms(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.v0 + i, c
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -187,67 +185,8 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, FqElem)):
-            c = self.field.from_int(other) if isinstance(other, int) else other
-            return self * c.inverse()
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self * other.inverse()
-
     def truncate(self, prec: int):
         return LaurentSeries(self.field, self.v0, self.coeffs, _min_prec(self.prec, prec))
-
-    def pth_power(self, k: int):
-        """The p^k-th power: exponents scale by p^k, coefficients are raised
-        to the p^k, and so does the absolute precision."""
-        if k == 0:
-            return self
-        s = self.field.p**k
-        terms = {e * s: c ** (self.field.p**k) for e, c in self.terms()}
-        prec = None if self.prec is None else self.prec * s
-        return LaurentSeries.from_terms(self.field, terms, prec)
-
-    def inverse(self, prec: int | None = None):
-        """Multiplicative inverse.
-
-        For a truncated input known mod t^P with valuation v the result is
-        known mod t^(P-2v); `prec` may cap that further.  An exact input needs
-        an explicit absolute `prec` since the inverse is an infinite series.
-        """
-        v = self.valuation()
-        if v is INF:
-            raise ZeroDivisionError("inverse of zero series")
-        if self.prec is None:
-            nonzero = [c for c in self.coeffs if c]
-            if len(nonzero) == 1 and prec is None:
-                # monomial: the inverse is again an exact monomial
-                return LaurentSeries(self.field, -v, (nonzero[0].inverse(),), None)
-            if prec is None:
-                raise ValueError("exact series: pass prec (absolute) for the inverse")
-            out_prec = prec
-        else:
-            out_prec = self.prec - 2 * v
-            if prec is not None:
-                out_prec = min(out_prec, prec)
-        n_terms = out_prec + v  # digits of (1+e)^(-1), exponents 0 .. n_terms-1
-        if n_terms <= 0:
-            raise InsufficientPrecision("not enough digits to invert")
-        u = self.coeffs[0].inverse()
-        # e = tail of self over its leading term; r = (1+e)^(-1) by recurrence
-        e = [self.field.zero()] * n_terms
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            if i < n_terms:
-                e[i] = c * u
-        r = [self.field.zero()] * n_terms
-        r[0] = self.field.one()
-        for n in range(1, n_terms):
-            acc = self.field.zero()
-            for k in range(1, n + 1):
-                if e[k]:
-                    acc = acc + e[k] * r[n - k]
-            r[n] = -acc
-        return LaurentSeries(self.field, -v, tuple(c * u for c in r), out_prec)
 
     def __repr__(self):
         return f"LaurentSeries({format_series(self)!r})"
@@ -265,104 +204,6 @@ def _shift_prec(p: int | None, v) -> int | None:
     if p is None or v is INF:
         return None
     return int(p + v)
-
-
-def frobenius_twist(s: LaurentSeries, power: int) -> LaurentSeries:
-    """Raise a series to a power of p given as the literal power (q, q^2, ...).
-
-    In characteristic p this is coefficient-wise Frobenius plus exponent
-    scaling, so valuations scale exactly by `power`.
-    """
-    p = s.field.p
-    k = 0
-    n = power
-    while n > 1:
-        if n % p:
-            raise ValueError("power must be a power of the characteristic")
-        n //= p
-        k += 1
-    return s.pth_power(k)
-
-
-def compose(outer: list[LaurentSeries], inner: LaurentSeries, outer_prec: int | None = None):
-    """Evaluate sum(outer[k] * inner^k).
-
-    `outer` is a polynomial in T with series coefficients; if `outer_prec` is
-    given the outer series is only known modulo T^outer_prec, which caps the
-    result at t^(v(inner)*outer_prec).  Requires v(inner) >= 1 whenever the
-    outer part is not a polynomial.
-    """
-    if not outer:
-        return LaurentSeries.zero(inner.field, None)
-    v = inner.valuation_lower_bound()
-    if outer_prec is not None and v < 1:
-        raise ValueError("composition needs v(inner) >= 1 for a truncated outer series")
-    result = LaurentSeries.zero(inner.field)
-    power = LaurentSeries.one(inner.field)
-    for k, c in enumerate(outer):
-        if k:
-            power = power * inner
-        if not c.is_exact_zero():
-            result = result + c * power
-    if outer_prec is not None:
-        cap = outer_prec * v
-        if cap is not INF:
-            result = result.truncate(int(cap))
-    return result
-
-
-def compositional_inverse(coeffs: list, prec: int) -> list:
-    """Inverse under composition of f = sum(coeffs[k] T^k), generic in the
-    coefficient ring (exact rationals, field elements, ...).
-
-    coeffs[0] must be zero and coeffs[1] invertible.  Returns the coefficient
-    list of g with f(g(T)) = T modulo T^prec.
-    """
-    if len(coeffs) < 2:
-        raise ValueError("need at least a linear coefficient")
-    zero = coeffs[1] * 0
-    one = coeffs[1] / coeffs[1]
-    if coeffs[0] != zero:
-        raise ValueError("constant term must vanish")
-    inv1 = one / coeffs[1]
-    g = [zero] * prec
-    if prec <= 1:
-        return g
-    g[1] = inv1
-    for n in range(2, prec):
-        # residual: coefficient of T^n in f(g) with g[n] still zero
-        fg = _poly_eval_trunc(coeffs, g, n + 1, zero)
-        g[n] = -fg[n] * inv1
-    return g
-
-
-def _poly_eval_trunc(coeffs: list, g: list, cut: int, zero) -> list:
-    """f(g) truncated at T^cut for polynomial coefficient lists."""
-    result = [zero] * cut
-    power = [zero] * cut
-    power[0] = coeffs[1] / coeffs[1]  # one
-    for k, c in enumerate(coeffs):
-        if k:
-            power = _poly_mul_trunc(power, g, cut, zero)
-        if c != zero:
-            for i, a in enumerate(power):
-                if a != zero:
-                    result[i] = result[i] + c * a
-    return result
-
-
-def _poly_mul_trunc(a: list, b: list, cut: int, zero) -> list:
-    out = [zero] * cut
-    for i, x in enumerate(a):
-        if i >= cut:
-            break
-        if x != zero:
-            for j, y in enumerate(b):
-                if i + j >= cut:
-                    break
-                if y != zero:
-                    out[i + j] = out[i + j] + x * y
-    return out
 
 
 # -- literal parsing -------------------------------------------------------

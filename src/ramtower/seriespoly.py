@@ -1,19 +1,19 @@
-"""Polynomials in one variable with Laurent-series coefficients.
+"""Polynomials in one variable with Laurent-series coefficients over F_q.
 
 This is the carrier for Eisenstein polynomials and ramification
 polynomials; `polygon.root_valuations` reads root valuations off its
-coefficients.  Resultants are computed as Sylvester determinants by
-division-free minor expansion, so precision propagates through +/* only;
-the expansion is exponential in the degree.  Extension valuations are read
-off basis coefficients (tate.ext_valuation); a resultant is taken only for
-an extension flagged totally ramified whose polynomial is not verifiably
-Eisenstein.
+coefficients.  Its operations are +, - and *, and the resultant, a
+Sylvester determinant computed by division-free minor expansion, so
+precision propagates through +/* only; the expansion is exponential in the
+degree.  Extension valuations are read off basis coefficients
+(tate.ext_valuation); a resultant is taken only for an extension flagged
+totally ramified whose polynomial is not verifiably Eisenstein.
 """
 
 from __future__ import annotations
 
 from .fq import FqField
-from .series import LaurentSeries, frobenius_twist, parse_series
+from .series import LaurentSeries, parse_series
 
 
 class SeriesPoly:
@@ -94,11 +94,6 @@ class SeriesPoly:
                     if not b.is_exact_zero():
                         out[i + j] = out[i + j] + a * b
         return SeriesPoly(self.field, out)
-
-    def twist(self, power: int) -> "SeriesPoly":
-        """Coefficient-wise q^e-power Frobenius (power = q^e);
-        x-degrees are unchanged, coefficient valuations scale by `power`."""
-        return SeriesPoly(self.field, [frobenius_twist(c, power) for c in self.coeffs])
 
     def __repr__(self):
         from .series import format_series

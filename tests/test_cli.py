@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ramtower import formal
 from ramtower.cli import main
 from ramtower.jsonio import read_report
 from ramtower.polygon import NewtonPolygon, build_polygon
@@ -88,6 +89,10 @@ def test_unknown_flag_exits_64(capsys):
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n -1", None),
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n 0", None),
         ("tower schedule --p 4 --q 16 --g 1 --d 1 --N 0 --c 1 --n 2", None),
+        ("tate --p 2 --field-ext 0 --poly t;t;1", None),
+        ("formal --p 2 --q 2 --honda 0", None),
+        ("formal --p 2 --q 2 --honda -1", None),
+        ("tower torsion --vals 1 --q 2 --g 0 --nmax 2", None),
     ],
 )
 def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -151,6 +156,30 @@ def test_formal_readme_sampled_example(capsys):
     assert rep.payload["group_law"]["ok"] is True
     assert rep.payload["group_law"]["method"] == "sampled"
     assert [(c["i"], c["ok"]) for c in rep.payload["congruences"]] == [(1, True), (2, True)]
+
+
+def test_formal_assoc_skip_leaves_the_run_ok(capsys):
+    code, rep = report_of(
+        capsys, "formal", "--p", "2", "--q", "4", "--values", "1,1", "--prec", "20",
+        "--check", "--assoc", "skip",
+    )
+    assert code == 0 and rep.status == "ok"
+    assert rep.payload["group_law"]["associative_ok"] is None
+    assert rep.payload["group_law"]["first_failure"] is None
+    assert all(c["ok"] for c in rep.payload["congruences"])
+
+
+def test_formal_failed_congruence_fails_the_run(capsys, monkeypatch):
+    def failing(module, i):
+        return formal.CongruenceReport(False, i, 1, (1,))
+
+    monkeypatch.setattr(formal, "check_pi_congruence", failing)
+    code, rep = report_of(
+        capsys, "formal", "--p", "2", "--q", "2", "--honda", "1", "--prec", "8", "--check"
+    )
+    assert code == 1 and rep.status == "fail"
+    assert rep.payload["group_law"]["ok"] is True
+    assert [c["ok"] for c in rep.payload["congruences"]] == [False, False, False]
 
 
 def test_formal_non_p_power_values_above_degree_160(capsys):

@@ -18,7 +18,6 @@ from ramtower.fastcheck import _rint_exact, dense_associativity, sampled_associa
 from ramtower.formal import (
     RATIONALS,
     BivariateSeries,
-    PiPolynomial,
     UnivariateSeries,
     atypical_logarithm,
     atypical_module,
@@ -29,12 +28,8 @@ from ramtower.formal import (
     height,
     height_additivity_check,
     honda_module,
-    pi_series,
-    v_polynomial,
-    v_twist,
 )
 from ramtower.fq import fq_field
-from ramtower.series import LaurentSeries
 
 
 def test_universal_log_coefficients():
@@ -298,31 +293,6 @@ def test_bracket_with_non_p_power_value_above_degree_160():
     br = honda_module(2, 4, 1, D=256).bracket(Fraction(1, 3))
     assert br.coeff(1) == Fraction(1, 3)
     assert all(c.denominator % 2 for c in br.coeffs.values())
-
-
-def test_pi_polynomial_model():
-    # a_1 x^{q^g} + ... + x^{q^s}; V has the exponents deflated by q^g
-    f2 = fq_field(2)
-    t = LaurentSeries.t_power(f2, 1)
-    P = PiPolynomial(g=1, d=1, a=(t,), field=f2)
-    assert P.s == 2
-    ps = pi_series(P, q=2)
-    assert ps.degree == 4 and ps.coeff(2) == t
-    vp = v_polynomial(P, q=2)
-    assert vp.degree == 2 and vp.coeff(1) == t
-    tw = v_twist(P, i=1, q=2)
-    # twisting by Frobenius^{ig} scales coefficient valuations by q^{ig}
-    assert tw.coeff(1).valuation() == 2 * t.valuation()
-
-
-def test_pi_polynomial_validation():
-    f2 = fq_field(2)
-    t = LaurentSeries.t_power(f2, 1)
-    unit = LaurentSeries.one(f2)
-    with pytest.raises(ValueError):
-        PiPolynomial(g=1, d=2, a=(t,), field=f2)
-    with pytest.raises(ValueError):
-        PiPolynomial(g=1, d=1, a=(unit,), field=f2)  # v(a_1) = 0
 
 
 def test_atypical_rejects_non_integral_values():

@@ -1,5 +1,6 @@
-"""Import structure: the leaf modules load nothing else from ramtower, and
-the CLI leaves numpy to the engines that need it.
+"""Import structure: the leaf modules load nothing else from ramtower,
+`formal` loads only `fq` besides them, and the CLI leaves numpy to the
+engines that need it.
 
 Each case runs in a fresh interpreter, so modules that other tests have
 already imported cannot hide an import edge.
@@ -28,10 +29,17 @@ def loaded_after(module):
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("module", ["ramtower.jsonio", "ramtower.polygon"])
-def test_leaf_module_imports_no_other_ramtower_module(module):
+@pytest.mark.parametrize(
+    "module, extra",
+    [
+        pytest.param("ramtower.jsonio", set(), id="ramtower.jsonio"),
+        pytest.param("ramtower.polygon", set(), id="ramtower.polygon"),
+        pytest.param("ramtower.formal", {"ramtower.fq"}, id="ramtower.formal"),
+    ],
+)
+def test_leaf_module_imports_no_other_ramtower_module(module, extra):
     ours = {name for name in loaded_after(module) if name.split(".")[0] == "ramtower"}
-    assert ours == {"ramtower", "ramtower.errors", module}
+    assert ours == {"ramtower", "ramtower.errors", module} | extra
 
 
 def test_cli_does_not_import_numpy():

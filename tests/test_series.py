@@ -5,22 +5,13 @@ knows, and valuation questions that precision cannot answer raise
 InsufficientPrecision instead of guessing.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import InsufficientPrecision
 from ramtower.fq import fq_field
-from ramtower.series import (
-    LaurentSeries,
-    compose,
-    compositional_inverse,
-    format_series,
-    frobenius_twist,
-    parse_series,
-)
+from ramtower.series import LaurentSeries, format_series, parse_series
 
 F2 = fq_field(2)
 F4 = fq_field(2, 2)
@@ -90,43 +81,6 @@ def test_truncate_and_coeff():
     assert a.coeff(3) == 1 and a.coeff(2) == 0
     t = a.truncate(2)
     assert t.prec == 2 and t.coeff(1) == 1
-
-
-def test_inverse_multiplies_to_one():
-    a = s("1 + t + t^2", prec=12)
-    inv = a.inverse()
-    prod = a * inv
-    assert prod.coeff(0) == 1
-    assert all(prod.coeff(k) == 0 for k in range(1, 10))
-    # shifted unit: valuations negate
-    b = s("t^3*(1 + t)", prec=14)
-    assert b.inverse().valuation() == -3
-
-
-def test_inverse_needs_known_leading_term():
-    with pytest.raises(InsufficientPrecision):
-        LaurentSeries.zero(F2, prec=4).inverse()
-
-
-def test_pth_power_and_frobenius_twist():
-    a = s("1 + t + t^3", F4)
-    sq = a.pth_power(1)
-    assert sq == a * a
-    tw = frobenius_twist(a, 2)
-    # twisting exponents: t^k -> t^(2k) on supports, coefficients untouched over F2-coeffs
-    assert tw.valuation() == 0 and tw.coeff(2) == 1 and tw.coeff(6) == 1
-
-
-def test_compose_and_compositional_inverse():
-    # f(T) = T + T^2 over F_3; g = f^{-1}; f(g(T)) = T to precision
-    field = fq_field(3)
-    one = LaurentSeries.one(field)
-    coeffs = [LaurentSeries.zero(field), one, one]  # T + T^2
-    g = compositional_inverse(coeffs, prec=10)
-    t_series = LaurentSeries.t_power(field, 1)
-    gf = compose(coeffs, compose(g, t_series, outer_prec=10), outer_prec=10)
-    assert gf.coeff(1) == 1
-    assert all(gf.coeff(k) == 0 for k in range(2, 10))
 
 
 def test_scalar_multiplication():

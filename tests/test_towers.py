@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import GuardViolation
-from ramtower.tate import closed_form_break
+from ramtower.fq import fq_field
+from ramtower.herbrand import BreakFiltration, compose_tower
+from ramtower.tate import closed_form_break, eisenstein_trinomial, tate_breaks
 from ramtower.towers import (
     DEFAULT_GRID,
     BottomLayer,
@@ -120,6 +122,24 @@ def test_layer_break_is_trinomial_break(case):
     ps, n = case
     v = (ps.q**n) * linear_coefficient_valuation(ps, n)
     assert layer_break(ps, n) == closed_form_break(ps.q**ps.g, v)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("c", [1, 2])
+def test_closed_forms_match_actual_layer_trinomials(q, c):
+    # layer k is x^q + t^(e_k)·x + t: a trinomial's ramification polygon has
+    # the points (1, q·v(A) + 1 - q) and (q, 0), so its break depends only on
+    # v(A) and v(B), and re-uniformising the layer changes only units
+    ps = TowerParams(p=q, q=q, g=1, d=1, N=0, c=c)
+    field = fq_field(q)
+    lower = []
+    for k in (1, 2, 3):
+        e_k = q**k * c * q ** (k - 1)
+        (b,) = tate_breaks(eisenstein_trinomial(field, e_k)).breaks
+        assert b == layer_break(ps, k)
+        phi = compose_tower(BreakFiltration(q, ((bj, q),)) for bj in lower)
+        assert phi(b) == tower_upper_break(ps, k)
+        lower.append(b)
 
 
 def test_layer_guard():
