@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import FieldMismatch, IntegralityError
+from .errors import IntegralityError
 from .fq import FqField, exact_log, fq_field
 
 RATIONALS = "Q"
@@ -259,11 +259,6 @@ def _mul(a: dict, b: dict, D: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _univariate(coeffs: dict) -> dict:
-    """An exponent-keyed series rewritten with the kernel's (e, 0) keys."""
-    return {(e, 0): c for e, c in coeffs.items()}
-
-
 def _compose(outer: dict, inner: dict, D: int, one) -> dict:
     """Σ_e outer[e]·inner^e truncated at total degree D.  `outer` is keyed
     by exponent; `inner` is a {(i, j): c} series with no constant term, so
@@ -487,11 +482,10 @@ class FormalModule:
         self.brackets[a] = series
         return series
 
-    def residue_module(self, field: FqField | None = None) -> "FormalModule":
+    def residue_module(self) -> "FormalModule":
         """Reduce the law and all stored brackets mod p into F_q."""
-        if field is None:
-            p = self.descriptor.p
-            field = fq_field(p, exact_log(self.descriptor.q, p))
+        p = self.descriptor.p
+        field = fq_field(p, exact_log(self.descriptor.q, p))
         return FormalModule(
             descriptor=self.descriptor,
             law=self.law.reduce_mod_p(field),
@@ -880,109 +874,3 @@ def check_group_law(
     if not ok and report.first_failure is None:
         report.first_failure = ("associativity", fail)
     return report
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms and heights
-
-
-@dataclass
-class HomReport:
-    law_ok: bool
-    linearity: dict
-    first_failure: tuple | None = None
-
-    @property
-    def ok(self):
-        return self.law_ok and all(self.linearity.values())
-
-
-def check_hom(f: UnivariateSeries, F: FormalModule, G: FormalModule) -> HomReport:
-    """f is a morphism when f(F(X,Y)) = G(f(X), f(Y)) and f intertwines every
-    bracket stored on both modules."""
-    if f.coeffs.get(0):
-        raise ValueError("morphisms have zero constant term")
-    if F.law.ring != G.law.ring:
-        raise FieldMismatch("modules over different rings")
-    ring = F.law.ring
-    one = Fraction(1) if ring == RATIONALS else ring.one()
-    D = min(f.D, F.law.D, G.law.D)
-    lhs = _compose(f.coeffs, F.law.coeffs, D, one)
-    # G(f(X), f(Y)) via powers of f on each axis
-    fx = _univariate(f.coeffs)
-    fy = {(0, e): c for (e, _), c in fx.items()}
-    top = max((max(i, j) for i, j in G.law.coeffs), default=0)
-    xpow, ypow = [{(0, 0): one}], [{(0, 0): one}]
-    for _ in range(top):
-        xpow.append(_mul(xpow[-1], fx, D))
-        ypow.append(_mul(ypow[-1], fy, D))
-    rhs = {}
-    for (i, j), c in G.law.coeffs.items():
-        for key, v in _mul(xpow[i], ypow[j], D).items():
-            rhs[key] = rhs[key] + c * v if key in rhs else c * v
-    rhs = {k: v for k, v in rhs.items() if v}
-    bad = _first_difference(lhs, rhs)
-    law_ok = bad is None
-    first = None if law_ok else ("hom", bad)
-    linearity = {}
-    shared = set(F.brackets) & set(G.brackets)
-    for a in sorted(shared, key=str):
-        left = _compose(f.coeffs, _univariate(F.brackets[a].coeffs), D, one)
-        right = _compose(G.brackets[a].coeffs, fx, D, one)
-        bad = _first_difference(left, right)
-        linearity[a] = bad is None
-        if bad is not None and first is None:
-            first = (f"bracket {a}", bad[:1])
-    return HomReport(law_ok=law_ok, linearity=linearity, first_failure=first)
-
-
-@dataclass(frozen=True)
-class HeightReport:
-    h: int | None  # None means no nonzero term up to the truncation
-    degree_checked: int
-
-    @property
-    def is_infinite(self):
-        return self.h is None
-
-
-def height(f: UnivariateSeries, q: int) -> HeightReport:
-    """Largest h with the monomial support of f inside q^h·Z, together with
-    the truncation that certifies it."""
-    if not isinstance(f.ring, FqField):
-        raise ValueError("height is defined over characteristic-p coefficients")
-    support = [e for e, c in f.coeffs.items() if e > 0 and c]
-    if f.coeffs.get(0):
-        raise ValueError("series has a constant term")
-    if not support:
-        return HeightReport(None, f.D)
-    h = None
-    for e in support:
-        k = 0
-        while e % q == 0:
-            e //= q
-            k += 1
-        h = k if h is None else min(h, k)
-    return HeightReport(h, f.D)
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    status: str  # ok | fail | inconclusive
-    ht_f: int | None
-    ht_g: int | None
-    ht_composite: int | None
-
-
-def height_additivity_check(f: UnivariateSeries, g: UnivariateSeries, q: int) -> AdditivityReport:
-    """ht(g∘f) = ht(f) + ht(g), certified only when all three heights are
-    visible at the working truncation."""
-    hf = height(f, q)
-    hg = height(g, q)
-    D = min(f.D, g.D)
-    comp = _compose(g.coeffs, _univariate(f.coeffs), D, f.ring.one())
-    hc = height(UnivariateSeries(f.ring, D, {e: c for (e, _), c in comp.items()}), q)
-    if hf.h is None or hg.h is None or hc.h is None:
-        return AdditivityReport("inconclusive", hf.h, hg.h, hc.h)
-    status = "ok" if hc.h == hf.h + hg.h else "fail"
-    return AdditivityReport(status, hf.h, hg.h, hc.h)

@@ -195,17 +195,12 @@ def phi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
     return PiecewiseLinear(bps, Fraction(left, filt.order))
 
 
-def psi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
-    return phi_from_filtration(filt).inverse()
-
-
 def compose_tower(filtrations) -> PiecewiseLinear:
     """Transition function of a tower, bottom layer first:
     phi_tower = phi_1 after phi_2 after ... after phi_k."""
     total = PiecewiseLinear.identity()
     for filt in filtrations:
-        phi = filt if isinstance(filt, PiecewiseLinear) else phi_from_filtration(filt)
-        total = total.compose(phi)
+        total = total.compose(phi_from_filtration(filt))
     return total
 
 
@@ -231,8 +226,3 @@ def upper_to_lower(filt: BreakFiltration) -> BreakFiltration:
         x_prev, u_prev = b, u
     return BreakFiltration(filt.order, tuple(out))
 
-
-def subgroup_restriction_index(x, quotient_phi: PiecewiseLinear) -> Fraction:
-    """Where a given upper index x of the whole group meets a normal
-    subgroup: the subgroup inherits the filtration at psi_quotient(x)."""
-    return quotient_phi.inverse()(Fraction(x))

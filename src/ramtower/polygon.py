@@ -9,8 +9,8 @@ a side is the data consumed by the ramification-break extraction.
 integers: each ordinate is split into numerator and denominator once, and
 "on or above the chord" is decided by cross-multiplying, so the loop makes
 no `Fraction` and pays no gcd.  `brute_force_hull` re-derives the same
-polygon straight from the definition, on `Fraction`s, and exists purely as
-an oracle.
+polygon straight from the definition, also on cross-multiplied integers but
+sharing no code with `build_polygon`, and exists purely as an oracle.
 
 The module imports nothing from the rest of ramtower: `root_valuations`
 reads a polynomial only through its `.coeffs` and their `.valuation()`,
@@ -19,6 +19,7 @@ and the JSON reader `NewtonPolygon.from_json` sits beside its writer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,8 @@ class Side:
 class NewtonPolygon:
     vertices: tuple[tuple[int, Fraction], ...]
 
-    @property
+    # cached in the instance __dict__, which a frozen dataclass leaves writable
+    @functools.cached_property
     def sides(self) -> tuple[Side, ...]:
         out = []
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
@@ -133,28 +135,30 @@ def build_polygon(points) -> NewtonPolygon:
 def brute_force_hull(points) -> NewtonPolygon:
     """Definition-chasing oracle: a point is a hull vertex iff no segment
     between two other points passes weakly below it, and it is not itself a
-    convex combination of its hull neighbours.  O(n^3)."""
+    convex combination of its hull neighbours.  O(n^3), on integers."""
     pts = _dedupe(points)
     if not pts:
         raise ValueError("no points with finite valuation")
     if len(pts) == 1:
         return NewtonPolygon((pts[0],))
+    nd = [(x, y.numerator, y.denominator) for x, y in pts]
     on_boundary = []
-    for i, (x, y) in enumerate(pts):
+    for i, (x, n, d) in enumerate(nd):
         below = False
-        for j, (xa, ya) in enumerate(pts):
+        for j, (xa, na, da) in enumerate(nd):
             if below:
                 break
-            for k, (xb, yb) in enumerate(pts):
+            for k, (xb, nb, db) in enumerate(nd):
                 if j == i or k == i or j >= k:
                     continue
                 if xa <= x <= xb and xa < xb:
-                    # segment height at x, strictly below y?
-                    if (ya * (xb - x) + yb * (x - xa)) < y * (xb - xa):
+                    # segment height at x, strictly below y?  That is
+                    # ya·(xb − x) + yb·(x − xa) < y·(xb − xa), times da·db·d
+                    if (na * db * (xb - x) + nb * da * (x - xa)) * d < n * da * db * (xb - xa):
                         below = True
                         break
         if not below:
-            on_boundary.append((x, y))
+            on_boundary.append(pts[i])
     # endpoints always survive; remove collinear interior points
     hull = []
     for p in on_boundary:

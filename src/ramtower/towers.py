@@ -29,6 +29,7 @@ raises GuardViolation rather than extrapolating formulas that do not apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -354,8 +355,10 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
         raise ValueError("coefficient valuations must be positive")
     if branch not in ("max", "min"):
         raise ValueError("branch must be 'max' or 'min'")
-    if q < 2 or g < 1 or n_max < 0:
-        raise ValueError("need q >= 2, g >= 1, n_max >= 0")
+    if not exact_log(q, _prime_of(q)):
+        raise ValueError("q must be a prime power")
+    if g < 1 or n_max < 0:
+        raise ValueError("need g >= 1, n_max >= 0")
     d = len(a_vals)
 
     def pick(poly: NewtonPolygon) -> Fraction:
@@ -496,7 +499,7 @@ def verify_grid(grid: dict | None = None) -> tuple:
 
 
 def _prime_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("q must be at least 2")
+    """Smallest prime factor of q, by trial division up to its square root."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    return next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)

@@ -324,6 +324,12 @@ def test_tower_torsion(capsys):
     )
 
 
+def test_tower_torsion_rejects_a_q_that_is_no_prime_power(capsys):
+    code, rep = report_of(capsys, *"tower torsion --vals 1 --q 6 --g 1 --nmax 2".split())
+    assert code == 1 and rep.status == "fail"
+    assert rep.payload["error"] == "q must be a prime power"
+
+
 def test_tower_torsion_branch_choice(capsys):
     with pytest.raises(SystemExit) as exc:
         main("tower torsion --vals 1 --q 2 --g 1 --nmax 2 --branch sideways".split())

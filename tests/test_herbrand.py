@@ -11,8 +11,6 @@ from ramtower.herbrand import (
     compose_tower,
     lower_to_upper,
     phi_from_filtration,
-    psi_from_filtration,
-    subgroup_restriction_index,
     upper_to_lower,
 )
 
@@ -39,7 +37,7 @@ def filtrations(draw):
 @settings(max_examples=150, deadline=None)
 def test_phi_psi_structural_identity(filt):
     phi = phi_from_filtration(filt)
-    psi = psi_from_filtration(filt)
+    psi = phi.inverse()
     assert phi.compose(psi) == PiecewiseLinear.identity()
     assert psi.compose(phi) == PiecewiseLinear.identity()
 
@@ -58,7 +56,7 @@ def test_phi_starts_with_slope_one(filt):
 def test_phi_psi_pointwise_round_trip(filt, num):
     x = Fraction(num, 3)
     phi = phi_from_filtration(filt)
-    psi = psi_from_filtration(filt)
+    psi = phi.inverse()
     assert psi(phi(x)) == x
     assert phi(psi(x)) == x
 
@@ -107,12 +105,6 @@ def test_filtration_validation():
         BreakFiltration(4, ((Fraction(3), 3),))  # drop does not divide order
     with pytest.raises(ValueError):
         BreakFiltration(4, ((Fraction(5), 2), (Fraction(2), 2)))  # unsorted
-
-
-def test_subgroup_restriction_index():
-    quotient = phi_from_filtration(BreakFiltration(2, ((Fraction(3), 2),)))
-    # upper index in the big group pulls back through the quotient's phi
-    assert subgroup_restriction_index(Fraction(9), quotient) == 15
 
 
 def test_json_round_trip():

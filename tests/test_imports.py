@@ -1,6 +1,6 @@
 """Import structure: the leaf modules load nothing else from ramtower,
-`formal` loads only `fq` besides them, and the CLI leaves numpy to the
-engines that need it.
+`formal` loads only `fq` and `herbrand` only `polygon` besides them, and
+the CLI leaves numpy to the engines that need it.
 
 Each case runs in a fresh interpreter, so modules that other tests have
 already imported cannot hide an import edge.
@@ -35,6 +35,7 @@ def loaded_after(module):
         pytest.param("ramtower.jsonio", set(), id="ramtower.jsonio"),
         pytest.param("ramtower.polygon", set(), id="ramtower.polygon"),
         pytest.param("ramtower.formal", {"ramtower.fq"}, id="ramtower.formal"),
+        pytest.param("ramtower.herbrand", {"ramtower.polygon"}, id="ramtower.herbrand"),
     ],
 )
 def test_leaf_module_imports_no_other_ramtower_module(module, extra):

@@ -285,8 +285,9 @@ def test_torsion_validation():
         torsion_valuations((0,), q=2, g=1, n_max=2)
     with pytest.raises(ValueError):
         torsion_valuations((1,), q=2, g=1, n_max=2, branch="middle")
-    with pytest.raises(ValueError):
-        torsion_valuations((1,), q=1, g=1, n_max=2)
+    for q in (1, 6):
+        with pytest.raises(ValueError):
+            torsion_valuations((1,), q=q, g=1, n_max=2)
 
 
 def test_trace_rejects_non_decreasing_valuations():
