@@ -14,6 +14,12 @@ JSON on stdout and use the exit-code contract
 `--svg PATH` on the polygon-producing commands additionally writes a
 deterministic SVG rendering.  RAMTOWER_PREC sets the default series
 precision where one is needed.
+
+Each run is a fresh process, so import time is part of every command's
+latency.  The top level therefore loads only argparse, the errors, the
+report envelope and polygon (the hull and the rational helpers); each
+handler imports the other modules it runs, multiprocessing is loaded only for a verify worker pool and svg
+only when --svg is given.  tests/test_imports.py pins these import sets.
 """
 
 from __future__ import annotations
@@ -21,25 +27,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from multiprocessing import get_context
 
 from .errors import InsufficientPrecision, RamtowerError
-from .formal import atypical_module, honda_module
-from .fq import fq_field
-from .herbrand import BreakFiltration, compose_tower
 from .jsonio import STATUS_FAIL, STATUS_OK, STATUS_PRECISION, RunReport
 from .polygon import build_polygon, format_rat, parse_rat
-from .seriespoly import SeriesPoly
-from .svg import render_svg
-from .tate import EisensteinExtension, tate_breaks
-from .towers import (
-    DEFAULT_GRID,
-    TowerParams,
-    filtration_tables,
-    torsion_valuations,
-    verify_grid,
-    verify_tuple,
-)
 
 PREC_ENV = "RAMTOWER_PREC"
 
@@ -118,6 +109,8 @@ def _cmd_polygon(args):
 
 
 def _parse_layer(text):
+    from .herbrand import BreakFiltration
+
     head, _, rest = text.partition(":")
     try:
         order = int(head)
@@ -137,6 +130,8 @@ def _parse_layer(text):
 
 
 def _cmd_herbrand(args):
+    from .herbrand import compose_tower
+
     layers = [_parse_layer(t) for t in args.layer]
     phi = compose_tower(layers)
     psi = phi.inverse()
@@ -153,6 +148,8 @@ def _cmd_herbrand(args):
 
 
 def _cmd_formal(args):
+    from .formal import atypical_module, honda_module
+
     prec = _default_prec(args.prec)
     if args.honda is not None:
         module = honda_module(args.p, args.q, args.honda, D=prec)
@@ -175,6 +172,10 @@ def _cmd_formal(args):
 
 
 def _cmd_tate(args):
+    from .fq import fq_field
+    from .seriespoly import SeriesPoly
+    from .tate import EisensteinExtension, tate_breaks
+
     prec = _default_prec(args.prec)
     field = fq_field(args.p, args.field_ext)
     literals = [t for t in args.poly.split(";") if t.strip()]
@@ -199,6 +200,8 @@ def _cmd_tate(args):
 
 
 def _tower_params(args):
+    from .towers import TowerParams
+
     try:
         return TowerParams(p=args.p, q=args.q, g=args.g, d=args.d, N=args.N, c=args.c)
     except ValueError as e:
@@ -206,11 +209,15 @@ def _tower_params(args):
 
 
 def _cmd_tower_schedule(args):
+    from .towers import filtration_tables
+
     schedule = filtration_tables(_tower_params(args), args.n)
     return RunReport(STATUS_OK, schedule.as_json(), list(schedule.diagnostics)), None
 
 
 def _cmd_tower_torsion(args):
+    from .towers import torsion_valuations
+
     vals = [_parse_rat_arg(v, "--vals") for v in args.vals.split(",")]
     trace = torsion_valuations(vals, q=args.q, g=args.g, n_max=args.nmax, branch=args.branch)
     poly = trace.snapshots[-1] if trace.snapshots else None
@@ -218,12 +225,16 @@ def _cmd_tower_torsion(args):
 
 
 def _run_tuple(job):
+    from .towers import verify_tuple
+
     params, depth = job
     rep = verify_tuple(params, depth)
     return params.as_json(), rep.cases, rep.failures, rep.diagnostics
 
 
 def _cmd_verify(args):
+    from .towers import DEFAULT_GRID, verify_grid
+
     grid = {"default": DEFAULT_GRID, "small": SMALL_GRID}[args.grid]
     if args.depth is not None:
         grid = dict(grid, depth=args.depth)
@@ -232,6 +243,8 @@ def _cmd_verify(args):
     if jobs <= 1:
         results = [_run_tuple(t) for t in tuples]
     else:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_run_tuple, tuples)
     cases = sum(r[1] for r in results)
@@ -379,6 +392,8 @@ def main(argv=None) -> int:
         )
     print(report.dumps())
     if getattr(args, "svg", None) and poly is not None:
+        from .svg import render_svg
+
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(poly))
     return report.exit_code

@@ -136,6 +136,77 @@ def exact_log(n: int, p: int) -> int | None:
     return k if n == 1 else None
 
 
+# Strong Miller–Rabin to the first 13 prime bases has no pseudoprime below
+# psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Decide whether n is prime, never by guessing.
+
+    A witness proves n composite.  Without one, n is prime when it lies
+    below _MR_BOUND; a probable prime at or above it raises ValueError.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime(2**61 - 1), is_prime((2**31 - 1) ** 2)
+    (True, False)
+    """
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify {n} as prime: it is at least {_MR_BOUND}")
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, one bit at a time from the top."""
+    r = 0
+    for bit in range(-(-n.bit_length() // k), -1, -1):
+        if (r | 1 << bit) ** k <= n:
+            r |= 1 << bit
+    return r
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k, p prime and k >= 1, or None when there are none.
+
+    q = r^k with k as large as possible is a prime power exactly when r
+    is prime.
+
+    >>> prime_power(2), prime_power(81), prime_power(12), prime_power(1)
+    ((2, 1), (3, 4), None, None)
+    """
+    if q < 2:
+        return None
+    for k in range(q.bit_length() - 1, 1, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            break
+    else:
+        r, k = q, 1
+    return (r, k) if is_prime(r) else None
+
+
 @functools.lru_cache(maxsize=None)
 def fq_field(p: int, m: int = 1) -> "FqField":
     """Return the field with p^m elements, deterministically constructed.
@@ -147,7 +218,7 @@ def fq_field(p: int, m: int = 1) -> "FqField":
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     return FqField(p, m, _find_modulus(p, m))
 

@@ -29,15 +29,13 @@ raises GuardViolation rather than extrapolating formulas that do not apply.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import GuardViolation
-from .fq import exact_log, fq_field
+from .fq import exact_log, fq_field, prime_power
 from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower, phi_from_filtration
 from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat
-from .tate import closed_form_break
 
 
 @dataclass(frozen=True)
@@ -355,8 +353,7 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
         raise ValueError("coefficient valuations must be positive")
     if branch not in ("max", "min"):
         raise ValueError("branch must be 'max' or 'min'")
-    if not exact_log(q, _prime_of(q)):
-        raise ValueError("q must be a prime power")
+    _residue_prime(q)
     if g < 1 or n_max < 0:
         raise ValueError("need g >= 1, n_max >= 0")
     d = len(a_vals)
@@ -448,6 +445,8 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     The transition chain is built from layer_break alone, never from the
     closed form, and only once per tuple: phi_n = phi_{n-1} after
     phi_layer(n), in `depth` compositions."""
+    from .tate import closed_form_break
+
     report = VerifyReport()
     N = params.N
     prev_b = prev_w = None
@@ -489,17 +488,21 @@ def verify_grid(grid: dict | None = None) -> tuple:
     grid = dict(DEFAULT_GRID if grid is None else grid)
     tuples = []
     for q in grid["q"]:
+        p = _residue_prime(q)
         for g in grid["g"]:
             for c in grid["c"]:
                 for N in grid["N"]:
                     tuples.append(
-                        (TowerParams(p=_prime_of(q), q=q, g=g, d=1, N=N, c=c), grid["depth"])
+                        (TowerParams(p=p, q=q, g=g, d=1, N=N, c=c), grid["depth"])
                     )
     return tuple(tuples)
 
 
-def _prime_of(q: int) -> int:
-    """Smallest prime factor of q, by trial division up to its square root."""
+def _residue_prime(q: int) -> int:
+    """The prime p of a residue-field size q = p^k."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    return next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    base = prime_power(q)
+    if base is None:
+        raise ValueError("q must be a prime power")
+    return base[0]

@@ -277,6 +277,12 @@ def test_tate_domain_failure(capsys):
     assert rep.payload["kind"] == "ValueError"
 
 
+def test_tate_rejects_a_huge_non_prime_p(capsys):
+    code, out, err = run(capsys, "tate", "--p", str(10**400), "--poly", "t;t;1")
+    assert code == 1 and err == ""
+    assert read_report(out).payload["error"] == "p must be prime"
+
+
 def test_tate_hypothesis_diagnostic(capsys):
     # v(a_2) = 1 < v(a_1) = 2: report stays ok but carries a warning
     code, rep = report_of(capsys, "tate", "--p", "3", "--poly", "t;t^2;t;1")
@@ -328,6 +334,12 @@ def test_tower_torsion_rejects_a_q_that_is_no_prime_power(capsys):
     code, rep = report_of(capsys, *"tower torsion --vals 1 --q 6 --g 1 --nmax 2".split())
     assert code == 1 and rep.status == "fail"
     assert rep.payload["error"] == "q must be a prime power"
+
+
+def test_tower_torsion_accepts_the_square_of_a_large_prime(capsys):
+    q = (2**31 - 1) ** 2
+    code, rep = report_of(capsys, *f"tower torsion --vals 1 --q {q} --g 1 --nmax 1".split())
+    assert code == 0 and rep.payload["q"] == q
 
 
 def test_tower_torsion_branch_choice(capsys):

@@ -1,10 +1,12 @@
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from ramtower.errors import FieldMismatch
-from ramtower.fq import fq_field, is_irreducible
+from ramtower.fq import exact_log, fq_field, is_irreducible, is_prime, prime_power
 
 
 def test_moduli_are_deterministic():
@@ -85,3 +87,43 @@ def test_int_coercion_in_equality():
     f = fq_field(5)
     assert f.from_int(3) == 3
     assert f.from_int(3) != 4
+
+
+def smallest_factor(n):
+    """The smallest prime factor of n >= 2, by trial division."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(2, 10**5) if smallest_factor(n) == n
+    ]
+
+
+def test_prime_power_agrees_with_trial_division():
+    for q in range(2, 20_001):
+        p = smallest_factor(q)
+        k = exact_log(q, p)
+        assert prime_power(q) == ((p, k) if k else None), q
+
+
+def test_prime_rules_take_polynomial_time():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power(3**500) == (3, 500) and prime_power(10**400) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_prime_never_guesses():
+    # a witness settles a composite at any size; a probable prime beyond
+    # the deterministic bound is refused, not guessed
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(2**89 - 1)
