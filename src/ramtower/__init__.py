@@ -9,6 +9,7 @@ from .errors import (
     GuardViolation,
     InsufficientPrecision,
     IntegralityError,
+    ParameterError,
     RamtowerError,
 )
 
@@ -17,6 +18,7 @@ __all__ = [
     "GuardViolation",
     "InsufficientPrecision",
     "IntegralityError",
+    "ParameterError",
     "RamtowerError",
     "__version__",
 ]

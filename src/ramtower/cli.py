@@ -5,11 +5,12 @@ tower {schedule,torsion,verify}, verify — all print a single RunReport as
 JSON on stdout and use the exit-code contract
 
     0  ok
-    1  domain error (guard violations, failed hypotheses, bad mathematics);
-       any other exception is reported the same way, with payload.kind
-       naming its class
+    1  domain error: a well-formed object fails a hypothesis (a guard, a
+       non-Eisenstein polynomial); any other exception is reported the same
+       way, with payload.kind naming its class
     2  insufficient precision
-    64 usage error (malformed flags or literals; grammar printed to stderr)
+    64 usage error: malformed flags or literals, or a ParameterError (input
+       that names no object, such as a non-prime p); empty stdout
 
 `--svg PATH` on the polygon-producing commands additionally writes a
 deterministic SVG rendering.  RAMTOWER_PREC sets the default series
@@ -28,17 +29,13 @@ import argparse
 import os
 import sys
 
-from .errors import InsufficientPrecision, RamtowerError
+from .errors import InsufficientPrecision, ParameterError, RamtowerError
 from .jsonio import STATUS_FAIL, STATUS_OK, STATUS_PRECISION, RunReport
 from .polygon import build_polygon, format_rat, parse_rat
 
 PREC_ENV = "RAMTOWER_PREC"
 
 SMALL_GRID = {"q": (2, 3), "g": (1, 2), "c": (1, 2), "N": (0, 1), "depth": 4}
-
-
-class UsageError(Exception):
-    """Bad option value; the caller gets the grammar and exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,14 +72,14 @@ def _default_prec(flag_value):
     try:
         return _positive_int(env)
     except argparse.ArgumentTypeError as e:
-        raise UsageError(f"{PREC_ENV}: {e}")
+        raise ParameterError(f"{PREC_ENV}: {e}")
 
 
 def _parse_rat_arg(text, what):
     try:
         return parse_rat(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what}: expected a rational like 7/2, got {text!r}")
+        raise ParameterError(f"{what}: expected a rational like 7/2, got {text!r}")
 
 
 # --- handlers; each returns (RunReport, polygon-or-None for --svg) ---------
@@ -97,13 +94,13 @@ def _cmd_polygon(args):
         try:
             xs, ys = chunk.split(":")
         except ValueError:
-            raise UsageError('polygon --points wants "x:val,x:val,..."')
+            raise ParameterError('polygon --points wants "x:val,x:val,..."')
         x = _parse_rat_arg(xs, "abscissa")
         if x.denominator != 1:
-            raise UsageError(f"abscissas must be integers, got {xs.strip()!r}")
+            raise ParameterError(f"abscissas must be integers, got {xs.strip()!r}")
         pts.append((int(x), _parse_rat_arg(ys, "ordinate")))
     if not pts:
-        raise UsageError("polygon --points needs at least one point")
+        raise ParameterError("polygon --points needs at least one point")
     poly = build_polygon(pts)
     return RunReport(STATUS_OK, poly.as_json()), poly
 
@@ -115,16 +112,16 @@ def _parse_layer(text):
     try:
         order = int(head)
     except ValueError:
-        raise UsageError('herbrand --layer wants "ORDER:BREAK:DROP[,BREAK:DROP...]"')
+        raise ParameterError('herbrand --layer wants "ORDER:BREAK:DROP[,BREAK:DROP...]"')
     breaks = []
     for pair in rest.split(","):
         bits = pair.split(":")
         if len(bits) != 2:
-            raise UsageError('herbrand --layer wants "ORDER:BREAK:DROP[,BREAK:DROP...]"')
+            raise ParameterError('herbrand --layer wants "ORDER:BREAK:DROP[,BREAK:DROP...]"')
         try:
             drop = int(bits[1])
         except ValueError:
-            raise UsageError(f"herbrand --layer: DROP must be an integer, got {bits[1]!r}")
+            raise ParameterError(f"herbrand --layer: DROP must be an integer, got {bits[1]!r}")
         breaks.append((_parse_rat_arg(bits[0], "break"), drop))
     return BreakFiltration(order, tuple(breaks))
 
@@ -155,7 +152,7 @@ def _cmd_formal(args):
         module = honda_module(args.p, args.q, args.honda, D=prec)
     else:
         if not args.values:
-            raise UsageError("formal needs --values v1,v2,... or --honda H")
+            raise ParameterError("formal needs --values v1,v2,... or --honda H")
         values = [_parse_rat_arg(v, "--values") for v in args.values.split(",")]
         module = atypical_module(args.p, args.q, values, D=prec)
     payload = module.as_json()
@@ -180,15 +177,15 @@ def _cmd_tate(args):
     field = fq_field(args.p, args.field_ext)
     literals = [t for t in args.poly.split(";") if t.strip()]
     if len(literals) < 2:
-        raise UsageError(
+        raise ParameterError(
             'tate --poly wants ascending-degree series literals separated by ";", '
             'e.g. "t; t^1*(1); 1"'
         )
     try:
         poly = SeriesPoly.from_literals(field, literals, default_prec=prec)
     except ValueError as e:
-        raise UsageError(f"bad series literal: {e}")
-    ext = EisensteinExtension(poly, assume_totally_ramified=args.assume_totally_ramified)
+        raise ParameterError(f"bad series literal: {e}")
+    ext = EisensteinExtension(poly)
     result = tate_breaks(ext)
     payload = result.as_json()
     diagnostics = []
@@ -199,19 +196,11 @@ def _cmd_tate(args):
     return RunReport(STATUS_OK, payload, diagnostics), result.polygon
 
 
-def _tower_params(args):
-    from .towers import TowerParams
-
-    try:
-        return TowerParams(p=args.p, q=args.q, g=args.g, d=args.d, N=args.N, c=args.c)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
 def _cmd_tower_schedule(args):
-    from .towers import filtration_tables
+    from .towers import TowerParams, filtration_tables
 
-    schedule = filtration_tables(_tower_params(args), args.n)
+    params = TowerParams(p=args.p, q=args.q, g=args.g, d=args.d, N=args.N, c=args.c)
+    schedule = filtration_tables(params, args.n)
     return RunReport(STATUS_OK, schedule.as_json(), list(schedule.diagnostics)), None
 
 
@@ -329,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tate.add_argument(
         "--prec", type=_positive_int, help="default precision for exact literals"
     )
-    p_tate.add_argument("--assume-totally-ramified", action="store_true")
     p_tate.add_argument("--svg", help="render the ramification polygon to this file")
     p_tate.set_defaults(handler=_cmd_tate)
 
@@ -374,7 +362,7 @@ def main(argv=None) -> int:
         return 64
     try:
         report, poly = args.handler(args)
-    except UsageError as e:
+    except ParameterError as e:
         print(f"ramtower: usage error: {e}", file=sys.stderr)
         return 64
     except InsufficientPrecision as e:

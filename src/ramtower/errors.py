@@ -11,9 +11,13 @@ class InsufficientPrecision(RamtowerError):
     Raised, for example, when asking for the valuation of a series whose known
     coefficients are all zero but whose precision is finite, or when an extension
     element's valuation is undecided: a basis coefficient known only to O(t^P)
-    could undercut every determined term (or, for a flagged non-Eisenstein
-    extension, the resultant's valuation cannot be read off the known digits).
+    could undercut every determined term.
     """
+
+
+class ParameterError(RamtowerError, ValueError):
+    """A parameter names no mathematical object (a p that is not prime, a q
+    that is not a power of p, an ill-formed filtration); the CLI exits 64."""
 
 
 class FieldMismatch(RamtowerError):

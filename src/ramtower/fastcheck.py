@@ -1,8 +1,8 @@
 """Vectorized associativity checks for group laws over the prime field.
 
-Both engines take an F_q law whose coefficients lie in the prime subfield F_p
-(every law reduced from a p-integral one does) and raise ValueError on any
-other; method="exact" in `check_group_law` answers those.  Both are exact
+Both engines take an F_q law with p < 2^16 whose coefficients lie in the
+prime subfield F_p (every law reduced from a p-integral one does) and raise
+ValueError on any other; method="exact" answers those.  Both are exact
 despite running through floating-point FFTs: convolution inputs are reduced
 residues, so every true convolution value is a small integer far below 2^53,
 and `_rint_exact` rounds each inverse transform and raises ArithmeticError
@@ -28,9 +28,12 @@ import random
 
 import numpy as np
 
+from .formal import DENSE_ASSOC_MAX_D
 from .fq import FqField, fq_field
 
-_MAX_DENSE_D = 200
+# above it int64 residue products can wrap and FFT values pass 2^53, where
+# `_rint_exact` sees every float as an integer
+_MAX_P = 1 << 16
 
 
 def _fast_len(n: int) -> int:
@@ -69,10 +72,12 @@ def _reduction_rows(field: FqField) -> np.ndarray:
 
 
 def _check_prime_subfield(F, engine: str) -> int:
-    """Return p after checking that every coefficient of F lies in F_p."""
+    """Return p < _MAX_P after checking that every coefficient of F lies in F_p."""
     field = F.ring
     if not isinstance(field, FqField):
         raise ValueError(f"{engine} check needs finite-field coefficients")
+    if field.p >= _MAX_P:
+        raise ValueError(f'{engine} check needs p < {_MAX_P} (use method="exact")')
     for (i, j), c in sorted(F.coeffs.items()):
         if any(c.coeffs[1:]):
             raise ValueError(
@@ -102,7 +107,7 @@ def dense_associativity(F):
     Returns (ok, first_failing_monomial)."""
     p = _check_prime_subfield(F, "dense")
     D = F.D
-    if D > _MAX_DENSE_D:
+    if D > DENSE_ASSOC_MAX_D:
         raise ValueError(f"dense grid at D={D} would not fit; use the sampled check")
     if not F.coeffs:
         return True, None

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import IntegralityError
+from .errors import IntegralityError, ParameterError
 from .fq import FqField, exact_log, fq_field
 
 RATIONALS = "Q"
@@ -35,6 +35,8 @@ RATIONALS = "Q"
 # largest truncation whose associativity "auto" checks exactly, on the law
 # itself; above it the law is reduced mod p for the finite-field engines
 EXACT_ASSOC_MAX_D = 32
+# largest truncation whose (D+1)^3 grid the dense engine builds
+DENSE_ASSOC_MAX_D = 200
 
 
 def _vp(x: Fraction, p: int):
@@ -427,7 +429,7 @@ class ADescriptor:
     def __post_init__(self):
         fq_field(self.p)  # raises "p must be prime"
         if not exact_log(self.q, self.p):
-            raise ValueError("q must be a positive power of p")
+            raise ParameterError("q must be a positive power of p")
 
 
 class FormalModule:
@@ -848,7 +850,7 @@ def check_group_law(
         if F.D <= EXACT_ASSOC_MAX_D:
             method = "exact"
         elif isinstance(F.ring, FqField):
-            method = "dense" if F.D <= 200 else "sampled"
+            method = "dense" if F.D <= DENSE_ASSOC_MAX_D else "sampled"
         else:
             raise ValueError(
                 f"no automatic associativity strategy for rationals at D={F.D}; "

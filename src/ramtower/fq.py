@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 
 def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
     k = len(c)
@@ -217,9 +219,9 @@ def fq_field(p: int, m: int = 1) -> "FqField":
     (1, 0, 1)
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ParameterError("m must be >= 1")
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise ParameterError("p must be prime")
     return FqField(p, m, _find_modulus(p, m))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ParameterError
 from .polygon import format_rat, parse_rat
 
 
@@ -34,7 +35,7 @@ class BreakFiltration:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be positive")
+            raise ParameterError("order must be positive")
         object.__setattr__(
             self, "breaks", tuple((Fraction(b), int(d)) for b, d in self.breaks)
         )
@@ -42,9 +43,9 @@ class BreakFiltration:
         prev = Fraction(0)
         for b, d in self.breaks:
             if b <= prev:
-                raise ValueError("breaks must be positive and strictly increasing")
+                raise ParameterError("breaks must be positive and strictly increasing")
             if d < 2 or left % d:
-                raise ValueError(f"drop {d} does not divide remaining order {left}")
+                raise ParameterError(f"drop {d} does not divide remaining order {left}")
             left //= d
             prev = b
 

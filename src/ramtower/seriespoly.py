@@ -6,8 +6,8 @@ coefficients.  Its operations are +, - and *, and the resultant, a
 Sylvester determinant computed by division-free minor expansion, so
 precision propagates through +/* only; the expansion is exponential in the
 degree.  Extension valuations are read off basis coefficients
-(tate.ext_valuation); a resultant is taken only for an extension flagged
-totally ramified whose polynomial is not verifiably Eisenstein.
+(tate.ext_valuation); the resultant norm is the reference the tests check
+that reading against.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ k < n the terms n·v_K(c_k) + k are distinct mod n, so
 
     v_L(beta) = min_k n·v_K(c_k) + k.
 
-Only an extension not verifiably Eisenstein falls back to the norm,
-v_L(beta) = v_K(res(f, B)) for a polynomial representative B of beta.
+Only polynomials verified Eisenstein are accepted: a uniformiser of a totally
+ramified extension always has an Eisenstein minimal polynomial (Serre, Local
+Fields, I §6), and any other root alpha breaks the v_L(alpha) = 1
+normalization.
 
 The break data lives on the twisted polynomial g(x) = f(alpha·x + alpha) /
 alpha^n, whose roots are sigma(alpha)/alpha - 1.  `ramification_polynomial`
@@ -30,7 +32,7 @@ from .errors import InsufficientPrecision
 from .fq import FqField, exact_log
 from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat, y_intercepts
 from .series import INF, LaurentSeries
-from .seriespoly import SeriesPoly, resultant
+from .seriespoly import SeriesPoly
 
 
 def closed_form_break(q: int, v) -> Fraction:
@@ -52,36 +54,26 @@ class EisensteinExtension:
     """L = K(alpha) for a monic Eisenstein f; degree n >= 2.
 
     Coefficients with undetermined valuation raise InsufficientPrecision at
-    construction.  A monic non-Eisenstein polynomial is accepted only with
-    assume_totally_ramified=True; the valuation normalization is then the
-    caller's assertion, not a verified fact.  `uniformiser` records whether
-    alpha is verifiably a uniformiser (v(a_0) = 1 on a known digit, every
-    interior coefficient in the maximal ideal), which decides how
-    ext_valuation reads valuations.
+    construction, so alpha is verifiably a uniformiser: v(a_0) = 1 on a
+    known digit and every interior coefficient in the maximal ideal.
     """
 
-    def __init__(self, poly: SeriesPoly, assume_totally_ramified: bool = False):
+    def __init__(self, poly: SeriesPoly):
         n = poly.degree
         if n < 2:
             raise ValueError("degree must be at least 2")
         if not poly.is_monic():
             raise ValueError("polynomial must be monic")
-        self.assumed = assume_totally_ramified
-        if not assume_totally_ramified:
-            a0 = poly.coeff(0)
-            if a0.is_exact_zero() or a0.valuation() != 1:
-                raise ValueError("constant term must have valuation 1")
-            for i in range(1, n):
-                ai = poly.coeff(i)
-                if not ai.is_exact_zero() and ai.valuation() < 1:
-                    raise ValueError(f"coefficient of x^{i} must sit in the maximal ideal")
+        a0 = poly.coeff(0)
+        if a0.is_exact_zero() or a0.valuation() != 1:
+            raise ValueError("constant term must have valuation 1")
+        for i in range(1, n):
+            ai = poly.coeff(i)
+            if not ai.is_exact_zero() and ai.valuation() < 1:
+                raise ValueError(f"coefficient of x^{i} must sit in the maximal ideal")
         self.poly = poly
         self.n = n
         self.field: FqField = poly.field
-        a0 = poly.coeff(0)
-        self.uniformiser = not a0.known_zero() and a0.valuation() == 1 and all(
-            poly.coeff(i).valuation_lower_bound() >= 1 for i in range(1, n)
-        )
 
     def element(self, coeffs) -> "ExtElement":
         """Element from a list of LaurentSeries coefficients in alpha."""
@@ -158,18 +150,13 @@ class ExtElement:
 def ext_valuation(elt: ExtElement) -> int:
     """v_L of a nonzero element, with v_L(alpha) = 1 and v_L = n·v_K on K.
 
-    For a verified uniformiser alpha this is min_k (n·v(c_k) + k) over the
-    reduced representative sum c_k·alpha^k.  A c_k known only to O(t^P)
-    bounds its term below by n·P + k; unless some determined term lies
-    strictly below every bound the valuation is undecided and
-    InsufficientPrecision is raised.  A flagged non-Eisenstein extension
-    reads v_K of the resultant of f with the representative (the norm of
-    the element) instead."""
+    This is min_k (n·v(c_k) + k) over the reduced representative
+    sum c_k·alpha^k.  A c_k known only to O(t^P) bounds its term below by
+    n·P + k; unless some determined term lies strictly below every bound the
+    valuation is undecided and InsufficientPrecision is raised."""
     if elt.is_exact_zero():
         raise ValueError("valuation of zero")
     ext = elt.ext
-    if not ext.uniformiser:
-        return resultant(ext.poly, elt.rep).valuation()
     n, rep = ext.n, elt.rep
     if rep.degree >= n:
         rep = _reduce(list(rep.coeffs), ext.poly)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import GuardViolation
+from .errors import GuardViolation, ParameterError
 from .fq import exact_log, fq_field, prime_power
 from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower, phi_from_filtration
 from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat
@@ -50,11 +50,11 @@ class TowerParams:
     def __post_init__(self):
         fq_field(self.p)  # raises "p must be prime"
         if not exact_log(self.q, self.p):
-            raise ValueError("q must be a positive power of p")
+            raise ParameterError("q must be a positive power of p")
         if self.g < 1 or self.d < 1 or self.c < 1:
-            raise ValueError("g, d, c must be positive")
+            raise ParameterError("g, d, c must be positive")
         if self.N < 0:
-            raise ValueError("N must be nonnegative")
+            raise ParameterError("N must be nonnegative")
 
     def as_json(self):
         return {
@@ -501,8 +501,8 @@ def verify_grid(grid: dict | None = None) -> tuple:
 def _residue_prime(q: int) -> int:
     """The prime p of a residue-field size q = p^k."""
     if q < 2:
-        raise ValueError("q must be at least 2")
+        raise ParameterError("q must be at least 2")
     base = prime_power(q)
     if base is None:
-        raise ValueError("q must be a prime power")
+        raise ParameterError("q must be a prime power")
     return base[0]

@@ -93,6 +93,12 @@ def test_unknown_flag_exits_64(capsys):
         ("formal --p 2 --q 2 --honda 0", None),
         ("formal --p 2 --q 2 --honda -1", None),
         ("tower torsion --vals 1 --q 2 --g 0 --nmax 2", None),
+        ("tate --p 4 --poly t;t;1", None),
+        ("formal --p 2 --q 3 --values 1", None),
+        ("tower torsion --vals 1 --q 1 --g 1 --nmax 2", None),
+        ("herbrand --layer 4:3:3", None),
+        ("herbrand --layer 2:0:2", None),
+        ("tate --p 2 --poly t^2;t;1 --assume-totally-ramified", None),
     ],
 )
 def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -207,9 +213,8 @@ def test_formal_rejects_non_prime_p(p, q):
         [sys.executable, "-m", "ramtower.cli", *argv],
         capture_output=True, text=True, timeout=30, env=env,
     )
-    assert proc.returncode == 1
-    rep = read_report(proc.stdout)
-    assert rep.status == "fail" and rep.payload["error"] == "p must be prime"
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr == "ramtower: usage error: p must be prime\n"
 
 
 def test_formal_rejects_zero_q():
@@ -222,10 +227,8 @@ def test_formal_rejects_zero_q():
         [sys.executable, "-m", "ramtower.cli", *argv],
         capture_output=True, text=True, timeout=30, env=env,
     )
-    assert proc.returncode == 1
-    rep = read_report(proc.stdout)
-    assert rep.status == "fail"
-    assert rep.payload["error"] == "q must be a positive power of p"
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr == "ramtower: usage error: q must be a positive power of p\n"
 
 
 def test_prec_env_var_supplies_default(capsys, monkeypatch):
@@ -279,8 +282,8 @@ def test_tate_domain_failure(capsys):
 
 def test_tate_rejects_a_huge_non_prime_p(capsys):
     code, out, err = run(capsys, "tate", "--p", str(10**400), "--poly", "t;t;1")
-    assert code == 1 and err == ""
-    assert read_report(out).payload["error"] == "p must be prime"
+    assert code == 64 and out == ""
+    assert err == "ramtower: usage error: p must be prime\n"
 
 
 def test_tate_hypothesis_diagnostic(capsys):
@@ -331,9 +334,9 @@ def test_tower_torsion(capsys):
 
 
 def test_tower_torsion_rejects_a_q_that_is_no_prime_power(capsys):
-    code, rep = report_of(capsys, *"tower torsion --vals 1 --q 6 --g 1 --nmax 2".split())
-    assert code == 1 and rep.status == "fail"
-    assert rep.payload["error"] == "q must be a prime power"
+    code, out, err = run(capsys, *"tower torsion --vals 1 --q 6 --g 1 --nmax 2".split())
+    assert code == 64 and out == ""
+    assert err == "ramtower: usage error: q must be a prime power\n"
 
 
 def test_tower_torsion_accepts_the_square_of_a_large_prime(capsys):

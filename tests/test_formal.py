@@ -157,6 +157,20 @@ def test_sampled_rejects_extension_field_coefficients(engine):
     assert check_group_law(F, method="exact").ok  # X + Y + θ·XY is associative
 
 
+@pytest.mark.parametrize("engine", [dense_associativity, sampled_associativity],
+                         ids=["dense", "sampled"])
+def test_engines_refuse_a_p_their_int64_arithmetic_cannot_hold(engine):
+    def multiplicative(p):  # X + Y + XY over F_p
+        fp = fq_field(p)
+        return BivariateSeries(fp, 3, {(1, 0): fp.one(), (0, 1): fp.one(), (1, 1): fp.one()})
+
+    assert engine(multiplicative(65521))[:2] == (True, None)
+    # at p = 2^61 - 1 the sampled engine once called this law non-associative
+    with pytest.raises(ValueError, match=r"needs p < 65536"):
+        engine(multiplicative(2**61 - 1))
+    assert check_group_law(multiplicative(2**61 - 1), method="exact").ok
+
+
 def test_fft_rounding_is_certified():
     raw = np.array([[2.004, -0.995], [7.0, 1e-9]])
     assert _rint_exact(raw).tolist() == [[2, -1], [7, 0]]

@@ -25,8 +25,8 @@ from ramtower.tate import (
 )
 
 
-def _ext(field, literals, **kw):
-    return EisensteinExtension(SeriesPoly.from_literals(field, literals), **kw)
+def _ext(field, literals):
+    return EisensteinExtension(SeriesPoly.from_literals(field, literals))
 
 
 def test_quadratic_worked_example():
@@ -106,18 +106,6 @@ def test_eisenstein_validation():
         _ext(f2, ["t", "1"])  # degree 1
     with pytest.raises(ValueError):
         _ext(f2, ["t", "t", "t"])  # not monic
-
-
-def test_assume_totally_ramified_flag():
-    f2 = fq_field(2)
-    with pytest.raises(ValueError):
-        _ext(f2, ["t^2", "t", "1"])
-    ext = _ext(f2, ["t^2", "t", "1"], assume_totally_ramified=True)
-    assert ext.assumed
-    # on a genuinely Eisenstein input the flag changes nothing
-    plain = tate_breaks(_ext(f2, ["t", "t", "1"]))
-    flagged = tate_breaks(_ext(f2, ["t", "t", "1"], assume_totally_ramified=True))
-    assert plain.breaks == flagged.breaks
 
 
 def test_fuzzy_coefficient_raises_precision_error():
@@ -234,7 +222,6 @@ def test_coefficient_reading_matches_resultant():
         for n in range(2, 6):
             for _ in range(3):
                 ext = _ext(field, _random_eisenstein(rng, field, n))
-                assert ext.uniformiser
                 elements = _twisted_coefficients(ext)
                 elements.append(ext.element([_random_coefficient(rng, field) for _ in range(n + 2)]))
                 for b in elements:
@@ -248,28 +235,6 @@ def test_coefficient_reading_matches_resultant():
                     else:
                         answered += 1
     assert answered > 100 and refused > 0
-
-
-def test_flagged_precision_refuses_when_a_bound_undercuts():
-    # x^3 + t^2·x^2 + O(t^P)·x + t over F_3: in b_1 = a_1·alpha + 2·a_2·alpha^2
-    # the determined term has v_L = 3·2 + 2 = 8 and the unknown one is
-    # bounded below by 3·P + 1
-    f3 = fq_field(3)
-    short = _ext(f3, ["t", "O(t^2)", "t^2", "1"], assume_totally_ramified=True)
-    assert short.uniformiser
-    with pytest.raises(InsufficientPrecision):
-        ramification_polynomial(short)
-    enough = _ext(f3, ["t", "O(t^3)", "t^2", "1"], assume_totally_ramified=True)
-    assert enough.uniformiser
-    assert ramification_polynomial(enough) == [(1, 5), (2, 5), (3, 0)]
-
-
-def test_flagged_non_eisenstein_keeps_norm_reading():
-    # x^2 + t·x + t^2 over F_2: alpha is not a uniformiser, so the norm decides
-    f2 = fq_field(2)
-    ext = _ext(f2, ["t^2", "t", "1"], assume_totally_ramified=True)
-    assert not ext.uniformiser
-    assert ramification_polynomial(ext) == [(1, 2), (2, 2)]
 
 
 def test_ext_valuation_edge_cases():
