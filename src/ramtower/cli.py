@@ -378,7 +378,15 @@ def main(argv=None) -> int:
             RunReport(STATUS_FAIL, {"error": str(e), "kind": type(e).__name__}),
             None,
         )
-    print(report.dumps())
+    try:
+        print(report.dumps())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); send what is still
+        # buffered to devnull so the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if getattr(args, "svg", None) and poly is not None:
         from .svg import render_svg
 

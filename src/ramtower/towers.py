@@ -15,8 +15,10 @@ linear coefficient.  Two exact quantities drive everything:
 `upper_break_by_composition` recomputes the second from the first by
 actually composing the piecewise-linear transition maps; agreement of the
 two is the main cross-check this module exists for.  `verify_tuple` runs
-that check incrementally, extending one transition chain by one layer map
-per layer instead of rebuilding it from K_N each time.
+the same check without building any piecewise-linear map: every layer map
+is x -> x up to b_k and b_k + (x - b_k)/q^g past it, so the transition of
+K_n/K_N at a point is those maps applied top layer first, and its inverse
+is their inverses applied bottom layer first (Serre, Local Fields, IV §3).
 
 The torsion side iterates Newton polygons: v(y_i) is a root valuation of
 the i-times-twisted defining polynomial shifted by y_{i-1}, and from the
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .errors import GuardViolation, ParameterError
 from .fq import exact_log, fq_field, prime_power
-from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower, phi_from_filtration
+from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower
 from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat
 
 
@@ -431,6 +433,31 @@ DEFAULT_GRID = {
 }
 
 
+class _LayerChain:
+    """The transition of K_n/K_N kept as its layer breaks b_{N+1..n}, each
+    layer of degree `order` = q^g, and evaluated at single points: phi
+    applies x -> b + (x - b)/order past each break, top layer first; psi
+    applies the inverses y -> b + (y - b)·order, bottom layer first."""
+
+    __slots__ = ("order", "breaks")
+
+    def __init__(self, order: int):
+        self.order = order
+        self.breaks = []
+
+    def phi(self, x: Fraction) -> Fraction:
+        for b in reversed(self.breaks):
+            if x > b:
+                x = b + (x - b) / self.order
+        return x
+
+    def psi(self, y: Fraction) -> Fraction:
+        for b in self.breaks:
+            if y > b:
+                y = b + (y - b) * self.order
+        return y
+
+
 def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     """Check layers N+1 .. N+depth of one tower against each other.
 
@@ -442,26 +469,29 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     on it), and layer_break must match the trinomial closed form.
     Non-integral lower breaks of the schedule come back as diagnostics.
 
-    The transition chain is built from layer_break alone, never from the
-    closed form, and only once per tuple: phi_n = phi_{n-1} after
-    phi_layer(n), in `depth` compositions."""
+    The transition chain is the list of breaks from layer_break alone,
+    never from the closed form, extended by one break per layer.  phi and
+    psi are needed only at b_n and w_n, so they are evaluated there, layer
+    map by layer map, and no piecewise-linear function is built; the
+    `herbrand` command and upper_break_by_composition keep the general
+    composition path."""
     from .tate import closed_form_break
 
     report = VerifyReport()
     N = params.N
     prev_b = prev_w = None
-    phi = PiecewiseLinear.identity()  # transition of K_N/K_N
+    chain = _LayerChain(params.q**params.g)  # transition of K_N/K_N
     for n in range(N + 1, N + depth + 1):
         b = layer_break(params, n)
         w = tower_upper_break(params, n)
         report.cases += 1
-        composed = phi(b)
+        composed = chain.phi(b)
         if composed != w:
             report.failures.append(
                 f"{params}: upper break at {n}: closed form {w} != composed {composed}"
             )
-        phi = phi.compose(phi_from_filtration(layer_filtration(params, n)))
-        if phi(b) != w or phi.inverse()(w) != b:
+        chain.breaks.append(b)
+        if chain.phi(b) != w or chain.psi(w) != b:
             report.failures.append(f"{params}: phi/psi round trip failed at layer {n}")
         if n == N + 1 and b != w:
             report.failures.append(f"{params}: first layer must have equal breaks")

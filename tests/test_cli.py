@@ -386,6 +386,41 @@ def test_torsion_svg_renders_last_snapshot(capsys, tmp_path):
     assert target.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("tower torsion --vals 1 --q 2 --g 1 --nmax 30 --svg", 0),
+        ("tate --p 2 --poly t^2;t;1", 1),
+    ],
+)
+def test_a_closed_pipe_leaves_no_traceback(tmp_path, argv, expected, unbuffered):
+    # a reader that stopped early (`| head -2`) closed the pipe before the
+    # report is written; unbuffered the print fails, buffered the exit flush
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = argv.split()
+    target = tmp_path / "trace.svg"
+    if argv[-1] == "--svg":
+        argv.append(str(target))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramtower.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == expected
+    if "--svg" in argv:
+        assert target.read_text().startswith("<svg")
+
+
 def test_report_is_well_formed_json_on_every_exit(capsys):
     # same schema on ok, fail and precision paths
     for argv, expected in [

@@ -1,11 +1,13 @@
 """Break schedules, character bookkeeping, and torsion traces."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramtower import herbrand
 from ramtower.errors import GuardViolation
 from ramtower.fq import fq_field
 from ramtower.herbrand import BreakFiltration, compose_tower
@@ -16,6 +18,7 @@ from ramtower.towers import (
     BreakSchedule,
     TorsionTrace,
     TowerParams,
+    _LayerChain,
     breaks_over_base,
     character_breaks,
     filtration_tables,
@@ -358,13 +361,61 @@ def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
     rep = verify_tuple(ps, 6)
     assert rep.cases == 6
     w = right(ps, bad)
-    assert f"{ps}: upper break at {bad}: closed form {w + 1} != composed {w}" in rep.failures
-    assert f"{ps}: phi/psi round trip failed at layer {bad}" in rep.failures
-    for n in range(ps.N + 1, ps.N + 7):
-        if n == bad:
-            continue
-        assert not any(f.startswith(f"{ps}: upper break at {n}: closed form") for f in rep.failures)
-        assert f"{ps}: phi/psi round trip failed at layer {n}" not in rep.failures
+    assert rep.failures == [
+        f"{ps}: upper break at {bad}: closed form {w + 1} != composed {w}",
+        f"{ps}: phi/psi round trip failed at layer {bad}",
+    ]
+
+
+def test_verify_tuple_catches_a_wrong_layer_break(monkeypatch):
+    # the chain is built from layer_break, so a wrong break at layer 4 moves
+    # every composed break above it, while the closed form stays right
+    ps = TowerParams(p=3, q=3, g=2, d=1, N=1, c=2)
+    bad = ps.N + 3
+    right = layer_break
+
+    def skewed(params, k):
+        b = right(params, k)
+        return b + 1 if k == bad else b
+
+    monkeypatch.setattr("ramtower.towers.layer_break", skewed)
+    rep = verify_tuple(ps, 6)
+    assert rep.cases == 6
+    assert rep.failures == [
+        f"{ps}: upper break at 4: closed form 1013/4 != composed 82057/324",
+        f"{ps}: phi/psi round trip failed at layer 4",
+        f"{ps}: trinomial closed form 59045/4 != layer break 59049/4 at 4",
+        f"{ps}: upper break at 5: closed form 3119/4 != composed 2273783/2916",
+        f"{ps}: phi/psi round trip failed at layer 5",
+        f"{ps}: upper break at 6: closed form 9437/4 != composed 6879605/2916",
+        f"{ps}: phi/psi round trip failed at layer 6",
+        f"{ps}: upper break at 7: closed form 28391/4 != composed 20697071/2916",
+        f"{ps}: phi/psi round trip failed at layer 7",
+    ]
+
+
+def test_layer_chain_matches_the_composed_transition():
+    # verify_tuple's pointwise phi and psi against the PiecewiseLinear
+    # reference at every breakpoint (the first is 0), every midpoint between
+    # two and one point past the last
+    for ps, _ in verify_grid(dict(DEFAULT_GRID, depth=8)):
+        chain = _LayerChain(ps.q**ps.g)
+        for n in range(ps.N + 1, ps.N + 9):
+            chain.breaks.append(layer_break(ps, n))
+            phi = transition_to_base(ps, n)
+            for reference, pointwise in ((phi, chain.phi), (phi.inverse(), chain.psi)):
+                xs = [x for x, _ in reference.breakpoints]
+                assert xs[0] == 0 and len(xs) == n - ps.N + 1
+                xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [2 * xs[-1] + 1]
+                for x in xs:
+                    assert pointwise(x) == reference(x), (ps, n, x)
+
+
+def test_verify_tuple_builds_no_piecewise_linear():
+    with mock.patch.object(herbrand.PiecewiseLinear, "__init__", return_value=None) as init:
+        rep = verify_tuple(BASE, 12)
+    init.assert_not_called()
+    assert rep.ok and rep.cases == 12
 
 
 def test_verify_default_grid_at_depth_12():
