@@ -227,9 +227,9 @@ def _cmd_verify(args):
     grid = {"default": DEFAULT_GRID, "small": SMALL_GRID}[args.grid]
     if args.depth is not None:
         grid = dict(grid, depth=args.depth)
-    jobs = args.jobs or min(os.cpu_count() or 1, 8)
+    jobs = args.jobs
     tuples = verify_grid(grid)
-    if jobs <= 1:
+    if jobs == 1:
         results = [_run_tuple(t) for t in tuples]
     else:
         from multiprocessing import get_context
@@ -345,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--depth", type=_positive_int, help="layers per tuple (overrides grid)"
         )
         node.add_argument(
-            "--jobs", type=_positive_int, help="worker processes (default: cpu count)"
+            "--jobs",
+            type=_positive_int,
+            default=1,
+            help="worker processes; the default 1 runs the grid in this process",
         )
         node.set_defaults(handler=_cmd_verify)
 

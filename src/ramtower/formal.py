@@ -14,11 +14,13 @@ denominators, and that integrality is asserted, not assumed.
 Every truncated series here is a dict {(i, j): c} that drops total degree
 above D (univariate series use (e, 0) keys), and one kernel does all of
 their arithmetic: `_mul` for products and `_compose` for g(S) = Σ g_e·S^e.
-The inverse logarithm g comes from a recurrence on powers of a series, and
-both the law and the brackets are assembled from the powers f^k of the
-logarithm, each kept as integer numerators over one shared denominator, so
-their hot loops run on plain integers for any rational input.  All
-character-zero staging is exact.
+Everything else is assembled from the powers f^k of the logarithm, each
+kept as integer numerators over one shared denominator, so the hot loops run
+on plain integers for any rational input: a module keeps one table of the
+powers f^(1+k·s) that can meet a nonzero g_e, solves g from it as a
+triangular system, and sums every bracket from it; the law, which needs
+every power, builds its own full table.  All character-zero staging is
+exact.
 """
 
 from __future__ import annotations
@@ -197,50 +199,6 @@ def _numeric_log_coeffs(p, q, values, i_max):
     return b
 
 
-def _inverse_log_coeffs(b, q, D) -> dict:
-    """Compositional inverse g of f(T) = T + Σ b_i T^{q^i}, to degree D.
-
-    Write g = T·φ.  Then f(g) = T reads φ = 1 − Σ_i b_i·u^{(q^i−1)/s}·φ^{q^i}
-    with u = T^s and s = gcd(q^i − 1), so the u^k coefficient φ_k needs only
-    φ_{<k} and the powers φ^{q^i} at lower degrees.  Each power w = φ^n grows
-    one coefficient per step by the recurrence for powers of a series
-    (Knuth, TAOCP vol. 2, §4.7, after J.C.P. Miller):
-
-        w_m = (1/m)·Σ_{j=1..m} ((n+1)·j − m)·φ_j·w_{m−j}.
-
-    The 1/m are not p-powers, but every g_e = φ_k (e = 1 + k·s) is an
-    integer polynomial in the b_i, so its denominator is one of theirs.
-    """
-    g = {1: Fraction(1)}
-    s = _log_step(b, q, D)
-    if not s:
-        return g
-    levels = [((q**i - 1) // s, q**i, b[i]) for i in range(1, len(b)) if b[i] and q**i <= D]
-    K = (D - 1) // s
-    phi = [Fraction(1)]
-    support = []  # the k >= 1 with φ_k != 0
-    powers = [[Fraction(1)] for _ in levels]  # φ^n to u-degree K − d
-    for k in range(1, K + 1):
-        phi_k = -sum(
-            (bi * w[k - d] for (d, _, bi), w in zip(levels, powers) if d <= k),
-            Fraction(0),
-        )
-        phi.append(phi_k)
-        if phi_k:
-            support.append(k)
-            g[1 + k * s] = phi_k
-        for (d, n, _), w in zip(levels, powers):
-            if k <= K - d:
-                w.append(
-                    sum(
-                        (((n + 1) * j - k) * phi[j] * w[k - j] for j in support),
-                        Fraction(0),
-                    )
-                    / k
-                )
-    return g
-
-
 # ---------------------------------------------------------------------------
 # the truncated-series kernel and the powers of the logarithm
 
@@ -320,6 +278,29 @@ def _log_powers(b, q, D, first=0, step=1):
     while num:
         yield num, den
         num, den = times(num, den, snum, sden)
+
+
+def _inverse_log(powers, s) -> dict:
+    """Compositional inverse g of f, solved from the powers f^(1+k·s) that
+    `_log_powers(b, q, D, first=1, step=s)` yields, as {e: g_e}.
+
+    Only e ≡ 1 mod s can have g_e != 0, and f^e is T^e plus terms whose
+    degrees are ≡ e mod s, so g(f(T)) = T read at T^d, d = 1 + k·s, is the
+    triangular system g_d = −Σ_{j<k} g_{1+j·s}·[T^d] f^{1+j·s}."""
+    g = {1: Fraction(1)}
+    for k in range(1, len(powers)):
+        d = 1 + k * s
+        gd = -sum(
+            (
+                g[1 + j * s] * Fraction(num[d, 0], den)
+                for j, (num, den) in enumerate(powers[:k])
+                if 1 + j * s in g and (d, 0) in num
+            ),
+            Fraction(0),
+        )
+        if gd:
+            g[d] = gd
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +417,10 @@ class FormalModule:
     """A group law plus whatever brackets have been materialized ([p] at
     minimum for modules built here).
 
-    Modules built from a logarithm defer the (expensive) law assembly until
-    .law is first read; every bracket can be had without it.
+    A module built from a logarithm solves its inverse g from one table of
+    the powers f^(1+k·s) (s from `_log_step`) and keeps that table, from
+    which every bracket is summed; the (expensive) law assembly waits until
+    .law is first read.
     """
 
     def __init__(
@@ -447,7 +430,6 @@ class FormalModule:
         brackets: dict | None = None,
         values: tuple | None = None,
         log_coeffs: tuple | None = None,
-        inv_coeffs: dict | None = None,
         D: int | None = None,
     ):
         if law is None and log_coeffs is None:
@@ -458,9 +440,14 @@ class FormalModule:
         self.brackets = {} if brackets is None else brackets
         self.values = values
         self.log_coeffs = log_coeffs
-        self.inv_coeffs = inv_coeffs
         self.D = D
         self._law = law
+        self._step = self._powers = self.inv_coeffs = None
+        if log_coeffs is not None:
+            q = descriptor.q
+            self._step = _log_step(log_coeffs, q, D) or D  # f(T) = T: only g_1
+            self._powers = list(_log_powers(log_coeffs, q, D, first=1, step=self._step))
+            self.inv_coeffs = _inverse_log(self._powers, self._step)
 
     @property
     def law(self) -> BivariateSeries:
@@ -478,9 +465,7 @@ class FormalModule:
             return self.brackets[a]
         if self.log_coeffs is None:
             raise ValueError("module carries no logarithm; only stored brackets exist")
-        series = _bracket_series(
-            self.log_coeffs, self.inv_coeffs, a, self.descriptor, self.D
-        )
+        series = _bracket_series(self._powers, self._step, self.inv_coeffs, a, self.D)
         self.brackets[a] = series
         return series
 
@@ -505,7 +490,8 @@ class FormalModule:
         if method in ("dense", "sampled") or (method == "auto" and law.D > EXACT_ASSOC_MAX_D):
             # the finite-field engines check the reduction mod p; building the
             # law already asserted that every coefficient is p-integral
-            law = self.residue_module().law
+            p = self.descriptor.p
+            law = law.reduce_mod_p(fq_field(p, exact_log(self.descriptor.q, p)))
         report = check_group_law(law, method=method)
         q = self.descriptor.q
         levels = [i for i in range(1, law.D.bit_length()) if q**i <= law.D]
@@ -521,18 +507,15 @@ class FormalModule:
         }
 
 
-def _bracket_series(b, g, a, descriptor, D) -> UnivariateSeries:
-    """[a](T) = Σ_e g_e·a^e·f(T)^e, each power of f used as it is generated.
+def _bracket_series(powers, s, g, a, D) -> UnivariateSeries:
+    """[a](T) = Σ_e g_e·a^e·f(T)^e, read off the module's table of powers
+    f^e = num/den, e = 1 + k·s: only those e can have g_e != 0.
 
-    Only e ≡ 1 mod s (s from `_log_step`) can have g_e != 0, so the powers
-    start at f and step by f^s.  The sum is kept as integer numerators over
-    one denominator, widened whenever a term needs a factor it lacks, so no
-    denominator is assumed."""
+    The sum is kept as integer numerators over one denominator, widened
+    whenever a term needs a factor it lacks, so no denominator is assumed."""
     a = Fraction(a)
-    q = descriptor.q
-    s = _log_step(b, q, D) or D  # f(T) = T: only e = 1 contributes
     acc, den, a_e, a_s = {}, 1, a, a**s
-    for k, (num, fden) in enumerate(_log_powers(b, q, D, first=1, step=s)):
+    for k, (num, fden) in enumerate(powers):
         ge = g.get(1 + k * s)
         if ge is not None:
             r = ge * a_e / fden
@@ -571,14 +554,7 @@ def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModul
     while q ** (i_max + 1) <= D:
         i_max += 1
     b = _numeric_log_coeffs(p, q, values, i_max)
-    g = _inverse_log_coeffs(b, q, D)
-    module = FormalModule(
-        descriptor=desc,
-        values=values,
-        log_coeffs=tuple(b),
-        inv_coeffs=g,
-        D=D,
-    )
+    module = FormalModule(descriptor=desc, values=values, log_coeffs=tuple(b), D=D)
     pi = module.bracket(p)
     for e, c in pi.coeffs.items():
         if c.denominator % p == 0:
@@ -798,7 +774,10 @@ def check_group_law(
     """Verify unit, commutativity, associativity up to the truncation.
 
     Unit and commutativity are always checked exactly on the coefficient
-    dictionary.  Associativity strategy:
+    dictionary, F(X, 0) against X, F(0, Y) against Y and F(X, Y) against
+    F(Y, X); each reports its first difference in `_first_difference`'s
+    (total degree, key) order, as associativity does.  Associativity
+    strategy:
 
     - "exact": sparse trivariate assembly, any ring — the "auto" choice up to
       D = EXACT_ASSOC_MAX_D;
@@ -812,30 +791,13 @@ def check_group_law(
     - "skip": leave associativity unchecked (associative_ok = None).
     """
     one = Fraction(1) if F.ring == RATIONALS else F.ring.one()
-    unit_fail = None
-    for axis in (0, 1):
-        seen_linear = False
-        for (i, j), c in sorted(F.coeffs.items()):
-            e_out, e_in = (i, j) if axis == 0 else (j, i)
-            if e_in != 0:
-                continue
-            if e_out == 1:
-                seen_linear = True
-                if c != one:
-                    unit_fail = (i, j)
-                    break
-            elif c:
-                unit_fail = (i, j)
-                break
-        if unit_fail is None and not seen_linear:
-            unit_fail = (1, 0) if axis == 0 else (0, 1)
-        if unit_fail:
-            break
-    comm_fail = None
-    for (i, j), c in sorted(F.coeffs.items()):
-        if F.coeffs.get((j, i)) != c:
-            comm_fail = (i, j)
-            break
+    cf = F.coeffs
+    x_axis = {key: c for key, c in cf.items() if key[1] == 0}  # F(X, 0)
+    y_axis = {key: c for key, c in cf.items() if key[0] == 0}  # F(0, Y)
+    unit_fail = _first_difference(x_axis, {(1, 0): one}) or _first_difference(
+        y_axis, {(0, 1): one}
+    )
+    comm_fail = _first_difference(cf, {(j, i): c for (i, j), c in cf.items()})
     report = GroupLawReport(
         unit_ok=unit_fail is None,
         commutative_ok=comm_fail is None,

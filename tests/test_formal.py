@@ -45,11 +45,11 @@ def test_universal_log_coefficients():
     }
 
 
-def test_lagrange_inverse_of_quadratic_log():
+def test_catalan_inverse_of_quadratic_log():
     # T + T^2/2 inverts with Catalan coefficients (-1/2)^n C_n
-    from ramtower.formal import _inverse_log_coeffs
+    from ramtower.formal import _inverse_log, _log_powers
 
-    g = _inverse_log_coeffs([Fraction(1), Fraction(1, 2)], q=2, D=6)
+    g = _inverse_log(list(_log_powers([Fraction(1), Fraction(1, 2)], 2, 6, first=1)), 1)
     assert g == {
         1: Fraction(1),
         2: Fraction(-1, 2),
@@ -58,7 +58,7 @@ def test_lagrange_inverse_of_quadratic_log():
         5: Fraction(7, 8),
         6: Fraction(-21, 16),
     }
-    # the (p,q)=(2,2) module at v_1=1 keeps feeding the recursion: its log
+    # the (p,q)=(2,2) module at v_1=1 keeps feeding the solve: its log
     # is T + T^2/2 + T^4/4 + ..., so the inverse drifts off Catalan at T^4
     F = atypical_module(2, 2, values=(1,), D=6)
     assert F.inv_coeffs[2] == Fraction(-1, 2)
@@ -114,6 +114,41 @@ def test_unit_axiom_failure_detected():
     rep = check_group_law(bad, method="exact")
     assert not rep.ok
     assert rep.first_failure == ("unit", (2, 0))
+
+
+@pytest.mark.parametrize(
+    "coeffs, failure",
+    [
+        # F(X, 0) = X^3: the missing linear term comes before the cubic one
+        ({(0, 1): 1, (3, 0): 1, (0, 3): 1}, ("unit", (1, 0))),
+        # X^2·Y without Y^2·X is a degree-3 defect, ahead of X·Y^3
+        ({(1, 0): 1, (0, 1): 1, (2, 1): 1, (1, 3): 1}, ("commutativity", (1, 2))),
+    ],
+)
+def test_unit_and_commutativity_report_the_lowest_degree_failure(coeffs, failure):
+    bad = BivariateSeries(RATIONALS, 8, {key: Fraction(c) for key, c in coeffs.items()})
+    assert check_group_law(bad, method="skip").first_failure == failure
+
+
+def test_power_table_is_built_once_per_module(monkeypatch):
+    # the module's table serves the inverse log and every bracket; only the
+    # law builds a second (full) table
+    from ramtower import formal
+
+    calls = []
+    original = formal._log_powers
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(formal, "_log_powers", counting)
+    M = atypical_module(3, 3, values=(1, 2, 1), D=27)
+    M.bracket(3)
+    M.bracket(4)
+    assert len(calls) == 1
+    M.law
+    assert len(calls) == 2
 
 
 def test_multiplicative_law_passes():

@@ -102,6 +102,7 @@ TOWER_ABSENT = {"tate", "series", "seriespoly", "formal"}
             {"tate", "towers", "herbrand"},
             id="formal",
         ),
+        pytest.param("verify --grid small", {"formal"}, id="verify"),
         pytest.param("verify --grid small --jobs 1", {"formal"}, id="verify-jobs-1"),
         pytest.param("verify --grid small --jobs 2", {"formal"}, id="verify-jobs-2"),
     ],
