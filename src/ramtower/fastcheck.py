@@ -19,11 +19,16 @@ therefore impossible to miss — it raises, it cannot corrupt.
   series in t.  Each coefficient of t^e in the difference is a homogeneous
   form of degree e evaluated at (a, b, c), so by Schwartz–Zippel a nonzero
   slice survives a random point with probability <= e/p^r; the exact bound
-  for the run is reported in the detail dict.
+  for the run is reported in the detail dict.  Both sides run on the law's
+  t^s grading, s = gcd(i + j − 1) over its support: every Horner
+  accumulator is t^off·A(t^s), so the series hold D//s + 1 places instead
+  of D + 1 coefficients; a law with no grading (s = 1) runs on the plain
+  series in t.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -119,7 +124,8 @@ def dense_associativity(F):
     shape = (_fast_len(2 * D + 1),) * 2
     fb = np.fft.rfft2(base, shape)
     x, y = np.indices((D + 1, D + 1))
-    beyond = x + y > D
+    degree = x + y
+    beyond = degree > D
     powers = [np.zeros_like(base), base]
     powers[0][0, 0] = 1
     while len(powers) <= top:
@@ -133,8 +139,8 @@ def dense_associativity(F):
         W[:, :, j] += c * powers[i]
         W[i] -= c * powers[j]
     W %= p
-    x, y, z = np.indices((D + 1, D + 1, D + 1), sparse=True)
-    W[x + y + z > D] = 0
+    for a in range(D + 1):  # the simplex x + y + z <= D, one x-plane at a time
+        W[a][degree > D - a] = 0
     cells = np.argwhere(W)
     if not len(cells):
         return True, None
@@ -163,23 +169,25 @@ def _vec_mul(A, B, R, p):
 
 
 def _pow_table(x, n, R, p):
+    """x^0..x^n, doubling the filled rows with each batched product."""
     r = R.shape[1]
     out = np.zeros((n + 1, r), dtype=np.int64)
     out[0, 0] = 1
-    cur = np.array(x, dtype=np.int64)[None, :]
-    for i in range(1, n + 1):
-        out[i] = cur
-        if i < n:
-            cur = _vec_mul(cur, x, R, p)
+    m = 1  # rows 0..m-1 are filled
+    while m <= n:
+        k = min(m, n + 1 - m)
+        xm = _vec_mul(out[m - 1 : m], x, R, p)[0]
+        out[m : m + k] = _vec_mul(out[:k], xm, R, p)
+        m += k
     return out
 
 
 def _line_value(support, pow_a, pow_b, L, R, p):
-    """F(a·t, b·t) as a (L, r) series over F_{p^r}."""
-    I, J, V = support
+    """F(a·t, b·t) = t^e0·U(t^s) as the (L, r) series U over F_{p^r}."""
+    I, J, V, places = support
     terms = _vec_mul(pow_a[I], pow_b[J], R, p) * V[:, None]
     u = np.zeros((L, R.shape[1]), dtype=np.int64)
-    np.add.at(u, I + J, terms)
+    np.add.at(u, places, terms)
     return u % p
 
 
@@ -191,19 +199,27 @@ def _series_mul_fft(acc, fu, shape, L, width, R, p):
     return low % p
 
 
-def _horner_side(by_outer, u, pow_inner, L, R, p, shape, width):
-    """Σ_outer u^outer · Σ_inner c·(s·t)^inner, series in t."""
+def _horner_side(by_outer, u, pow_inner, grading, R, p, shape, width):
+    """Σ_outer u^outer · Σ_inner c·(x·t)^inner = t^off·A(t^s), as the
+    (D//s + 1, r) series A of places.
+
+    With u = t^e0·U(t^s), the accumulator after outer degree o is
+    t^off·A(t^s) with off = (1 − o) mod s: each product by u adds e0 to off,
+    and off reaching s is t^s·A(t^s), i.e. A one place up.  The place past
+    degree D that this can leave behind only feeds higher places."""
+    s, e0, L = grading
     fu = np.fft.rfft2(u, shape)
     acc = np.zeros((L, R.shape[1]), dtype=np.int64)
     started = False
     for outer in range(max(by_outer), -1, -1):
         if started:
             acc = _series_mul_fft(acc, fu, shape, L, width, R, p)
+            if e0 and (1 - outer) % s == 0:
+                acc = np.concatenate((np.zeros_like(acc[:1]), acc[:-1]))
         row = by_outer.get(outer)
         if row is not None:
-            J, V = row
-            terms = pow_inner[J] * V[:, None]
-            np.add.at(acc, J, terms)
+            J, V, places = row
+            np.add.at(acc, places, pow_inner[J] * V[:, None])
             acc %= p
             started = True
     return acc
@@ -220,25 +236,41 @@ def sampled_associativity(F, seed=0, reps=2):
     r = 1  # extension degree: the least with p^r >= 2^26
     while p**r < 1 << 26:
         r += 1
+    per_slice = (D / p**r) ** reps
+    detail = {
+        "strategy": "sampled",
+        "extension_degree": r,
+        "reps": reps,
+        "seed": seed,
+        "false_pass_bound": f"{(D + 1) * per_slice:.3e}",
+    }
+    items = sorted(F.coeffs.items())
+    if not items:
+        return True, None, detail
+    # the t^s grading: every i + j in the support is ≡ 1 mod s, so on a line
+    # u = F(a·t, b·t) = t^e0·U(t^s), and each side is kept as D//s + 1 places
+    # of t^s; s = 1 (e0 = 0) is the plain series in t
+    s = math.gcd(*(i + j - 1 for (i, j), _ in items)) or 1
+    e0 = 1 % s
+    L = D // s + 1
+    grading = (s, e0, L)
     R = _reduction_rows(fq_field(p, r))
-    L = D + 1
     width = 2 * r - 1
     shape = (_fast_len(2 * L - 1), _fast_len(width))
-    items = sorted(F.coeffs.items())
     I = np.array([i for (i, _), _ in items], dtype=np.int64)
     J = np.array([j for (_, j), _ in items], dtype=np.int64)
     V = np.array([c.coeffs[0] for _, c in items], dtype=np.int64)
-    by_i = {}
-    by_j = {}
-    for idx in range(len(items)):
-        by_i.setdefault(int(I[idx]), [[], []])
-        by_i[int(I[idx])][0].append(int(J[idx]))
-        by_i[int(I[idx])][1].append(int(V[idx]))
-        by_j.setdefault(int(J[idx]), [[], []])
-        by_j[int(J[idx])][0].append(int(I[idx]))
-        by_j[int(J[idx])][1].append(int(V[idx]))
-    by_i = {k: (np.array(a), np.array(v)) for k, (a, v) in by_i.items()}
-    by_j = {k: (np.array(a), np.array(v)) for k, (a, v) in by_j.items()}
+    support = (I, J, V, (I + J - e0) // s)
+
+    def rows(outer, inner):
+        # outer degree o: its inner degrees are ≡ 1 − o mod s
+        by_outer = {}
+        for o in set(outer.tolist()):
+            mask = outer == o
+            by_outer[o] = (inner[mask], V[mask], (inner[mask] - (1 - o) % s) // s)
+        return by_outer
+
+    by_i, by_j = rows(I, J), rows(J, I)
     rng = random.Random(seed)
 
     def sample_point():
@@ -253,21 +285,13 @@ def sampled_associativity(F, seed=0, reps=2):
         pow_a = _pow_table(av, D, R, p)
         pow_b = _pow_table(bv, D, R, p)
         pow_c = _pow_table(cv, D, R, p)
-        u = _line_value((I, J, V), pow_a, pow_b, L, R, p)
-        w1 = _horner_side(by_i, u, pow_c, L, R, p, shape, width)
-        v = _line_value((I, J, V), pow_b, pow_c, L, R, p)
-        w2 = _horner_side(by_j, v, pow_a, L, R, p, shape, width)
-        if not np.array_equal(w1, w2):
-            bad = np.argwhere(np.any(w1 != w2, axis=1))
-            e = int(bad.min())
-            if first_bad is None or e < first_bad:
-                first_bad = e
-    per_slice = (D / p**r) ** reps
-    detail = {
-        "strategy": "sampled",
-        "extension_degree": r,
-        "reps": reps,
-        "seed": seed,
-        "false_pass_bound": f"{(D + 1) * per_slice:.3e}",
-    }
+        u = _line_value(support, pow_a, pow_b, L, R, p)
+        w1 = _horner_side(by_i, u, pow_c, grading, R, p, shape, width)
+        v = _line_value(support, pow_b, pow_c, L, R, p)
+        w2 = _horner_side(by_j, v, pow_a, grading, R, p, shape, width)
+        # both sides end at outer degree 0, at offset e0: place k is t^(e0 + k·s)
+        bad = e0 + s * np.flatnonzero(np.any(w1 != w2, axis=1))
+        bad = bad[bad <= D]
+        if bad.size and (first_bad is None or bad[0] < first_bad):
+            first_bad = int(bad[0])
     return first_bad is None, first_bad, detail

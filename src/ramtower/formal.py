@@ -737,30 +737,38 @@ def _first_difference(a: dict, b: dict):
 def _assoc_exact(F: BivariateSeries):
     """Trivariate identity F(F(x,y),z) = F(x,F(y,z)) checked term by term.
 
-    Assembles both sides from powers of the law itself: F^(i) placed on the
-    z^j (resp. x^i) axis.  Exact in any ring; cost grows fast with D."""
+    Both sides are assembled from the powers of the law itself, placed on the
+    z^j (resp. x^i) axis.  A rational law is written F = N/L over the lcm L
+    of its denominators, and each side is summed as Σ n_ij·N^i·L^(top−i)·z^j
+    (resp. x^i·N^j·L^(top−j)) on integers: the true sums times L^(top+1), so
+    they differ at exactly the same keys.  An F_q law is its own N, with
+    L = 1.  Exact in any ring; cost grows fast with D."""
     D = F.D
-    cf = F.coeffs
-    one = Fraction(1) if F.ring == RATIONALS else F.ring.one()
-    imax = max((i for i, _ in cf), default=0)
-    jmax = max((j for _, j in cf), default=0)
-    powers = {0: {(0, 0): one}, 1: dict(cf)}
-    top = max(imax, jmax)
-    for n in range(2, top + 1):
-        powers[n] = _mul(powers[n - 1], cf, D)
+    if F.ring == RATIONALS:
+        L = math.lcm(*(c.denominator for c in F.coeffs.values()))
+        num = {key: c.numerator * (L // c.denominator) for key, c in F.coeffs.items()}
+        one = 1
+    else:
+        L, num, one = 1, F.coeffs, F.ring.one()
+    top = max((max(key) for key in num), default=0)
+    powers = [{(0, 0): one}, num]
+    while len(powers) <= top:
+        powers.append(_mul(powers[-1], num, D))
+    weight = [L ** (top - n) for n in range(top + 1)]
     lhs, rhs = {}, {}
-    for (i, j), c in cf.items():
+    for (i, j), c in num.items():
+        ci, cj = c * weight[i], c * weight[j]
         for (a, bb), v in powers[i].items():
             if a + bb + j > D:
                 continue
             key = (a, bb, j)
-            prod = c * v
+            prod = ci * v
             lhs[key] = lhs[key] + prod if key in lhs else prod
         for (a, bb), v in powers[j].items():
             if i + a + bb > D:
                 continue
             key = (i, a, bb)
-            prod = c * v
+            prod = cj * v
             rhs[key] = rhs[key] + prod if key in rhs else prod
     lhs = {k: v for k, v in lhs.items() if v}
     rhs = {k: v for k, v in rhs.items() if v}
@@ -780,7 +788,8 @@ def check_group_law(
     strategy:
 
     - "exact": sparse trivariate assembly, any ring — the "auto" choice up to
-      D = EXACT_ASSOC_MAX_D;
+      D = EXACT_ASSOC_MAX_D; a rational law is summed on integers over the
+      lcm L of its denominators, an F_q law on its own coefficients;
     - "dense": the full (D+1)^3 grid of residues mod p, built with
       certified-exact FFT convolutions (prime-subfield coefficients only);
     - "sampled": substitute (a·t, b·t, c·t) with a, b, c random in a large

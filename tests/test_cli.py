@@ -164,6 +164,19 @@ def test_formal_readme_sampled_example(capsys):
     assert [(c["i"], c["ok"]) for c in rep.payload["congruences"]] == [(1, True), (2, True)]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+README_GOLDEN = json.loads((GOLDEN / "readme.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(README_GOLDEN))
+def test_readme_command_output_is_byte_identical(capsys, monkeypatch, name):
+    # stdout and exit code recorded by tests/golden/record_readme.py
+    case = README_GOLDEN[name]
+    monkeypatch.delenv("RAMTOWER_PREC", raising=False)
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
 def test_formal_assoc_skip_leaves_the_run_ok(capsys):
     code, rep = report_of(
         capsys, "formal", "--p", "2", "--q", "4", "--values", "1,1", "--prec", "20",

@@ -6,6 +6,8 @@ mostly probe the checkers with planted failures plus a few coefficient
 values worked by hand.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from ramtower.formal import (
     RATIONALS,
     BivariateSeries,
     UnivariateSeries,
+    _assoc_exact,
     _compose,
     _first_difference,
     _mul,
@@ -173,6 +176,142 @@ def test_broken_associativity_found_by_all_engines(m):
     assert exact.first_failure == dense.first_failure
     sampled = check_group_law(F, method="sampled", seed=3, reps=2)
     assert sampled.associative_ok is False
+
+
+# Engine pins: literal (ok, first_failure[, detail]) values recorded from the
+# Fraction-assembled exact engine and the full-length sampled engine, so any
+# rewrite of either engine must reproduce them.  The sampled laws carry the
+# t^s grading s = gcd(i + j - 1) over their support: s = 8 for (3, 9), 3 for
+# (2, 4), 24 for the (5, 25) Honda law and 1 for (2, 2); a term off the
+# grading lowers s, and a constant term forces s = 1.
+
+
+def _bumped(F, seed, degrees, value):
+    """F plus `value` at a seeded (i, j) and at (j, i), i, j >= 1, with
+    total degree i + j drawn from `degrees`."""
+    rng = random.Random(seed)
+    d = rng.choice(degrees)
+    i = rng.randint(1, d - 1)
+    coeffs = dict(F.coeffs)
+    for key in {(i, d - i), (d - i, i)}:
+        coeffs[key] = F.coeff(*key) + value
+    return BivariateSeries(F.ring, F.D, coeffs)
+
+
+def _sampled_case(name):
+    kind, _, variant = name.partition(":")
+    p, q, values, D = {
+        "q9": (3, 9, (1, 2, 1), 81),
+        "q4": (2, 4, (1, 1), 40),
+        "q2": (2, 2, (1, 2, 1), 32),
+        "honda25": (5, 25, (1,), 100),
+    }[kind]
+    F = atypical_module(p, q, values, D=D).residue_module().law
+    s = math.gcd(*(i + j - 1 for i, j in F.coeffs))
+    one = F.ring.one()
+    if variant.startswith("bump"):  # on the grading: s is kept
+        degrees = [d for d in range(2, D + 1) if (d - 1) % s == 0]
+        F = _bumped(F, int(variant[4:]), degrees, one)
+    elif variant == "off":  # one symmetric term off the grading lowers s
+        degrees = [d for d in range(2, D + 1) if (d - 1) % s == s // 2]
+        F = _bumped(F, 3, degrees, one)
+    elif variant == "const":
+        F = BivariateSeries(F.ring, D, {**F.coeffs, (0, 0): one})
+    return F
+
+
+SAMPLED_PINS = {  # (case, seed): (ok, first failing t-degree, extension degree, bound)
+    ("q9", 0): (True, None, 17, "3.226e-11"),
+    ("q9", 7): (True, None, 17, "3.226e-11"),
+    ("q9:bump1", 0): (False, 25, 17, "3.226e-11"),
+    ("q9:bump2", 7): (False, 9, 17, "3.226e-11"),
+    ("q9:off", 0): (False, 29, 17, "3.226e-11"),  # s = 4
+    ("q9:const", 0): (False, 3, 17, "3.226e-11"),  # s = 1
+    ("q4", 0): (True, None, 26, "1.457e-11"),
+    ("q4:bump1", 0): (False, 16, 26, "1.457e-11"),
+    ("q4:off", 0): (False, 11, 26, "1.457e-11"),  # s = 1
+    ("q2", 0): (True, None, 26, "7.503e-12"),
+    ("q2:bump1", 0): (False, 6, 26, "7.503e-12"),
+    ("q2:bump2", 7): (False, 32, 26, "7.503e-12"),
+    ("honda25", 0): (True, None, 12, "1.694e-11"),
+    ("honda25:bump1", 0): (False, 49, 12, "1.694e-11"),
+    ("honda25:off", 0): (False, 37, 12, "1.694e-11"),  # s = 12
+}
+EXACT_PINS = {
+    "z": (True, None),
+    "z:bump1": (False, (1, 1, 4)),
+    "z:bump2": (False, (1, 1, 3)),
+    "half": (True, None),
+    "half:bump1": (False, (1, 1, 2)),
+    "half:bump2": (False, (1, 1, 13)),
+    "third": (True, None),
+    "third:bump1": (False, (1, 1, 2)),
+    "f4": (True, None),
+    "f4:bump1": (False, (1, 1, 4)),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SAMPLED_PINS))
+def test_sampled_engine_pins(name, seed):
+    ok, fail, r, bound = SAMPLED_PINS[name, seed]
+    detail = {
+        "strategy": "sampled",
+        "extension_degree": r,
+        "reps": 2,
+        "seed": seed,
+        "false_pass_bound": bound,
+    }
+    assert sampled_associativity(_sampled_case(name), seed=seed) == (ok, fail, detail)
+
+
+def _exact_case(name):
+    kind, _, variant = name.partition(":")
+    if kind == "f4":  # a residue law over F_4, bumped off the prime subfield
+        F = atypical_module(2, 4, (1, 1), D=20).residue_module().law
+        value = F.ring.gen()
+    else:
+        p, q, values, D = {
+            "z": (3, 3, (1, 2, 1), 20),  # integer coefficients, L = 1
+            "half": (3, 3, (Fraction(1, 2), 1), 16),  # L a power of 2
+            "third": (2, 2, (Fraction(1, 3), 1), 12),  # L a power of 3
+        }[kind]
+        F = atypical_module(p, q, values, D=D).law
+        value = Fraction(1, 3)
+    if variant:
+        F = _bumped(F, int(variant[4:]), range(2, F.D + 1), value)
+    return F
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PINS))
+def test_exact_engine_pins(name):
+    assert _assoc_exact(_exact_case(name)) == EXACT_PINS[name]
+
+
+def test_sampled_check_runs_on_the_grading(monkeypatch):
+    # the (3, 9) law lives on i + j ≡ 1 mod 8, so every Horner product is a
+    # series of D//8 + 1 places of t^8, not D + 1 coefficients of t
+    from ramtower import fastcheck
+
+    lengths = set()
+    original = fastcheck._series_mul_fft
+
+    def recording(acc, *args):
+        lengths.add(acc.shape[0])
+        return original(acc, *args)
+
+    monkeypatch.setattr(fastcheck, "_series_mul_fft", recording)
+    F = _sampled_case("q9")
+    assert math.gcd(*(i + j - 1 for i, j in F.coeffs)) == 8
+    assert sampled_associativity(F)[0]
+    assert lengths == {F.D // 8 + 1}
+
+
+@pytest.mark.parametrize("method", ["exact", "dense", "sampled"])
+def test_every_engine_takes_the_zero_law(method):
+    # no terms: the unit axiom fails and there is nothing to associate
+    rep = check_group_law(BivariateSeries(fq_field(3), 8, {}), method=method)
+    assert (rep.unit_ok, rep.commutative_ok, rep.associative_ok) == (False, True, True)
+    assert rep.first_failure == ("unit", (1, 0))
 
 
 def test_dense_matches_exact_on_valid_law():
