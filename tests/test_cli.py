@@ -169,13 +169,21 @@ README_GOLDEN = json.loads((GOLDEN / "readme.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(README_GOLDEN))
-def test_readme_command_output_is_byte_identical(capsys, monkeypatch, name):
-    # stdout and exit code recorded by tests/golden/record_readme.py
+def test_readme_command_output_is_byte_identical(capsys, monkeypatch, tmp_path, name):
+    # stdout, exit code and --svg file recorded by tests/golden/record_readme.py
     case = README_GOLDEN[name]
     monkeypatch.delenv("RAMTOWER_PREC", raising=False)
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_text()
+    argv = case["argv"]
+    if case["svg"] is None:
+        assert "--svg" not in argv
+    else:
+        svg = tmp_path / argv[argv.index("--svg") + 1]
+        assert svg.read_bytes() == (GOLDEN / case["svg"]).read_bytes()
+
 
 def test_formal_assoc_skip_leaves_the_run_ok(capsys):
     code, rep = report_of(

@@ -6,9 +6,12 @@ mostly probe the checkers with planted failures plus a few coefficient
 values worked by hand.
 """
 
+import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +469,32 @@ def test_inverse_log_composes_to_identity(p, q, values, D):
     M = atypical_module(p, q, values, D=D)
     f = {(q**i, 0): bi for i, bi in enumerate(M.log_coeffs) if bi and q**i <= D}
     assert _compose(M.inv_coeffs, f, D, Fraction(1)) == {(1, 0): 1}
+
+
+def _load_recorder():
+    spec = importlib.util.spec_from_file_location(
+        "record_readme", Path(__file__).resolve().parent / "golden" / "record_readme.py"
+    )
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    return recorder
+
+
+RECORDER = _load_recorder()
+MODULE_PINS = json.loads((RECORDER.GOLDEN / "modules.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(MODULE_PINS))
+def test_module_output_is_pinned(name):
+    # as_json() after [p + 1], recorded by tests/golden/record_readme.py; the
+    # one case too slow to assemble its law pins g and the brackets instead
+    pin = MODULE_PINS[name]
+    p = pin["p"]
+    M = atypical_module(p, pin["q"], tuple(pin["values"]), D=pin["D"])
+    M.bracket(p + 1)
+    assert RECORDER.pin_entry(RECORDER.module_pin(M, pin["law"])) == {
+        key: pin[key] for key in ("text", "sha256") if key in pin
+    }
 
 
 def test_atypical_module_at_q2_degree_128():
