@@ -11,6 +11,10 @@ and the brackets are [a](T) = f^{-1}(a·f(T)); the functional-equation lemma
 guarantees every coefficient is p-integral even though each b_n has p-power
 denominators, and that integrality is asserted, not assumed.
 
+A `FormalModule` is built from (p, q, values, D) alone, always over the
+rationals; its residue law and brackets over F_q are the series reduced one
+by one, `module.law.reduce_mod_p(module.field)`.
+
 Every truncated series here is a dict {(i, j): c} that drops total degree
 above D (univariate series use (e, 0) keys), and one kernel does all of
 their arithmetic: `_mul` for products and `_compose` for g(S) = Σ g_e·S^e.
@@ -147,24 +151,15 @@ class QPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class UniversalATypical:
-    """Universal logarithm coefficients b_0..b_n as polynomials in
-    v_1..v_k.  Invariant: b_0 = 1 and p^i·b_i has p-integral coefficients."""
+def atypical_logarithm(p: int, q: int, k: int, n_terms: int) -> tuple:
+    """Run the defining recursion p·b_n = Σ_{j<n} b_j·v_{n-j}^{q^j} symbolically:
+    the universal logarithm coefficients (b_0, ..., b_{n_terms}) as
+    polynomials in v_1..v_k, with b_0 = 1 and p^i·b_i asserted p-integral.
 
-    p: int
-    q: int
-    k: int
-    b: tuple
-
-
-def atypical_logarithm(p: int, q: int, k: int, n_terms: int) -> UniversalATypical:
-    """Run the defining recursion p·b_n = Σ_{j<n} b_j·v_{n-j}^{q^j} symbolically.
-
-    >>> u = atypical_logarithm(2, 2, 2, 2)
-    >>> u.b[1] == QPoly(2, {(1, 0): Fraction(1, 2)})
+    >>> b = atypical_logarithm(2, 2, 2, 2)
+    >>> b[1] == QPoly(2, {(1, 0): Fraction(1, 2)})
     True
-    >>> u.b[2] == QPoly(2, {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)})
+    >>> b[2] == QPoly(2, {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)})
     True
     """
     if k < 1 or n_terms < 1:
@@ -182,21 +177,21 @@ def atypical_logarithm(p: int, q: int, k: int, n_terms: int) -> UniversalATypica
         for e, c in bi.terms.items():
             if _vp(c, p) < -i:
                 raise IntegralityError(f"p^{i}·b_{i} not integral at {e}", e)
-    return UniversalATypical(p=p, q=q, k=k, b=tuple(b))
+    return tuple(b)
 
 
-def _numeric_log_coeffs(p, q, values, i_max):
-    """b_0..b_{i_max} with the v's specialized to rationals."""
-    vals = [Fraction(v) for v in values]
+def _numeric_log_coeffs(p, q, values, D):
+    """b_0..b_n with the v's specialized to rationals, for every q^n <= D."""
     b = [Fraction(1)]
-    for n in range(1, i_max + 1):
+    while q ** len(b) <= D:
+        n = len(b)
         s = Fraction(0)
         for j in range(n):
             idx = n - j
-            if idx <= len(vals) and vals[idx - 1]:
-                s += b[j] * vals[idx - 1] ** (q**j)
+            if idx <= len(values) and values[idx - 1]:
+                s += b[j] * values[idx - 1] ** (q**j)
         b.append(s / p)
-    return b
+    return tuple(b)
 
 
 # ---------------------------------------------------------------------------
@@ -400,85 +395,56 @@ def _residue(fr: Fraction, field: FqField):
 # formal modules
 
 
-@dataclass(frozen=True)
-class ADescriptor:
-    """Unramified coefficient descriptor: π specializes to p, residue size q."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        fq_field(self.p)  # raises "p must be prime"
-        if not exact_log(self.q, self.p):
-            raise ParameterError("q must be a positive power of p")
-
-
 class FormalModule:
-    """A group law plus whatever brackets have been materialized ([p] at
-    minimum for modules built here).
+    """The formal module over Z_p with logarithm f(T) = Σ b_i T^{q^i},
+    b_i from the values v_1, v_2, ... by the functional-equation recursion,
+    truncated at total degree D.
 
-    A module built from a logarithm solves its inverse g from one table of
-    the powers f^(1+k·s) (s from `_log_step`) and keeps that table, from
-    which every bracket is summed; the (expensive) law assembly waits until
-    .law is first read.
+    p, q, values and D are all it is built from; the logarithm, its inverse g
+    and every bracket follow.  The constructor solves g from one table of the
+    powers f^(1+k·s) (s from `_log_step`) and keeps that table, from which
+    every bracket is summed and cached in .brackets; the (expensive) law
+    assembly waits until .law is first read.
     """
 
-    def __init__(
-        self,
-        descriptor: ADescriptor,
-        law: BivariateSeries | None = None,
-        brackets: dict | None = None,
-        values: tuple | None = None,
-        log_coeffs: tuple | None = None,
-        D: int | None = None,
-    ):
-        if law is None and log_coeffs is None:
-            raise ValueError("need a law or a logarithm to build one from")
-        if D is None:
-            D = law.D
-        self.descriptor = descriptor
-        self.brackets = {} if brackets is None else brackets
-        self.values = values
-        self.log_coeffs = log_coeffs
-        self.D = D
-        self._law = law
-        self._step = self._powers = self.inv_coeffs = None
-        if log_coeffs is not None:
-            q = descriptor.q
-            self._step = _log_step(log_coeffs, q, D) or D  # f(T) = T: only g_1
-            self._powers = list(_log_powers(log_coeffs, q, D, first=1, step=self._step))
-            self.inv_coeffs = _inverse_log(self._powers, self._step)
+    def __init__(self, p: int, q: int, values, D: int):
+        fq_field(p)  # raises "p must be prime"
+        if not exact_log(q, p):
+            raise ParameterError("q must be a positive power of p")
+        if D < 1:
+            raise ParameterError("D must be >= 1")
+        values = tuple(Fraction(v) for v in values)
+        for v in values:
+            if v and _vp(v, p) < 0:
+                raise IntegralityError(f"specialization value {v} is not {p}-integral")
+        self.p, self.q, self.values, self.D = p, q, values, D
+        self.log_coeffs = _numeric_log_coeffs(p, q, values, D)
+        self.brackets = {}
+        self._law = None
+        self._step = _log_step(self.log_coeffs, q, D) or D  # f(T) = T: only g_1
+        self._powers = list(_log_powers(self.log_coeffs, q, D, first=1, step=self._step))
+        self.inv_coeffs = _inverse_log(self._powers, self._step)
+
+    @property
+    def field(self) -> FqField:
+        """The residue field F_q, built on first use: finding its modulus is
+        slow for a large q."""
+        return fq_field(self.p, exact_log(self.q, self.p))
 
     @property
     def law(self) -> BivariateSeries:
         if self._law is None:
-            self._law = _law_series(
-                self.log_coeffs, self.inv_coeffs, self.descriptor, self.D
-            )
+            self._law = _law_series(self.log_coeffs, self.inv_coeffs, self.p, self.q, self.D)
         return self._law
 
     def bracket(self, a) -> UnivariateSeries:
-        """[a](T) = f^{-1}(a·f(T)); computed on demand for modules that carry
-        their logarithm, cached in .brackets."""
+        """[a](T) = f^{-1}(a·f(T)), cached in .brackets."""
         a = Fraction(a)
-        if a in self.brackets:
-            return self.brackets[a]
-        if self.log_coeffs is None:
-            raise ValueError("module carries no logarithm; only stored brackets exist")
-        series = _bracket_series(self._powers, self._step, self.inv_coeffs, a, self.D)
-        self.brackets[a] = series
-        return series
-
-    def residue_module(self) -> "FormalModule":
-        """Reduce the law and all stored brackets mod p into F_q."""
-        p = self.descriptor.p
-        field = fq_field(p, exact_log(self.descriptor.q, p))
-        return FormalModule(
-            descriptor=self.descriptor,
-            law=self.law.reduce_mod_p(field),
-            brackets={a: s.reduce_mod_p(field) for a, s in self.brackets.items()},
-            values=self.values,
-        )
+        if a not in self.brackets:
+            self.brackets[a] = _bracket_series(
+                self._powers, self._step, self.inv_coeffs, a, self.D
+            )
+        return self.brackets[a]
 
     def check(self, method: str = "auto"):
         """(GroupLawReport, [CongruenceReport]) as `formal --check` reports
@@ -487,21 +453,18 @@ class FormalModule:
         "sampled" and for "auto" above EXACT_ASSOC_MAX_D, then the [p]
         congruence at every level i whose cap q^i fits under D."""
         law = self.law
-        if method in ("dense", "sampled") or (method == "auto" and law.D > EXACT_ASSOC_MAX_D):
+        if method in ("dense", "sampled") or (method == "auto" and self.D > EXACT_ASSOC_MAX_D):
             # the finite-field engines check the reduction mod p; building the
             # law already asserted that every coefficient is p-integral
-            p = self.descriptor.p
-            law = law.reduce_mod_p(fq_field(p, exact_log(self.descriptor.q, p)))
+            law = law.reduce_mod_p(self.field)
         report = check_group_law(law, method=method)
-        q = self.descriptor.q
-        levels = [i for i in range(1, law.D.bit_length()) if q**i <= law.D]
+        levels = [i for i in range(1, self.D.bit_length()) if self.q**i <= self.D]
         return report, [check_pi_congruence(self, i) for i in levels]
 
     def as_json(self):
-        ring = self.law.ring
         return {
-            "ring": "Q" if ring == RATIONALS else {"p": ring.p, "m": ring.m},
-            "descriptor": {"p": self.descriptor.p, "q": self.descriptor.q},
+            "ring": RATIONALS,
+            "descriptor": {"p": self.p, "q": self.q},
             "law": self.law.as_json(),
             "brackets": {str(a): s.as_json() for a, s in self.brackets.items()},
         }
@@ -535,26 +498,18 @@ def _bracket_series(powers, s, g, a, D) -> UnivariateSeries:
 
 
 def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModule:
-    """Specialize the universal construction at v_i = values[i-1].
+    """Specialize the universal construction at v_i = values[i-1], truncated
+    at D (default q^3 + q).
 
-    Values must be p-integral rationals.  Returns the characteristic-zero
-    module (exact rational coefficients) with the [p] bracket attached;
-    integrality of every law/bracket coefficient is verified and a violation
-    raises IntegralityError naming the monomial — by the functional-equation
-    lemma that can only mean a bug or a non-integral specialization.
+    p must be prime, q a positive power of p and D >= 1, or ParameterError
+    is raised before any work is done.  Values must be p-integral rationals.
+    Returns the characteristic-zero module (exact rational coefficients) with
+    the [p] bracket attached; integrality of every law/bracket coefficient is
+    verified and a violation raises IntegralityError naming the monomial — by
+    the functional-equation lemma that can only mean a bug or a non-integral
+    specialization.
     """
-    desc = ADescriptor(p=p, q=q)
-    if D is None:
-        D = q**3 + q
-    values = tuple(Fraction(v) for v in values)
-    for v in values:
-        if _vp(v, p) is not None and _vp(v, p) < 0:
-            raise IntegralityError(f"specialization value {v} is not {p}-integral")
-    i_max = 0
-    while q ** (i_max + 1) <= D:
-        i_max += 1
-    b = _numeric_log_coeffs(p, q, values, i_max)
-    module = FormalModule(descriptor=desc, values=values, log_coeffs=tuple(b), D=D)
+    module = FormalModule(p, q, values, q**3 + q if D is None else D)
     pi = module.bracket(p)
     for e, c in pi.coeffs.items():
         if c.denominator % p == 0:
@@ -562,7 +517,7 @@ def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModul
     return module
 
 
-def _law_series(b, g, descriptor, D) -> BivariateSeries:
+def _law_series(b, g, p, q, D) -> BivariateSeries:
     """F(x, y) = g(f(x) + f(y)) = Σ_k f(x)^k·B_k(y), where
     B_k = Σ_l g_{k+l}·C(k+l, k)·f^l is truncated at degree D − k.
 
@@ -572,8 +527,7 @@ def _law_series(b, g, descriptor, D) -> BivariateSeries:
     actual table rather than assumed from a p-adic bound, so there is no
     scale for a remainder check to guard; the p-integrality that the
     functional-equation lemma promises is asserted on the result."""
-    p = descriptor.p
-    table = list(_log_powers(b, descriptor.q, D))
+    table = list(_log_powers(b, q, D))
     P = math.lcm(*(den for _, den in table))
     A = [sorted((e, v * (P // den)) for (e, _), v in num.items()) for num, den in table]
     G = math.lcm(*(c.denominator for c in g.values()))
@@ -609,7 +563,7 @@ def _law_series(b, g, descriptor, D) -> BivariateSeries:
 def honda_module(p: int, q: int, h: int, D: int | None = None) -> FormalModule:
     """The specialization v_h = 1, all other v_i = 0."""
     if h < 1:
-        raise ValueError("h must be positive")
+        raise ParameterError("h must be positive")
     return atypical_module(p, q, (0,) * (h - 1) + (1,), D)
 
 
@@ -638,9 +592,7 @@ def check_pi_congruence(module: FormalModule, i: int) -> CongruenceReport:
     specialized module: in Z_p the ideal (p, values_{<i}) is (p^e) with
     e = min(1, v_p of each nonzero earlier value), so the check is a
     valuation floor on the first q^i coefficients."""
-    if module.values is None:
-        raise ValueError("module was not built from a specialization")
-    p, q = module.descriptor.p, module.descriptor.q
+    p, q = module.p, module.q
     if i < 1:
         raise ValueError("i must be >= 1")
     cap = q**i
@@ -671,8 +623,7 @@ def check_pi_congruence_universal(p: int, q: int, i: int) -> CongruenceReport:
     if i < 1:
         raise ValueError("i must be >= 1")
     cap = q**i
-    uni = atypical_logarithm(p, q, k=i, n_terms=i)
-    killed = [bj.kill(range(1, i)) for bj in uni.b]
+    killed = [bj.kill(range(1, i)) for bj in atypical_logarithm(p, q, k=i, n_terms=i)]
     for j in range(1, i):
         if killed[j]:
             raise IntegralityError(f"b_{j} should vanish mod (v_1..v_{i-1})")

@@ -491,7 +491,8 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
                 f"{params}: upper break at {n}: closed form {w} != composed {composed}"
             )
         chain.breaks.append(b)
-        if chain.phi(b) != w or chain.psi(w) != b:
+        # the new layer fixes b, so phi(b) through K_n/K_N is still `composed`
+        if composed != w or chain.psi(w) != b:
             report.failures.append(f"{params}: phi/psi round trip failed at layer {n}")
         if n == N + 1 and b != w:
             report.failures.append(f"{params}: first layer must have equal breaks")

@@ -223,31 +223,37 @@ def test_formal_values_flag_required(capsys):
     assert code == 64 and "--values" in err
 
 
-@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (4, 4)])
-def test_formal_rejects_non_prime_p(p, q):
-    # p = 1 once looped forever dividing q by p, so run in a subprocess whose
-    # timeout turns a regression into a failure instead of a hung suite
+def run_subprocess(*argv):
+    """`python -m ramtower.cli argv` in a subprocess, whose timeout turns an
+    endless loop into a failure instead of a hung suite."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["formal", "--p", str(p), "--q", str(q), "--values", "1"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ramtower.cli", *argv],
         capture_output=True, text=True, timeout=30, env=env,
     )
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (4, 4)])
+def test_formal_rejects_non_prime_p(p, q):
+    # p = 1 once looped forever dividing q by p
+    proc = run_subprocess("formal", "--p", str(p), "--q", str(q), "--values", "1")
     assert proc.returncode == 64 and proc.stdout == ""
     assert proc.stderr == "ramtower: usage error: p must be prime\n"
 
 
 def test_formal_rejects_zero_q():
-    # q = 0 once looped forever dividing q by p; a subprocess timeout turns a
-    # regression into a failure instead of a hung suite
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["formal", "--p", "2", "--q", "0", "--values", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramtower.cli", *argv],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    # q = 0 once looped forever dividing q by p
+    proc = run_subprocess("formal", "--p", "2", "--q", "0", "--values", "1")
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr == "ramtower: usage error: q must be a positive power of p\n"
+
+
+@pytest.mark.parametrize("q", ["1", "6"])
+def test_formal_rejects_q_no_positive_power_of_p(q):
+    # q = 1 would never end the loop over the powers q^i <= D, so it must be
+    # refused first
+    proc = run_subprocess("formal", "--p", "2", "--q", q, "--values", "1", "--prec", "8")
     assert proc.returncode == 64 and proc.stdout == ""
     assert proc.stderr == "ramtower: usage error: q must be a positive power of p\n"
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramtower.errors import IntegralityError
+from ramtower.errors import IntegralityError, ParameterError
 from ramtower.fastcheck import _rint_exact, dense_associativity, sampled_associativity
 from ramtower.formal import (
     RATIONALS,
@@ -41,10 +41,10 @@ from ramtower.fq import fq_field
 def test_universal_log_coefficients():
     # p·b_n = sum b_j v_{n-j}^{q^j} at (p,q) = (2,2), two variables:
     # b1 = v1/2, b2 = v2/2 + v1^3/4, b3 = v1*v2^2/4 + v1^4*v2/4 + v1^7/8
-    u = atypical_logarithm(2, 2, k=2, n_terms=3)
-    assert u.b[1].terms == {(1, 0): Fraction(1, 2)}
-    assert u.b[2].terms == {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)}
-    assert u.b[3].terms == {
+    b = atypical_logarithm(2, 2, k=2, n_terms=3)
+    assert b[1].terms == {(1, 0): Fraction(1, 2)}
+    assert b[2].terms == {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)}
+    assert b[3].terms == {
         (1, 2): Fraction(1, 4),
         (4, 1): Fraction(1, 4),
         (7, 0): Fraction(1, 8),
@@ -101,15 +101,13 @@ def test_bracket_linear_coefficient():
 def test_honda_bracket_is_power_map_mod_p(h):
     p = q = 2
     F = honda_module(p, q, h, D=q**h)
-    R = F.residue_module()
-    br = R.bracket(p)
+    br = F.bracket(p).reduce_mod_p(F.field)
     assert br.coeffs == {q**h: br.ring.one()}
 
 
 def test_honda_mixed_q():
     F = honda_module(3, 9, 2, D=81)
-    R = F.residue_module()
-    assert list(R.bracket(3).coeffs) == [81]
+    assert list(F.bracket(3).reduce_mod_p(F.field).coeffs) == [81]
 
 
 def test_unit_axiom_failure_detected():
@@ -155,6 +153,25 @@ def test_power_table_is_built_once_per_module(monkeypatch):
     assert len(calls) == 1
     M.law
     assert len(calls) == 2
+
+
+def test_residue_field_is_built_on_first_use(monkeypatch):
+    # finding the modulus of F_q is slow for a large q, so the constructor
+    # only checks that p is prime
+    from ramtower import formal
+
+    calls = []
+    original = formal.fq_field
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(formal, "fq_field", recording)
+    M = honda_module(2, 4, 1, D=16)
+    assert calls == [(2,)]
+    assert M.field == fq_field(2, 2)
+    assert calls == [(2,), (2, 2)]
 
 
 def test_multiplicative_law_passes():
@@ -209,7 +226,8 @@ def _sampled_case(name):
         "q2": (2, 2, (1, 2, 1), 32),
         "honda25": (5, 25, (1,), 100),
     }[kind]
-    F = atypical_module(p, q, values, D=D).residue_module().law
+    M = atypical_module(p, q, values, D=D)
+    F = M.law.reduce_mod_p(M.field)
     s = math.gcd(*(i + j - 1 for i, j in F.coeffs))
     one = F.ring.one()
     if variant.startswith("bump"):  # on the grading: s is kept
@@ -270,7 +288,8 @@ def test_sampled_engine_pins(name, seed):
 def _exact_case(name):
     kind, _, variant = name.partition(":")
     if kind == "f4":  # a residue law over F_4, bumped off the prime subfield
-        F = atypical_module(2, 4, (1, 1), D=20).residue_module().law
+        M = atypical_module(2, 4, (1, 1), D=20)
+        F = M.law.reduce_mod_p(M.field)
         value = F.ring.gen()
     else:
         p, q, values, D = {
@@ -318,9 +337,10 @@ def test_every_engine_takes_the_zero_law(method):
 
 
 def test_dense_matches_exact_on_valid_law():
-    F = atypical_module(2, 4, values=(1, 1), D=20).residue_module()
-    assert check_group_law(F.law, method="exact").ok
-    ok, first = dense_associativity(F.law)
+    M = atypical_module(2, 4, values=(1, 1), D=20)
+    law = M.law.reduce_mod_p(M.field)
+    assert check_group_law(law, method="exact").ok
+    ok, first = dense_associativity(law)
     assert ok and first is None
 
 
@@ -362,57 +382,69 @@ def test_group_law_skip_leaves_associativity_open():
     assert not rep.ok
 
 
-def endomorphism_failure(f: UnivariateSeries, F):
+def endomorphism_failure(f: UnivariateSeries, F: BivariateSeries, brackets: dict):
     """The first monomial, tagged "hom" or "bracket a", where
-    f(F(X,Y)) != F(f(X), f(Y)) or f∘[a] != [a]∘f for a bracket [a] stored
-    on F, or None when f is an endomorphism of F up to its truncation."""
-    ring = F.law.ring
+    f(F(X,Y)) != F(f(X), f(Y)) or f∘[a] != [a]∘f for a bracket [a] in
+    `brackets`, or None when f is an endomorphism of the law F and commutes
+    with those brackets up to the truncation."""
+    ring = F.ring
     one = Fraction(1) if ring == RATIONALS else ring.one()
-    D = min(f.D, F.law.D)
+    D = min(f.D, F.D)
     fx = {(e, 0): c for e, c in f.coeffs.items()}
     fy = {(0, e): c for e, c in f.coeffs.items()}
-    lhs = _compose(f.coeffs, F.law.coeffs, D, one)
+    lhs = _compose(f.coeffs, F.coeffs, D, one)
     # F(f(X), f(Y)) from the powers of f on each axis
-    top = max(max(i, j) for i, j in F.law.coeffs)
+    top = max(max(i, j) for i, j in F.coeffs)
     xpow, ypow = [{(0, 0): one}], [{(0, 0): one}]
     for _ in range(top):
         xpow.append(_mul(xpow[-1], fx, D))
         ypow.append(_mul(ypow[-1], fy, D))
     rhs = {}
-    for (i, j), c in F.law.coeffs.items():
+    for (i, j), c in F.coeffs.items():
         for key, v in _mul(xpow[i], ypow[j], D).items():
             rhs[key] = rhs[key] + c * v if key in rhs else c * v
     bad = _first_difference(lhs, {k: v for k, v in rhs.items() if v})
     if bad is not None:
         return ("hom", bad)
-    for a in sorted(F.brackets, key=str):
-        inner = {(e, 0): c for e, c in F.brackets[a].coeffs.items()}
+    for a in sorted(brackets, key=str):
+        inner = {(e, 0): c for e, c in brackets[a].coeffs.items()}
         left = _compose(f.coeffs, inner, D, one)
-        right = _compose(F.brackets[a].coeffs, fx, D, one)
+        right = _compose(brackets[a].coeffs, fx, D, one)
         bad = _first_difference(left, right)
         if bad is not None:
             return (f"bracket {a}", bad)
     return None
 
 
+def residue(module):
+    """The module's law and its brackets computed so far, reduced mod p
+    into F_q."""
+    field = module.field
+    brackets = {a: s.reduce_mod_p(field) for a, s in module.brackets.items()}
+    return module.law.reduce_mod_p(field), brackets
+
+
 def test_frobenius_is_endomorphism_of_honda_module():
     # T^q commutes with the Honda law over the residue field
-    R = honda_module(2, 2, 1, D=16).residue_module()
-    f2 = R.law.ring
+    law, brackets = residue(honda_module(2, 2, 1, D=16))
+    f2 = law.ring
     frob = UnivariateSeries(f2, 16, {2: f2.one()})
-    assert endomorphism_failure(frob, R) is None
+    assert endomorphism_failure(frob, law, brackets) is None
 
 
 def test_endomorphism_failure_finds_a_non_endomorphism():
     # T + T^3 does not commute with the height-1 Honda law over F_2
-    R = honda_module(2, 2, 1, D=16).residue_module()
-    one = R.law.ring.one()
-    f = UnivariateSeries(R.law.ring, 16, {1: one, 3: one})
-    assert endomorphism_failure(f, R) == ("hom", (1, 2))
+    law, brackets = residue(honda_module(2, 2, 1, D=16))
+    one = law.ring.one()
+    f = UnivariateSeries(law.ring, 16, {1: one, 3: one})
+    assert endomorphism_failure(f, law, brackets) == ("hom", (1, 2))
     # [2] respects the law but not a corrupted bracket [3] = 3T + T^2
     F = atypical_module(3, 3, values=(1, 2), D=27)
-    F.brackets[Fraction(3)] = UnivariateSeries(RATIONALS, 27, {1: Fraction(3), 2: Fraction(1)})
-    assert endomorphism_failure(F.bracket(2), F) == ("bracket 3", (2, 0))
+    two = F.bracket(2)
+    brackets = {**F.brackets, Fraction(3): UnivariateSeries(
+        RATIONALS, 27, {1: Fraction(3), 2: Fraction(1)}
+    )}
+    assert endomorphism_failure(two, F.law, brackets) == ("bracket 3", (2, 0))
 
 
 def test_bracket_composition_is_multiplicative():
@@ -423,7 +455,7 @@ def test_bracket_composition_is_multiplicative():
         inner = {(e, 0): c for e, c in F.bracket(b).coeffs.items()}
         lhs = _compose(F.bracket(a).coeffs, inner, D, Fraction(1))
         assert {e: c for (e, _), c in lhs.items()} == F.bracket(a * b).coeffs
-    assert endomorphism_failure(F.bracket(2), F) is None
+    assert endomorphism_failure(F.bracket(2), F.law, F.brackets) is None
 
 
 @pytest.mark.parametrize(
@@ -512,6 +544,21 @@ def test_bracket_with_non_p_power_value_above_degree_160():
 def test_atypical_rejects_non_integral_values():
     with pytest.raises(IntegralityError):
         atypical_module(2, 2, values=(Fraction(1, 2),), D=8)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # D < 1 once reached the [p] bracket and raised IntegralityError
+        (lambda: atypical_module(2, 2, (1,), D=0), "D must be >= 1"),
+        (lambda: atypical_module(2, 2, (1,), D=-3), "D must be >= 1"),
+        (lambda: honda_module(2, 2, 0), "h must be positive"),
+    ],
+    ids=["D=0", "D=-3", "h=0"],
+)
+def test_degenerate_inputs_raise_parameter_error(build, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        build()
 
 
 def test_fraction_engine_accepts_odd_denominators():
