@@ -3,13 +3,15 @@
 The centerpiece is the functional-equation construction: a logarithm
 f(x) = Σ b_i x^{q^i} with b_0 = 1 and
 
-    p·b_n = Σ_{k=0}^{n-1} b_k · v_{n-k}^{q^k},
+    p·b_n = Σ_{k=0}^{n-1} b_k · v_{n-k}^{q^k}
 
-first with the v's as symbols (the universal coefficients), then specialized
-to p-integral rational values.  The group law is F(x, y) = f^{-1}(f(x)+f(y))
-and the brackets are [a](T) = f^{-1}(a·f(T)); the functional-equation lemma
-guarantees every coefficient is p-integral even though each b_n has p-power
-denominators, and that integrality is asserted, not assumed.
+at p-integral rational values v_1, v_2, ....  The group law is
+F(x, y) = f^{-1}(f(x)+f(y)) and the brackets are [a](T) = f^{-1}(a·f(T)); the
+functional-equation lemma guarantees every coefficient is p-integral even
+though each b_n has p-power denominators, and that integrality is asserted,
+not assumed.  The universal [p] congruence, with the v's as symbols, is
+checked on a Honda module, because the universal coefficients are graded
+(see `check_pi_congruence_universal`).
 
 A `FormalModule` is built from (p, q, values, D) alone, always over the
 rationals; its residue law and brackets over F_q are the series reduced one
@@ -17,7 +19,8 @@ by one, `module.law.reduce_mod_p(module.field)`.
 
 Every truncated series here is a dict {(i, j): c} that drops total degree
 above D (univariate series use (e, 0) keys), and one kernel does all of
-their arithmetic: `_mul` for products and `_compose` for g(S) = Σ g_e·S^e.
+their arithmetic: `_mul` for products, and `_compose` for g(S) = Σ g_e·S^e,
+the plain composition the tests check the faster paths against.
 Everything else is assembled from the powers f^k of the logarithm, each
 kept as integer numerators over one shared denominator, so the hot loops run
 on plain integers for any rational input: a module keeps one table of the
@@ -62,126 +65,12 @@ def _vp(x: Fraction, p: int):
 
 
 # ---------------------------------------------------------------------------
-# universal coefficients
-
-
-class QPoly:
-    """Polynomial in v_1..v_k with exact rational coefficients."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms=None):
-        self.k = k
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[tuple(e)] = c
-
-    @classmethod
-    def const(cls, k, c):
-        return cls(k, {(0,) * k: Fraction(c)})
-
-    @classmethod
-    def variable(cls, k, index, power=1):
-        """v_{index} ** power (index is 1-based)."""
-        e = [0] * k
-        e[index - 1] = power
-        return cls(k, {tuple(e): Fraction(1)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return QPoly(self.k, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return QPoly(self.k, out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QPoly(self.k, {e: cc * c for e, cc in self.terms.items()})
-
-    def shift_variable(self, index, power):
-        """Multiply by v_{index}^power."""
-        j = index - 1
-        out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[j] += power
-            out[tuple(ee)] = c
-        return QPoly(self.k, out)
-
-    def kill(self, indices) -> "QPoly":
-        """Set v_j = 0 for every 1-based j in indices."""
-        js = {j - 1 for j in indices}
-        out = {e: c for e, c in self.terms.items() if all(e[j] == 0 for j in js)}
-        return QPoly(self.k, out)
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.k == other.k and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(f"v{j+1}^{x}" for j, x in enumerate(e) if x) or "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-
-def atypical_logarithm(p: int, q: int, k: int, n_terms: int) -> tuple:
-    """Run the defining recursion p·b_n = Σ_{j<n} b_j·v_{n-j}^{q^j} symbolically:
-    the universal logarithm coefficients (b_0, ..., b_{n_terms}) as
-    polynomials in v_1..v_k, with b_0 = 1 and p^i·b_i asserted p-integral.
-
-    >>> b = atypical_logarithm(2, 2, 2, 2)
-    >>> b[1] == QPoly(2, {(1, 0): Fraction(1, 2)})
-    True
-    >>> b[2] == QPoly(2, {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)})
-    True
-    """
-    if k < 1 or n_terms < 1:
-        raise ValueError("need at least one variable and one term")
-    b = [QPoly.const(k, 1)]
-    for n in range(1, n_terms + 1):
-        acc = QPoly(k)
-        for j in range(n):
-            idx = n - j
-            if idx > k:
-                continue
-            acc = acc + b[j].shift_variable(idx, q**j)
-        b.append(acc.scale(Fraction(1, p)))
-    for i, bi in enumerate(b):
-        for e, c in bi.terms.items():
-            if _vp(c, p) < -i:
-                raise IntegralityError(f"p^{i}·b_{i} not integral at {e}", e)
-    return tuple(b)
+# the logarithm, its powers and the truncated-series kernel
 
 
 def _numeric_log_coeffs(p, q, values, D):
-    """b_0..b_n with the v's specialized to rationals, for every q^n <= D."""
+    """b_0..b_n for every q^n <= D, from p·b_n = Σ_{j<n} b_j·v_{n-j}^{q^j}
+    at the rational values v_1, v_2, ...."""
     b = [Fraction(1)]
     while q ** len(b) <= D:
         n = len(b)
@@ -192,10 +81,6 @@ def _numeric_log_coeffs(p, q, values, D):
                 s += b[j] * values[idx - 1] ** (q**j)
         b.append(s / p)
     return tuple(b)
-
-
-# ---------------------------------------------------------------------------
-# the truncated-series kernel and the powers of the logarithm
 
 
 def _mul(a: dict, b: dict, D: int) -> dict:
@@ -561,7 +446,15 @@ def _law_series(b, g, p, q, D) -> BivariateSeries:
 
 
 def honda_module(p: int, q: int, h: int, D: int | None = None) -> FormalModule:
-    """The specialization v_h = 1, all other v_i = 0."""
+    """The specialization v_h = 1, all other v_i = 0.
+
+    Truncated at its cap q^h, its [p] is p·T + (1 − p^{q^h − 1})·T^{q^h}:
+
+    >>> honda_module(3, 3, 1, D=3).bracket(3).as_json()
+    {'D': 3, 'coeffs': [[1, '3'], [3, '-8']]}
+    >>> honda_module(2, 2, 2, D=4).bracket(2).as_json()
+    {'D': 4, 'coeffs': [[1, '2'], [4, '-7']]}
+    """
     if h < 1:
         raise ParameterError("h must be positive")
     return atypical_module(p, q, (0,) * (h - 1) + (1,), D)
@@ -594,10 +487,10 @@ def check_pi_congruence(module: FormalModule, i: int) -> CongruenceReport:
     valuation floor on the first q^i coefficients."""
     p, q = module.p, module.q
     if i < 1:
-        raise ValueError("i must be >= 1")
+        raise ParameterError("i must be >= 1")
     cap = q**i
     if cap > module.D:
-        raise ValueError(f"truncation {module.D} too small for i={i}")
+        raise ParameterError(f"truncation {module.D} too small for i={i}")
     floor = 1
     for j in range(1, i):
         vj = module.values[j - 1] if j <= len(module.values) else Fraction(0)
@@ -616,35 +509,23 @@ def check_pi_congruence(module: FormalModule, i: int) -> CongruenceReport:
 
 
 def check_pi_congruence_universal(p: int, q: int, i: int) -> CongruenceReport:
-    """The same congruence with v_i,…  kept symbolic and v_1..v_{i-1} killed:
-    working mod (v_1,…,v_{i-1}) the logarithm collapses to T + (v_i/p)·T^{q^i}
-    below the cap, and the assertion is that every coefficient of
-    [p](x) − v_i x^{q^i} lies in p·Z_p[v]."""
+    """The same congruence for the universal module: v_1..v_{i-1} killed,
+    v_i, v_{i+1}, ... kept as symbols, and every coefficient of
+    [p](x) − v_i·x^{q^i} up to x^{q^i} in p·Z_(p)[v].
+
+    The universal coefficients are graded (Hazewinkel, *Formal Groups and
+    Applications*, the functional-equation lemma): with wt x = −1 and
+    wt v_j = q^j − 1, [p] is homogeneous of weight −1, so its coefficient
+    of x^e has weight e − 1.  Modulo v_1..v_{i-1} and up to x^{q^i}, where
+    every v_j with j > i is too heavy, that coefficient is one monomial
+    c_e·v_i^m with m·(q^i − 1) = e − 1, so there
+    [p] = p·x + (1 − p^{q^i − 1})·v_i·x^{q^i}.  Setting v_i = 1 keeps every
+    c_e: the universal check is the level-i check of the Honda module of
+    height i truncated at q^i, and a failure names the exponent (e,).
+    Malformed p, q or i raise ParameterError, as that module does."""
     if i < 1:
-        raise ValueError("i must be >= 1")
-    cap = q**i
-    killed = [bj.kill(range(1, i)) for bj in atypical_logarithm(p, q, k=i, n_terms=i)]
-    for j in range(1, i):
-        if killed[j]:
-            raise IntegralityError(f"b_{j} should vanish mod (v_1..v_{i-1})")
-    one = QPoly.const(i, 1)
-    # fixed point g = T - Σ_j b_j g^{q^j}; degree-of-correctness grows every pass
-    neg_b = {q**j: killed[j].scale(-1) for j in range(1, i + 1) if killed[j]}
-    g_ser = {(1, 0): one}
-    for _ in range((cap - 1) // max(q - 1, 1) + 1):
-        nxt = {(1, 0): one, **_compose(neg_b, g_ser, cap, one)}
-        if nxt == g_ser:
-            break
-        g_ser = nxt
-    # [p] = g(p·f)
-    pf = {(q**j, 0): killed[j].scale(p) for j in range(i + 1) if killed[j]}
-    pi_ser = _compose({e: c for (e, _), c in g_ser.items()}, pf, cap, one)
-    pi_ser[(cap, 0)] = pi_ser.get((cap, 0), QPoly(i)) - QPoly.variable(i, i)
-    for (e, _), c in sorted(pi_ser.items()):
-        for mono, cm in sorted(c.terms.items()):
-            if _vp(cm, p) < 1:
-                return CongruenceReport(False, i, 1, (e, mono))
-    return CongruenceReport(True, i, 1)
+        raise ParameterError("i must be >= 1")
+    return check_pi_congruence(honda_module(p, q, i, D=q**i), i)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ values worked by hand.
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,12 +26,12 @@ from ramtower.fastcheck import _rint_exact, dense_associativity, sampled_associa
 from ramtower.formal import (
     RATIONALS,
     BivariateSeries,
+    FormalModule,
     UnivariateSeries,
     _assoc_exact,
     _compose,
     _first_difference,
     _mul,
-    atypical_logarithm,
     atypical_module,
     check_group_law,
     check_pi_congruence,
@@ -41,14 +44,15 @@ from ramtower.fq import fq_field
 def test_universal_log_coefficients():
     # p·b_n = sum b_j v_{n-j}^{q^j} at (p,q) = (2,2), two variables:
     # b1 = v1/2, b2 = v2/2 + v1^3/4, b3 = v1*v2^2/4 + v1^4*v2/4 + v1^7/8
-    b = atypical_logarithm(2, 2, k=2, n_terms=3)
-    assert b[1].terms == {(1, 0): Fraction(1, 2)}
-    assert b[2].terms == {(0, 1): Fraction(1, 2), (3, 0): Fraction(1, 4)}
-    assert b[3].terms == {
-        (1, 2): Fraction(1, 4),
-        (4, 1): Fraction(1, 4),
-        (7, 0): Fraction(1, 8),
-    }
+    F = Fraction
+    for v1, v2 in [(1, 1), (3, -5), (0, 2), (2, 0), (F(1, 3), 7), (F(-5, 9), F(4, 7))]:
+        v1, v2 = F(v1), F(v2)
+        assert FormalModule(2, 2, (v1, v2), D=8).log_coeffs == (
+            1,
+            v1 / 2,
+            v2 / 2 + v1**3 / 4,
+            v1 * v2**2 / 4 + v1**4 * v2 / 4 + v1**7 / 8,
+        )
 
 
 def test_catalan_inverse_of_quadratic_log():
@@ -73,10 +77,37 @@ def test_catalan_inverse_of_quadratic_log():
     assert F.law.coeff(1, 1) == Fraction(-1)
 
 
-@pytest.mark.parametrize("p,q,i", [(2, 2, 1), (2, 2, 2), (3, 3, 2), (2, 4, 1)])
+CLOSED_FORM_CASES = [
+    (p, q, i)
+    for p, q in [(2, 2), (2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (5, 25), (7, 7)]
+    for i in (1, 2, 3)
+    if q**i <= 800
+]
+
+
+@pytest.mark.parametrize("p,q,i", CLOSED_FORM_CASES)
 def test_universal_congruence(p, q, i):
-    rep = check_pi_congruence_universal(p, q, i)
-    assert rep.ok and rep.i == i
+    # modulo v_1..v_{i-1} the universal [p] is p·x + (1 − p^{q^i−1})·v_i·x^{q^i}
+    # up to x^{q^i}, which the Honda module of height i shows at v_i = 1
+    bracket = honda_module(p, q, i, D=q**i).bracket(p)
+    assert bracket.coeffs == {1: p, q**i: 1 - p ** (q**i - 1)}
+    assert check_pi_congruence_universal(p, q, i).as_json() == {
+        "ok": True, "i": i, "ideal_exponent": 1, "first_failure": None
+    }
+
+
+def test_universal_congruence_rejects_p_one():
+    # p = 1 once looped forever taking valuations at 1, so run it in a
+    # subprocess whose timeout turns a hang into a failure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "from ramtower.formal import check_pi_congruence_universal as u; u(1, 1, 1)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ramtower.errors.ParameterError: p must be prime"
 
 
 def test_atypical_module_small():
@@ -466,8 +497,6 @@ def test_rational_composition_matches_power_table(p, q, values, D):
     """Composing g with f(x)+f(y) or a·f(T) over Fractions gives the law and
     the [p], [p+1] brackets that the power table assembles, coefficient for
     coefficient."""
-    from ramtower.formal import _compose
-
     M = atypical_module(p, q, values, D=D)
     b, g = M.log_coeffs, M.inv_coeffs
     f = {q**i: bi for i, bi in enumerate(b) if bi and q**i <= D}
@@ -496,8 +525,6 @@ INVERSE_LOG_CASES = [
 def test_inverse_log_composes_to_identity(p, q, values, D):
     # g(f(T)) = T to degree D, checked by plain composition, independent of
     # how g was computed
-    from ramtower.formal import _compose
-
     M = atypical_module(p, q, values, D=D)
     f = {(q**i, 0): bi for i, bi in enumerate(M.log_coeffs) if bi and q**i <= D}
     assert _compose(M.inv_coeffs, f, D, Fraction(1)) == {(1, 0): 1}
@@ -553,8 +580,21 @@ def test_atypical_rejects_non_integral_values():
         (lambda: atypical_module(2, 2, (1,), D=0), "D must be >= 1"),
         (lambda: atypical_module(2, 2, (1,), D=-3), "D must be >= 1"),
         (lambda: honda_module(2, 2, 0), "h must be positive"),
+        # the universal check once answered ok=True for modules that do not
+        # exist and the level checks raised a plain ValueError
+        (lambda: check_pi_congruence_universal(4, 4, 1), "p must be prime"),
+        (lambda: check_pi_congruence_universal(2, 6, 1), "q must be a positive power of p"),
+        (lambda: check_pi_congruence_universal(2, 2, 0), "i must be >= 1"),
+        (lambda: check_pi_congruence(honda_module(2, 2, 1, D=4), 0), "i must be >= 1"),
+        (
+            lambda: check_pi_congruence(honda_module(2, 2, 1, D=4), 3),
+            "truncation 4 too small for i=3",
+        ),
     ],
-    ids=["D=0", "D=-3", "h=0"],
+    ids=[
+        "D=0", "D=-3", "h=0", "universal-p=4", "universal-q=6", "universal-i=0",
+        "level-i=0", "level-above-D",
+    ],
 )
 def test_degenerate_inputs_raise_parameter_error(build, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
