@@ -13,8 +13,10 @@ JSON on stdout and use the exit-code contract
        that names no object, such as a non-prime p); empty stdout
 
 `--svg PATH` on the polygon-producing commands additionally writes a
-deterministic SVG rendering.  RAMTOWER_PREC sets the default series
-precision where one is needed.
+deterministic SVG rendering, before the report is printed: a write that
+fails (an OSError) is the run's one fail report, and a run with no polygon
+writes nothing and says so in its diagnostics.  RAMTOWER_PREC sets the
+default series precision where one is needed.
 
 Each run is a fresh process, so import time is part of every command's
 latency.  The top level therefore loads only argparse, the errors, the
@@ -357,6 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_svg(path, poly, report):
+    """Render `poly` to `path`, or say in the report that there is none."""
+    if poly is None:
+        report.diagnostics.append(f"no SVG written to {path}: this run has no polygon")
+        return
+    from .svg import render_svg
+
+    text = render_svg(poly)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -365,15 +379,18 @@ def main(argv=None) -> int:
         return 64
     try:
         report, poly = args.handler(args)
+        if getattr(args, "svg", None) is not None:
+            _write_svg(args.svg, poly, report)
     except ParameterError as e:
         print(f"ramtower: usage error: {e}", file=sys.stderr)
         return 64
     except InsufficientPrecision as e:
         report, poly = RunReport(STATUS_PRECISION, {"error": str(e)}), None
     except Exception as e:
-        # domain errors, and as a last resort anything else, get one fail
-        # report; an unexpected one also leaves its traceback on stderr
-        if not isinstance(e, (RamtowerError, ValueError)):
+        # domain errors, an unwritable --svg path, and as a last resort
+        # anything else, get one fail report; an unexpected one also leaves
+        # its traceback on stderr
+        if not isinstance(e, (RamtowerError, ValueError, OSError)):
             import traceback  # here, so that commands do not pay for its import
 
             traceback.print_exc()
@@ -390,11 +407,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    if getattr(args, "svg", None) and poly is not None:
-        from .svg import render_svg
-
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(poly))
     return report.exit_code
 
 

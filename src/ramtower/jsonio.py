@@ -7,12 +7,24 @@ read back by a `from_json` beside its writer's `as_json` on the owning
 class (NewtonPolygon, TateBreaks, BreakSchedule, ...), so the JSON surface
 round-trips through external tooling; this module imports nothing from
 ramtower.
+
+`RunReport.dumps` writes the report with its own recursive writer, which is
+byte-identical to `json.dumps(report.as_json(), indent=2)`.  It exists
+because the stdlib's C encoder ignores `indent` before Python 3.13: json
+then runs an indented dump through its pure-Python encoder, which made
+writing the report the largest single cost of the towers benchmark on
+Python 3.11.7.  The writer joins each level once, escapes strings with the
+C helper json itself uses, and handles str-keyed dicts, lists, tuples, str,
+int, bool and None.  It hands any other value with its subtree to
+`json.dumps`, so floats, non-str keys and the TypeError for an
+unserialisable value come out exactly as json writes them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +56,36 @@ class RunReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.as_json(), indent=2)
+        return _write(self.as_json(), "")
+
+
+def _write(v, pad: str) -> str:
+    """`json.dumps(v, indent=2)` for a value nested at indent `pad`."""
+    t = type(v)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return repr(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    inner = pad + "  "
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        items = [_write(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if t is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        items = [_encode_str(k) + ": " + _write(x, inner) for k, x in v.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # json escapes every newline inside a string, so each raw newline is a
+    # line break of the layout and gains the outer indent
+    return json.dumps(v, indent=2).replace("\n", "\n" + pad)
 
 
 def read_report(text: str) -> RunReport:

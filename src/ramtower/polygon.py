@@ -64,6 +64,16 @@ class NewtonPolygon:
 
 
 def format_rat(r) -> str:
+    """The JSON spelling of a rational: "n/d" in lowest terms, or "n" when d = 1.
+
+    Accepts whatever `Fraction` accepts ("6/4", 0.5, a bool).  A `Fraction`
+    or an int is already in lowest terms and prints itself that way.
+
+    >>> format_rat(Fraction(-6, 4)), format_rat(Fraction(4, 2)), format_rat("6/4")
+    ('-3/2', '2', '3/2')
+    """
+    if type(r) is Fraction or type(r) is int:  # not bool: str(True) is "True"
+        return str(r)
     r = Fraction(r)
     return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
 

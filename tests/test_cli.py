@@ -413,6 +413,20 @@ def test_torsion_svg_renders_last_snapshot(capsys, tmp_path):
     assert target.read_text().startswith("<svg")
 
 
+def test_torsion_svg_without_a_step_says_nothing_was_written(capsys, tmp_path):
+    # --nmax 0 has no last-step polygon: the payload is the plain run's,
+    # and one diagnostic says that no file was written
+    target = tmp_path / "trace.svg"
+    argv = "tower torsion --vals 1 --q 2 --g 1 --nmax 0".split()
+    plain_code, plain = report_of(capsys, *argv)
+    code, report = report_of(capsys, *argv, "--svg", str(target))
+    assert code == plain_code == 0
+    assert report.payload == plain.payload
+    assert plain.diagnostics == []
+    assert report.diagnostics == [f"no SVG written to {target}: this run has no polygon"]
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
     "argv, expected",

@@ -187,3 +187,28 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, data):
         assert read_report(out).status == STATUS_OF_CODE[code], (a.words, out)
     if malformed_pq and a.others_ok:
         assert code == 64, (a.words, code, out)
+
+
+SVG_COMMANDS = [
+    "polygon --points 0:3,1:1",
+    "tate --p 2 --poly t;t;1",
+    "tower torsion --vals 1 --q 2 --g 1 --nmax 3",
+]
+
+
+@pytest.mark.parametrize("argv", SVG_COMMANDS)
+@pytest.mark.parametrize(
+    "target, kind",
+    [("missing/x.svg", "FileNotFoundError"), (".", "IsADirectoryError"), ("", "FileNotFoundError")],
+)
+def test_an_unwritable_svg_path_is_the_one_fail_report(tmp_path, argv, target, kind):
+    # the SVG is written before the report is printed, so a failed write
+    # is reported once, as the run's status, and never after an "ok"
+    path = str(tmp_path / target) if target else ""
+    code, out, err = run_in_process(argv.split() + ["--svg", path])
+    assert code == 1, (argv, out, err)
+    assert "Traceback" not in err, err
+    report = read_report(out)
+    assert report.status == "fail"
+    assert report.payload["kind"] == kind
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,71 @@
+"""RunReport.dumps writes exactly the bytes of json.dumps(..., indent=2)."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramtower.jsonio import RunReport, read_report
+
+# every code point class json escapes: ASCII controls, non-ASCII, astral
+# characters (written as surrogate pairs) and lone surrogates
+STRINGS = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(min_codepoint=0, max_codepoint=0x1F),
+        st.characters(categories=["Cs"]),
+        st.sampled_from('"\\/\n\t\x7f é'),
+    )
+)
+INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.sampled_from([2**300, -(2**300), 2**300 - 1, 0, -1]),
+)
+SCALARS = st.one_of(STRINGS, INTS, st.booleans(), st.none())
+# floats and dicts with non-str keys are handed to json.dumps whole
+DELEGATED = st.one_of(
+    st.floats(),
+    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), SCALARS),
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+    )
+
+
+TREES = st.recursive(st.one_of(SCALARS, DELEGATED), containers, max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=TREES, diagnostics=st.lists(TREES, max_size=3))
+def test_dumps_matches_json_indent_2(payload, diagnostics):
+    report = RunReport("ok", payload, diagnostics)
+    assert report.dumps() == json.dumps(report.as_json(), indent=2)
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, lambda v: {"k": v}, lambda v: {7: v}])
+def test_dumps_matches_json_when_deeply_nested(wrap):
+    tree = []
+    for depth in range(60):
+        tree = wrap([depth, tree, {}, (), "x", None]) if depth % 2 else wrap(tree)
+    report = RunReport("fail", {"tree": tree, "empty": [[], {}, ()]})
+    text = report.dumps()
+    assert text == json.dumps(report.as_json(), indent=2)
+    assert read_report(text).status == "fail"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": Fraction(1, 2)}, {"x": [1, {"y": Fraction(3)}]}, {1: Fraction(1, 2)}, [Fraction(0)]],
+)
+def test_a_fraction_left_in_a_payload_raises_type_error(payload):
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        RunReport("ok", payload).dumps()

@@ -129,6 +129,28 @@ def test_rat_string_round_trip():
         assert parse_rat(format_rat(x)) == x
 
 
+def _old_format_rat(r):
+    r = Fraction(r)
+    return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
+
+
+BIG = 2**200 + 1
+
+
+@pytest.mark.parametrize(
+    "r",
+    [0, 7, -7, BIG, -BIG, True, False,
+     Fraction(-3, 4), Fraction(-8, 2), Fraction(5, 1), Fraction(0), Fraction(BIG, 3),
+     Fraction(-(2**200), BIG), Fraction(BIG, 2**200),
+     "6/4", " -6/4 ", "5", "0.125", 0.5, -2.0],
+    ids=repr,
+)
+def test_format_rat_keeps_its_formula(r):
+    # a Fraction or an int prints itself; bools and everything else Fraction
+    # accepts still go through Fraction(r)
+    assert format_rat(r) == _old_format_rat(r)
+
+
 def _lowest(pts):
     best = {}
     for x, y in pts:
