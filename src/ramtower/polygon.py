@@ -46,10 +46,18 @@ class NewtonPolygon:
     # cached in the instance __dict__, which a frozen dataclass leaves writable
     @functools.cached_property
     def sides(self) -> tuple[Side, ...]:
+        # slope (y1 − y0)/(x1 − x0) and intercept y0 − slope·x0 with y0 = n0/d0,
+        # y1 = n1/d1, both over the one denominator d0·d1·(x1 − x0): two
+        # Fraction constructions per side (one when x0 = 0, where the
+        # intercept is y0) instead of four Fraction operations
         out = []
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            slope = Fraction(y1 - y0, x1 - x0)
-            out.append(Side(slope, x1 - x0, y0 - slope * x0))
+            n0, d0, n1, d1 = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+            dx = x1 - x0
+            rise = n1 * d0 - n0 * d1
+            den = d0 * d1 * dx
+            intercept = y0 if x0 == 0 else Fraction(n0 * d1 * dx - rise * x0, den)
+            out.append(Side(Fraction(rise, den), dx, intercept))
         return tuple(out)
 
     def as_json(self):

@@ -23,7 +23,10 @@ is their inverses applied bottom layer first (Serre, Local Fields, IV §3).
 The torsion side iterates Newton polygons: v(y_i) is a root valuation of
 the i-times-twisted defining polynomial shifted by y_{i-1}, and from the
 first index m where that polygon is a single segment the trace obeys the
-exact ratio v(y_n) = v(y_{n-1})/q^d.
+exact ratio v(y_n) = v(y_{n-1})/q^d.  Past m no hull is built: each later
+twist multiplies the coefficient ordinates by q^g >= 2 while the chord
+from (0, v(y_{n-1})) to (q^d, 0) drops, so every point stays on or above
+the chord and the polygon is that chord again.
 
 Breaks below level N are out of scope by hypothesis — asking for them
 raises GuardViolation rather than extrapolating formulas that do not apply.
@@ -213,13 +216,6 @@ def filtration_tables(params: TowerParams, n: int) -> BreakSchedule:
     ks = range(params.N + 1, n + 1)
     lower = tuple(layer_break(params, k) for k in ks)
     upper = tuple(tower_upper_break(params, k) for k in ks)
-    diagnostics = []
-    for k, b in zip(ks, lower):
-        if b.denominator != 1:
-            diagnostics.append(
-                f"layer {k} lower break {format_rat(b)} is not an integer; "
-                "an order-q^g Galois step cannot carry a fractional break"
-            )
     return BreakSchedule(
         params=params,
         n=n,
@@ -227,8 +223,18 @@ def filtration_tables(params: TowerParams, n: int) -> BreakSchedule:
         upper=upper,
         lower_table=_interval_table(lower, params, n),
         upper_table=_interval_table(upper, params, n),
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(_fractional_break_lints(ks, lower)),
     )
+
+
+def _fractional_break_lints(ks, lower) -> list:
+    """One diagnostic per non-integral lower break b_k, k in ks."""
+    return [
+        f"layer {k} lower break {format_rat(b)} is not an integer; "
+        "an order-q^g Galois step cannot carry a fractional break"
+        for k, b in zip(ks, lower)
+        if b.denominator != 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -345,8 +351,20 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
         (0, v(y_{i-1})),  (q^{j-1}, q^{ig}·v(a_j)),  (q^d, 0)
 
     and `branch` selects the largest ("max") or smallest ("min") root
-    valuation.  m is the first step whose polygon is one segment; from
-    there on the recorded valuations scale by exactly q^{-d} per step.
+    valuation.  m is the first step whose polygon is one segment.
+
+    Past step m the trace is written in closed form, with no hull: step
+    i > m records the single side from (0, v(y_{i-1})) to (q^d, 0) and
+    v(y_i) = v(y_{i-1})/q^d, on either branch.  This is exact: going from
+    step i-1 to step i multiplies every coefficient ordinate by q^g >= 2,
+    while the chord from (0, v(y_{i-1})) to (q^d, 0) lies below the chord
+    of step i-1, because 0 < v(y_{i-1}) < v(y_{i-2}).  A point on or above
+    the old chord is therefore on or above the new one, and the polygon
+    stays that one segment.
+
+    >>> trace = torsion_valuations((Fraction(1),), q=2, g=1, n_max=4)
+    >>> [format_rat(v) for v in trace.valuations], trace.m
+    (['1', '1/2', '1/4', '1/8', '1/16'], 1)
     """
     a_vals = tuple(None if v is None else Fraction(v) for v in a_vals)
     if not a_vals or a_vals[0] is None:
@@ -365,30 +383,32 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
         side = sides[0] if branch == "max" else sides[-1]
         return -side.slope
 
+    top = (q**d, Fraction(0))
     base_pts = [
         (q ** (j - 1), v) for j, v in enumerate(a_vals, start=1) if v is not None
     ]
-    base_pts.append((q**d, Fraction(0)))
-    first = build_polygon(base_pts)
-    vals = [pick(first)]
+    base_pts.append(top)
+    vals = [pick(build_polygon(base_pts))]
     snapshots = []
     m = None
     for i in range(1, n_max + 1):
-        twist = q ** (i * g)
-        pts = [(0, vals[-1])]
-        pts.extend(
-            (q ** (j - 1), twist * v)
-            for j, v in enumerate(a_vals, start=1)
-            if v is not None
-        )
-        pts.append((q**d, Fraction(0)))
-        poly = build_polygon(pts)
-        single = len(poly.vertices) == 2
-        if single and m is None:
-            m = i
-        if not single and m is not None:
-            raise AssertionError("single-segment polygon regressed; twist bookkeeping bug")
-        vals.append(pick(poly))
+        if m is not None:
+            # the closed-form tail (see the docstring)
+            poly = NewtonPolygon(((0, vals[-1]), top))
+            vals.append(vals[-1] / q**d)
+        else:
+            twist = q ** (i * g)
+            pts = [(0, vals[-1])]
+            pts.extend(
+                (q ** (j - 1), twist * v)
+                for j, v in enumerate(a_vals, start=1)
+                if v is not None
+            )
+            pts.append(top)
+            poly = build_polygon(pts)
+            if len(poly.vertices) == 2:
+                m = i
+            vals.append(pick(poly))
         snapshots.append(poly)
     return TorsionTrace(
         q=q,
@@ -467,7 +487,9 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     back (phi/psi round trip).  The breaks must increase strictly, the
     upper break must sit below the lower one above the first layer (equal
     on it), and layer_break must match the trinomial closed form.
-    Non-integral lower breaks of the schedule come back as diagnostics.
+    Non-integral lower breaks come back as diagnostics, the same lines
+    filtration_tables(params, N + depth) reports, read off the breaks the
+    loop has already computed.
 
     The transition chain is the list of breaks from layer_break alone,
     never from the closed form, extended by one break per layer.  phi and
@@ -479,6 +501,7 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
 
     report = VerifyReport()
     N = params.N
+    _require_above_N(params, N + depth)  # a depth below 1 names no layer
     prev_b = prev_w = None
     chain = _LayerChain(params.q**params.g)  # transition of K_N/K_N
     for n in range(N + 1, N + depth + 1):
@@ -509,8 +532,8 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
             report.failures.append(
                 f"{params}: trinomial closed form {alt} != layer break {b} at {n}"
             )
-    schedule = filtration_tables(params, N + depth)
-    report.diagnostics.extend(schedule.diagnostics)
+    ks = range(N + 1, N + depth + 1)
+    report.diagnostics.extend(_fractional_break_lints(ks, chain.breaks))
     return report
 
 

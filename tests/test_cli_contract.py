@@ -68,15 +68,25 @@ class Argv:
         if self.draw(st.booleans()):
             self.words.append(flag)
 
+    def maybe_svg(self, svg_dir):
+        """Sometimes append --svg, to a writable file or into a missing directory."""
+        self.svg = None
+        if self.draw(st.booleans()):
+            self.svg_writable = self.draw(st.booleans())
+            name = "out.svg" if self.svg_writable else os.path.join("missing", "out.svg")
+            self.svg = os.path.join(svg_dir, name)
+            self.words += ["--svg", self.svg]
+
 
 def counts(low):
     return [c for c in COUNTS if c >= low], [c for c in COUNTS if c < low]
 
 
 @st.composite
-def polygon_argv(draw):
+def polygon_argv(draw, svg_dir):
     a = Argv(draw, "polygon")
     a.pick("--points", ["0:3,1:1,2:1,4:0", "1:1", "0:0,1:1,1:2"], ["1/2:1", "a:b", ","])
+    a.maybe_svg(svg_dir)
     return a, None
 
 
@@ -108,7 +118,7 @@ def formal_argv(draw):
 
 
 @st.composite
-def tate_argv(draw):
+def tate_argv(draw, svg_dir):
     a = Argv(draw, draw(st.sampled_from(["tate", "tate-breaks"])))
     p = draw(P)
     a.words += ["--p", str(p)]
@@ -117,6 +127,7 @@ def tate_argv(draw):
                       "t;t^2;t;1", "t;t;t", "t;1;1", "t;t^3;0;1"], ["t", "t;x;1"])
     a.maybe("--prec", *counts(1))
     a.switch("--assume-totally-ramified")
+    a.maybe_svg(svg_dir)
     return a, p not in PRIMES
 
 
@@ -132,7 +143,7 @@ def schedule_argv(draw):
 
 
 @st.composite
-def torsion_argv(draw):
+def torsion_argv(draw, svg_dir):
     a = Argv(draw, "tower", "torsion")
     q = draw(st.sampled_from(PQ))
     a.words += ["--q", str(q)]
@@ -140,6 +151,7 @@ def torsion_argv(draw):
     a.pick("--g", *counts(1))
     a.pick("--nmax", *counts(0))
     a.maybe("--branch", ["max", "min"], ["sideways"])
+    a.maybe_svg(svg_dir)
     return a, not is_prime_power(q)
 
 
@@ -157,6 +169,7 @@ GRAMMARS = {
     "tate": tate_argv, "tower-schedule": schedule_argv, "tower-torsion": torsion_argv,
     "verify": verify_argv,
 }
+SVG_GRAMMARS = (polygon_argv, tate_argv, torsion_argv)
 
 
 def run_in_process(argv):
@@ -169,16 +182,29 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# up to 50 examples per subcommand, about 270 in all: polygon and verify
-# run out of distinct argv after 6 and 12
+def run_drawn(words):
+    with mock.patch.dict(os.environ):
+        os.environ.pop(PREC_ENV, None)
+        return run_in_process(words)
+
+
+@pytest.fixture(scope="module")
+def svg_dir(tmp_path_factory):
+    # module-scoped: hypothesis rejects a function-scoped fixture under @given
+    return str(tmp_path_factory.mktemp("svg"))
+
+
+# up to 50 examples per subcommand, about 280 in all: polygon and verify
+# run out of distinct argv after 18 and 12
 @pytest.mark.parametrize("grammar", GRAMMARS.values(), ids=GRAMMARS.keys())
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, data):
-    a, malformed_pq = data.draw(grammar())
-    with mock.patch.dict(os.environ):
-        os.environ.pop(PREC_ENV, None)
-        code, out, err = run_in_process(a.words)
+def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, svg_dir, data):
+    a, malformed_pq = data.draw(grammar(svg_dir) if grammar in SVG_GRAMMARS else grammar())
+    svg = getattr(a, "svg", None)
+    if svg is not None and os.path.exists(svg):
+        os.remove(svg)
+    code, out, err = run_drawn(a.words)
     assert code in (0, 1, 2, 64), (a.words, code)
     assert "Traceback" not in err, (a.words, err)
     if code == 64:
@@ -187,6 +213,25 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, data):
         assert read_report(out).status == STATUS_OF_CODE[code], (a.words, out)
     if malformed_pq and a.others_ok:
         assert code == 64, (a.words, code, out)
+    if svg is not None:
+        check_svg_outcome(a, code, out)
+
+
+def check_svg_outcome(a, code, out):
+    """A run that gets as far as the SVG exits 0 having written the file (or
+    says that it has no polygon to draw), or fails once on the write with
+    the OSError's class as `kind`; a run that stops earlier ends as it
+    would without --svg."""
+    written = os.path.exists(a.svg)
+    if code == 0:
+        said = any(line.startswith("no SVG written") for line in read_report(out).diagnostics)
+        assert written != said, (a.words, out)
+    elif code == 1 and read_report(out).payload["kind"] == "FileNotFoundError":
+        assert not a.svg_writable and not written, (a.words, out)
+        assert run_drawn(a.words[:-2])[0] == 0, a.words
+    else:
+        assert not written, a.words
+        assert run_drawn(a.words[:-2])[:2] == (code, out), a.words
 
 
 SVG_COMMANDS = [

@@ -4,7 +4,7 @@ import importlib
 
 def test_docstring_examples_run():
     results = {}
-    for name in ("formal", "fq", "herbrand", "polygon", "tate"):
+    for name in ("formal", "fq", "herbrand", "polygon", "tate", "towers"):
         module = importlib.import_module(f"ramtower.{name}")
         results[name] = doctest.testmod(module)
     for name, (failed, attempted) in results.items():

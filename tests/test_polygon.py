@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ramtower.fq import fq_field
 from ramtower.polygon import (
     NewtonPolygon,
+    Side,
     brute_force_hull,
     build_polygon,
     format_rat,
@@ -122,6 +123,39 @@ def test_json_round_trip():
     np_ = build_polygon([(0, Fraction(7, 2)), (1, 1), (5, 0)])
     again = NewtonPolygon.from_json(np_.as_json())
     assert again == np_
+
+
+def _old_sides(vertices):
+    out = []
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        slope = Fraction(y1 - y0, x1 - x0)
+        out.append(Side(slope, x1 - x0, y0 - slope * x0))
+    return tuple(out)
+
+
+vertex_lists = st.lists(
+    st.tuples(
+        st.integers(-200, 200),
+        st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**64)),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda v: v[0],
+).map(sorted)
+
+
+@given(vertex_lists)
+@settings(max_examples=300, deadline=None)
+def test_sides_keep_their_formula(vertices):
+    # sides on integer numerators and denominators against the Fraction formula,
+    # also off the hull: x0 != 0, negative x and ordinates, denominators to 2^64
+    np_ = NewtonPolygon(tuple(vertices))
+    old = _old_sides(np_.vertices)
+    assert np_.sides == old
+    assert np_.as_json() == {
+        "vertices": [[x, format_rat(y)] for x, y in vertices],
+        "sides": [side.as_json() for side in old],
+    }
 
 
 def test_rat_string_round_trip():

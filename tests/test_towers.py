@@ -4,13 +4,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramtower import herbrand
 from ramtower.errors import GuardViolation
 from ramtower.fq import fq_field
 from ramtower.herbrand import BreakFiltration, compose_tower
+from ramtower.polygon import brute_force_hull, build_polygon
 from ramtower.tate import closed_form_break, eisenstein_trinomial, tate_breaks
 from ramtower.towers import (
     DEFAULT_GRID,
@@ -338,6 +339,70 @@ def test_torsion_ratio_law_and_bound(case):
     assert rhf is not None and rhf <= full.m
 
 
+def _reference_trace(a_vals, q, g, n_max, branch):
+    # step by step from the definition: the brute-force hull of the twisted
+    # points at every step, the chosen side's slope, m the first single side
+    d = len(a_vals)
+    pick = 0 if branch == "max" else -1
+    top = (q**d, Fraction(0))
+
+    def step(lead, twist):
+        pts = [(q ** (j - 1), twist * v) for j, v in enumerate(a_vals, 1) if v is not None]
+        return brute_force_hull(lead + pts + [top])
+
+    vals = [-step([], 1).sides[pick].slope]
+    snapshots, m = [], None
+    for i in range(1, n_max + 1):
+        poly = step([(0, vals[-1])], q ** (i * g))
+        if m is None and len(poly.vertices) == 2:
+            m = i
+        vals.append(-poly.sides[pick].slope)
+        snapshots.append(poly)
+    return tuple(vals), m, tuple(snapshots)
+
+
+positive = st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=4)
+tail_inputs = st.tuples(
+    st.sampled_from((2, 3, 4, 5)),
+    st.integers(1, 3),
+    st.builds(
+        lambda first, rest: (first, *rest),
+        positive,
+        st.lists(st.one_of(st.none(), positive), max_size=3),
+    ),
+    st.sampled_from(("max", "min")),
+    st.sampled_from(("zero", "m-1", "m", "m+4")),
+)
+
+
+@given(tail_inputs)
+@example((2, 1, (Fraction(9), Fraction(1)), "max", "m-1"))  # m = 2
+@example((2, 1, (Fraction(9), Fraction(1)), "max", "m"))
+@example((2, 1, (Fraction(9), Fraction(1)), "max", "m+4"))
+@example((2, 1, (Fraction(9), Fraction(1)), "min", "m+4"))
+@example((3, 1, (Fraction(12), None, Fraction(1, 4)), "max", "m+4"))
+@settings(max_examples=150, deadline=None)
+def test_torsion_trace_matches_the_hull_at_every_step(case):
+    # the closed-form tail past m against a hull at every step, and no hull
+    # built past m: min(m, n_max) + 1 of them, the first one for y_0, and
+    # one per step while no step has had a single side
+    q, g, a_vals, branch, reach = case
+    v0 = _reference_trace(a_vals, q, g, 0, branch)[0][0]
+    bound = 1
+    while any(v is not None and q ** (bound * g) * v < v0 for v in a_vals):
+        bound += 1
+    m = _reference_trace(a_vals, q, g, bound, branch)[1]
+    assert m is not None and m <= bound
+    n_max = {"zero": 0, "m-1": m - 1, "m": m, "m+4": m + 4}[reach]
+    with mock.patch("ramtower.towers.build_polygon", wraps=build_polygon) as hull:
+        trace = torsion_valuations(a_vals, q=q, g=g, n_max=n_max, branch=branch)
+    assert hull.call_count == min(m, n_max) + 1
+    vals, ref_m, snapshots = _reference_trace(a_vals, q, g, n_max, branch)
+    assert trace.valuations == vals
+    assert trace.m == ref_m == (None if n_max < m else m)
+    assert [s.vertices for s in trace.snapshots] == [s.vertices for s in snapshots]
+
+
 def test_schedule_json_round_trip():
     sched = filtration_tables(TowerParams(p=3, q=3, g=2, d=1, N=1, c=2), 4)
     assert BreakSchedule.from_json(sched.as_json()) == sched
@@ -423,6 +488,21 @@ def test_verify_default_grid_at_depth_12():
         rep = verify_tuple(ps, 12)
         assert rep.ok, rep.failures
         assert rep.cases == 12
+
+
+def test_verify_diagnostics_are_the_schedule_lints():
+    linted = 0
+    for depth in (6, 12):
+        for ps, _ in verify_grid(DEFAULT_GRID):
+            diagnostics = verify_tuple(ps, depth).diagnostics
+            assert diagnostics == list(filtration_tables(ps, ps.N + depth).diagnostics)
+            linted += bool(diagnostics)
+    assert linted
+
+
+def test_verify_tuple_needs_a_layer():
+    with pytest.raises(GuardViolation):
+        verify_tuple(BASE, 0)
 
 
 def test_verify_tuple_and_grid():
