@@ -51,6 +51,7 @@ class Argv:
 
     def __init__(self, draw, *words):
         self.draw, self.words, self.others_ok = draw, list(words), True
+        self.svg = None  # the --svg path, when one is drawn
 
     def __repr__(self):
         return " ".join(self.words)
@@ -70,7 +71,6 @@ class Argv:
 
     def maybe_svg(self, svg_dir):
         """Sometimes append --svg, to a writable file or into a missing directory."""
-        self.svg = None
         if self.draw(st.booleans()):
             self.svg_writable = self.draw(st.booleans())
             name = "out.svg" if self.svg_writable else os.path.join("missing", "out.svg")
@@ -201,9 +201,8 @@ def svg_dir(tmp_path_factory):
 @given(data=st.data())
 def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, svg_dir, data):
     a, malformed_pq = data.draw(grammar(svg_dir) if grammar in SVG_GRAMMARS else grammar())
-    svg = getattr(a, "svg", None)
-    if svg is not None and os.path.exists(svg):
-        os.remove(svg)
+    if a.svg is not None and os.path.exists(a.svg):
+        os.remove(a.svg)
     code, out, err = run_drawn(a.words)
     assert code in (0, 1, 2, 64), (a.words, code)
     assert "Traceback" not in err, (a.words, err)
@@ -213,7 +212,7 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, svg_dir, data):
         assert read_report(out).status == STATUS_OF_CODE[code], (a.words, out)
     if malformed_pq and a.others_ok:
         assert code == 64, (a.words, code, out)
-    if svg is not None:
+    if a.svg is not None:
         check_svg_outcome(a, code, out)
 
 
