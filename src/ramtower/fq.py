@@ -250,12 +250,6 @@ class FqField:
     def one(self) -> "FqElem":
         return self.from_int(1)
 
-    def gen(self) -> "FqElem":
-        """The residue of x; a generator of the ring, not of the unit group."""
-        if self.m == 1:
-            return self.zero()
-        return self.from_int(self.p)
-
     def __repr__(self):
         return f"FqField(p={self.p}, m={self.m})"
 
@@ -306,15 +300,6 @@ class FqElem:
         p = self.field.p
         return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
@@ -325,33 +310,6 @@ class FqElem:
         return FqElem(f, red + (0,) * (f.m - len(red)))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "FqElem":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        # a^(q-2) = a^(-1) in a field of q elements; q is small here
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def to_int(self) -> int:
         n = 0

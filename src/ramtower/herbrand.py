@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .polygon import format_rat, parse_rat
+from .polygon import format_rat
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class BreakFiltration:
             "order": self.order,
             "breaks": [[format_rat(b), d] for b, d in self.breaks],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(int(obj["order"]), tuple((parse_rat(b), int(d)) for b, d in obj["breaks"]))
 
 
 class PiecewiseLinear:
@@ -107,13 +103,6 @@ class PiecewiseLinear:
     def identity(cls) -> "PiecewiseLinear":
         return cls([(0, 0)], 1)
 
-    @property
-    def initial_slope(self) -> Fraction:
-        if len(self.breakpoints) >= 2:
-            (x0, y0), (x1, y1) = self.breakpoints[0], self.breakpoints[1]
-            return (y1 - y0) / (x1 - x0)
-        return self.final_slope
-
     def __eq__(self, other):
         return (
             isinstance(other, PiecewiseLinear)
@@ -161,13 +150,6 @@ class PiecewiseLinear:
             "breakpoints": [[format_rat(x), format_rat(y)] for x, y in self.breakpoints],
             "final_slope": format_rat(self.final_slope),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            [(parse_rat(x), parse_rat(y)) for x, y in obj["breakpoints"]],
-            parse_rat(obj["final_slope"]),
-        )
 
     def __repr__(self):
         pts = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)

@@ -3,10 +3,8 @@
 Every command emits one RunReport: a status, a payload, and a diagnostics
 list, stamped with a schema version.  Rationals travel as "num/den" strings
 throughout — floats never appear in any payload.  Each payload shape is
-read back by a `from_json` beside its writer's `as_json` on the owning
-class (NewtonPolygon, TateBreaks, BreakSchedule, ...), so the JSON surface
-round-trips through external tooling; this module imports nothing from
-ramtower.
+written by an `as_json` on the owning class (NewtonPolygon, TateBreaks,
+BreakSchedule, ...); this module imports nothing from ramtower.
 
 `RunReport.dumps` writes the report with its own recursive writer, which is
 byte-identical to `json.dumps(report.as_json(), indent=2)`.  It exists
@@ -86,10 +84,3 @@ def _write(v, pad: str) -> str:
     # json escapes every newline inside a string, so each raw newline is a
     # line break of the layout and gains the outer indent
     return json.dumps(v, indent=2).replace("\n", "\n" + pad)
-
-
-def read_report(text: str) -> RunReport:
-    obj = json.loads(text)
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {obj.get('schema')!r}")
-    return RunReport(obj["status"], obj["payload"], list(obj["diagnostics"]))

@@ -13,8 +13,7 @@ polygon straight from the definition, also on cross-multiplied integers but
 sharing no code with `build_polygon`, and exists purely as an oracle.
 
 The module imports nothing from the rest of ramtower: `root_valuations`
-reads a polynomial only through its `.coeffs` and their `.valuation()`,
-and the JSON reader `NewtonPolygon.from_json` sits beside its writer.
+reads a polynomial only through its `.coeffs` and their `.valuation()`.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class NewtonPolygon:
             "vertices": [[x, format_rat(y)] for x, y in self.vertices],
             "sides": [s.as_json() for s in self.sides],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple((int(x), parse_rat(y)) for x, y in obj["vertices"]))
 
 
 def format_rat(r) -> str:

@@ -156,9 +156,6 @@ class LaurentSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
             c = self.field.from_int(other) if isinstance(other, int) else other

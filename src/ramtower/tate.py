@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision
 from .fq import FqField, exact_log
-from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat, y_intercepts
+from .polygon import NewtonPolygon, build_polygon, format_rat, y_intercepts
 from .series import INF, LaurentSeries
 from .seriespoly import SeriesPoly
 
@@ -272,22 +272,6 @@ class TateBreaks:
                 "degree_log": self.hypothesis.degree_log,
             },
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        hyp = obj["hypothesis"]
-        witness = hyp.get("witness")
-        return cls(
-            breaks=tuple(parse_rat(b) for b in obj["breaks"]),
-            polygon=NewtonPolygon.from_json(obj["polygon"]),
-            points=tuple((int(i), int(v)) for i, v in obj["points"]),
-            hypothesis=HypothesisReport(
-                ok=bool(hyp["ok"]),
-                witness=None if witness is None else tuple(witness),
-                p_power_degree=bool(hyp["p_power_degree"]),
-                degree_log=hyp["degree_log"],
-            ),
-        )
 
 
 def tate_breaks(ext: EisensteinExtension) -> TateBreaks:

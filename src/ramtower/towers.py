@@ -40,7 +40,7 @@ from fractions import Fraction
 from .errors import GuardViolation, ParameterError
 from .fq import exact_log, fq_field, prime_power
 from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower
-from .polygon import NewtonPolygon, build_polygon, format_rat, parse_rat
+from .polygon import NewtonPolygon, build_polygon, format_rat
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class TowerParams:
             "N": self.N,
             "c": self.c,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**{k: int(obj[k]) for k in ("p", "q", "g", "d", "N", "c")})
 
 
 def _require_above_N(params: TowerParams, k: int):
@@ -171,27 +167,6 @@ class BreakSchedule:
             "upper_table": table(self.upper_table),
             "diagnostics": list(self.diagnostics),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        def table(rows):
-            return tuple(
-                (
-                    (parse_rat(r["from"]), None if r["to"] is None else parse_rat(r["to"])),
-                    int(r["order"]),
-                )
-                for r in rows
-            )
-
-        return cls(
-            params=TowerParams.from_json(obj["params"]),
-            n=int(obj["n"]),
-            lower=tuple(parse_rat(b) for b in obj["lower"]),
-            upper=tuple(parse_rat(w) for w in obj["upper"]),
-            lower_table=table(obj["lower_table"]),
-            upper_table=table(obj["upper_table"]),
-            diagnostics=tuple(obj["diagnostics"]),
-        )
 
 
 def _interval_table(breaks, params: TowerParams, n: int):
@@ -327,18 +302,6 @@ class TorsionTrace:
             "m": self.m,
             "polygons": [s.as_json() for s in self.snapshots],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            q=int(obj["q"]),
-            g=int(obj["g"]),
-            a_vals=tuple(parse_rat(v) for v in obj["a_vals"]),
-            branch=obj["branch"],
-            valuations=tuple(parse_rat(v) for v in obj["valuations"]),
-            m=None if obj["m"] is None else int(obj["m"]),
-            snapshots=tuple(NewtonPolygon.from_json(s) for s in obj["polygons"]),
-        )
 
 
 def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") -> TorsionTrace:
@@ -499,9 +462,10 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     composition path."""
     from .tate import closed_form_break
 
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
     report = VerifyReport()
     N = params.N
-    _require_above_N(params, N + depth)  # a depth below 1 names no layer
     prev_b = prev_w = None
     chain = _LayerChain(params.q**params.g)  # transition of K_N/K_N
     for n in range(N + 1, N + depth + 1):

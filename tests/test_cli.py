@@ -15,16 +15,10 @@ import pytest
 
 from ramtower import formal
 from ramtower.cli import main
-from ramtower.jsonio import read_report
-from ramtower.polygon import NewtonPolygon, build_polygon
-from ramtower.tate import TateBreaks, eisenstein_trinomial, tate_breaks
-from ramtower.towers import (
-    BreakSchedule,
-    TorsionTrace,
-    TowerParams,
-    filtration_tables,
-    torsion_valuations,
-)
+from ramtower.jsonio import RunReport
+from ramtower.polygon import build_polygon
+from ramtower.tate import eisenstein_trinomial, tate_breaks
+from ramtower.towers import TowerParams, filtration_tables, torsion_valuations
 from ramtower.fq import fq_field
 
 
@@ -36,13 +30,15 @@ def run(capsys, *argv):
 
 def report_of(capsys, *argv):
     code, out, _ = run(capsys, *argv)
-    return code, read_report(out)
+    obj = json.loads(out)
+    assert obj["schema"] == 1, out
+    return code, RunReport(obj["status"], obj["payload"], obj["diagnostics"])
 
 
 def test_polygon_happy_path(capsys):
     code, rep = report_of(capsys, "polygon", "--points", "1:1,2:1,4:0")
     assert code == 0 and rep.status == "ok"
-    assert NewtonPolygon.from_json(rep.payload) == build_polygon([(1, 1), (2, 1), (4, 0)])
+    assert rep.payload == build_polygon([(1, 1), (2, 1), (4, 0)]).as_json()
     assert rep.payload["vertices"] == [[1, "1"], [4, "0"]]
     assert rep.payload["sides"][0]["slope"] == "-1/3"
 
@@ -274,8 +270,7 @@ def test_tate_single_break(capsys):
     code, rep = report_of(capsys, "tate", "--p", "2", "--poly", "t;t;1")
     assert code == 0
     assert rep.payload["breaks"] == ["1"]
-    again = TateBreaks.from_json(rep.payload)
-    assert again.breaks == tate_breaks(eisenstein_trinomial(fq_field(2), 1)).breaks
+    assert rep.payload == tate_breaks(eisenstein_trinomial(fq_field(2), 1)).as_json()
 
 
 def test_tate_alias(capsys):
@@ -328,7 +323,7 @@ def test_tower_schedule(capsys):
     assert code == 0
     assert rep.payload["upper"] == ["3", "9", "21"]
     params = TowerParams(p=2, q=2, g=1, d=1, N=0, c=1)
-    assert BreakSchedule.from_json(rep.payload) == filtration_tables(params, 3)
+    assert rep.payload == filtration_tables(params, 3).as_json()
 
 
 def test_tower_schedule_guard(capsys):
@@ -355,9 +350,7 @@ def test_tower_torsion(capsys):
     )
     assert code == 0
     assert rep.payload["valuations"][:2] == ["1/3", "1/12"]
-    assert TorsionTrace.from_json(rep.payload) == torsion_valuations(
-        (1, 1), q=2, g=1, n_max=4
-    )
+    assert rep.payload == torsion_valuations((1, 1), q=2, g=1, n_max=4).as_json()
 
 
 def test_tower_torsion_rejects_a_q_that_is_no_prime_power(capsys):

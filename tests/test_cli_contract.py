@@ -11,6 +11,7 @@ of p) is a usage error whenever every other value is well-formed.
 
 import contextlib
 import io
+import json
 import os
 from unittest import mock
 
@@ -19,13 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.cli import PREC_ENV, main
-from ramtower.jsonio import read_report
 
 BIG_PRIME = 2**61 - 1
 PQ = (-1, 0, 1, 2, 3, 4, 6, 9, 16, BIG_PRIME, 10**30)
 PRIMES = {2, 3, BIG_PRIME}
 COUNTS = (-1, 0, 1, 2, 3)
 STATUS_OF_CODE = {0: "ok", 1: "fail", 2: "precision-error"}
+
+
+def report_of(out):
+    report = json.loads(out)
+    assert report["schema"] == 1, out
+    return report
 # half the draws take a well-formed field, so the checks behind it run too
 P = st.one_of(st.sampled_from(sorted(PRIMES)), st.sampled_from(PQ))
 P_AND_Q = st.one_of(
@@ -209,7 +215,7 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(grammar, svg_dir, data):
     if code == 64:
         assert out == "" and err.strip(), (a.words, out)
     else:
-        assert read_report(out).status == STATUS_OF_CODE[code], (a.words, out)
+        assert report_of(out)["status"] == STATUS_OF_CODE[code], (a.words, out)
     if malformed_pq and a.others_ok:
         assert code == 64, (a.words, code, out)
     if a.svg is not None:
@@ -223,9 +229,9 @@ def check_svg_outcome(a, code, out):
     would without --svg."""
     written = os.path.exists(a.svg)
     if code == 0:
-        said = any(line.startswith("no SVG written") for line in read_report(out).diagnostics)
+        said = any(line.startswith("no SVG written") for line in report_of(out)["diagnostics"])
         assert written != said, (a.words, out)
-    elif code == 1 and read_report(out).payload["kind"] == "FileNotFoundError":
+    elif code == 1 and report_of(out)["payload"]["kind"] == "FileNotFoundError":
         assert not a.svg_writable and not written, (a.words, out)
         assert run_drawn(a.words[:-2])[0] == 0, a.words
     else:
@@ -252,7 +258,7 @@ def test_an_unwritable_svg_path_is_the_one_fail_report(tmp_path, argv, target, k
     code, out, err = run_in_process(argv.split() + ["--svg", path])
     assert code == 1, (argv, out, err)
     assert "Traceback" not in err, err
-    report = read_report(out)
-    assert report.status == "fail"
-    assert report.payload["kind"] == kind
+    report = report_of(out)
+    assert report["status"] == "fail"
+    assert report["payload"]["kind"] == kind
     assert list(tmp_path.iterdir()) == []

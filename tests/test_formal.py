@@ -29,6 +29,7 @@ from ramtower.formal import (
     FormalModule,
     UnivariateSeries,
     _assoc_exact,
+    _bracket_series,
     _compose,
     _first_difference,
     _mul,
@@ -321,7 +322,7 @@ def _exact_case(name):
     if kind == "f4":  # a residue law over F_4, bumped off the prime subfield
         M = atypical_module(2, 4, (1, 1), D=20)
         F = M.law.reduce_mod_p(M.field)
-        value = F.ring.gen()
+        value = F.ring.from_int(2)  # the residue of x
     else:
         p, q, values, D = {
             "z": (3, 3, (1, 2, 1), 20),  # integer coefficients, L = 1
@@ -379,7 +380,7 @@ def test_dense_matches_exact_on_valid_law():
                          ids=["dense", "sampled"])
 def test_sampled_rejects_extension_field_coefficients(engine):
     f4 = fq_field(2, 2)
-    F = BivariateSeries(f4, 6, {(1, 0): f4.one(), (0, 1): f4.one(), (1, 1): f4.gen()})
+    F = BivariateSeries(f4, 6, {(1, 0): f4.one(), (0, 1): f4.one(), (1, 1): f4.from_int(2)})
     with pytest.raises(ValueError, match=r'\(1,1\) is not \(use method="exact"\)'):
         engine(F)
     assert check_group_law(F, method="exact").ok  # X + Y + θ·XY is associative
@@ -404,6 +405,20 @@ def test_fft_rounding_is_certified():
     assert _rint_exact(raw).tolist() == [[2, -1], [7, 0]]
     with pytest.raises(ArithmeticError):
         _rint_exact(np.array([1.0, 2.5]))
+    # the threshold is 0.01: residues well inside (0.01, 0.5) are refused too
+    for residue in (0.3, 0.02):
+        with pytest.raises(ArithmeticError):
+            _rint_exact(np.array([4.0 + residue]))
+    assert _rint_exact(np.array([1.009])).tolist() == [1]
+
+
+def test_bracket_series_refuses_a_wrong_linear_term():
+    # [a](T) = a·T + ...; a g_1 other than 1 breaks that, and the guard names T^1
+    M = atypical_module(2, 2, (1, 2, 1), D=16)
+    g = {**M.inv_coeffs, 1: Fraction(2)}
+    with pytest.raises(IntegralityError, match=r"^bracket linear term 6 != 3$") as err:
+        _bracket_series(M._powers, M._step, g, 3, M.D)
+    assert err.value.monomial == (1,)
 
 
 def test_group_law_skip_leaves_associativity_open():

@@ -46,9 +46,9 @@ def test_phi_psi_structural_identity(filt):
 @settings(max_examples=100, deadline=None)
 def test_phi_starts_with_slope_one(filt):
     phi = phi_from_filtration(filt)
-    assert phi.initial_slope == 1
     first_break = filt.breaks[0][0]
-    assert phi(first_break) == first_break
+    for x in (Fraction(0), first_break / 3, first_break / 2, first_break):
+        assert phi(x) == x
 
 
 @given(filtrations(), st.integers(0, 200))
@@ -105,10 +105,3 @@ def test_filtration_validation():
         BreakFiltration(4, ((Fraction(3), 3),))  # drop does not divide order
     with pytest.raises(ValueError):
         BreakFiltration(4, ((Fraction(5), 2), (Fraction(2), 2)))  # unsorted
-
-
-def test_json_round_trip():
-    filt = BreakFiltration(8, ((Fraction(7, 2), 2), (Fraction(9), 4)))
-    assert BreakFiltration.from_json(filt.as_json()) == filt
-    phi = phi_from_filtration(filt)
-    assert PiecewiseLinear.from_json(phi.as_json()) == phi

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramtower.jsonio import RunReport, read_report
+from ramtower.jsonio import RunReport
 
 # every code point class json escapes: ASCII controls, non-ASCII, astral
 # characters (written as surrogate pairs) and lone surrogates
@@ -59,7 +59,8 @@ def test_dumps_matches_json_when_deeply_nested(wrap):
     report = RunReport("fail", {"tree": tree, "empty": [[], {}, ()]})
     text = report.dumps()
     assert text == json.dumps(report.as_json(), indent=2)
-    assert read_report(text).status == "fail"
+    obj = json.loads(text)
+    assert obj["schema"] == 1 and obj["status"] == "fail"
 
 
 @pytest.mark.parametrize(

@@ -119,12 +119,6 @@ def test_y_intercepts_sorted_and_positive_slopes_dropped():
     assert y_intercepts(build_polygon([(0, 0), (2, 1)])) == []
 
 
-def test_json_round_trip():
-    np_ = build_polygon([(0, Fraction(7, 2)), (1, 1), (5, 0)])
-    again = NewtonPolygon.from_json(np_.as_json())
-    assert again == np_
-
-
 def _old_sides(vertices):
     out = []
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):

@@ -15,7 +15,6 @@ from ramtower.seriespoly import SeriesPoly, resultant
 from ramtower.tate import (
     EisensteinExtension,
     ExtElement,
-    TateBreaks,
     check_tate_hypothesis,
     closed_form_break,
     eisenstein_trinomial,
@@ -122,16 +121,6 @@ def test_ramification_points_shift():
     pts = ramification_polynomial(ext)
     assert pts == [(1, 3), (2, 0)]
     assert tate_breaks(ext).breaks == (Fraction(3),)
-
-
-def test_json_round_trip():
-    ext = eisenstein_trinomial(fq_field(3), 1)
-    result = tate_breaks(ext)
-    again = TateBreaks.from_json(result.as_json())
-    assert again.breaks == result.breaks
-    assert again.points == result.points
-    assert again.polygon == result.polygon
-    assert again.hypothesis == result.hypothesis
 
 
 small_trinomials = st.tuples(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramtower import herbrand
-from ramtower.errors import GuardViolation
+from ramtower.errors import GuardViolation, ParameterError
 from ramtower.fq import fq_field
 from ramtower.herbrand import BreakFiltration, compose_tower
 from ramtower.polygon import brute_force_hull, build_polygon
@@ -16,7 +16,6 @@ from ramtower.tate import closed_form_break, eisenstein_trinomial, tate_breaks
 from ramtower.towers import (
     DEFAULT_GRID,
     BottomLayer,
-    BreakSchedule,
     TorsionTrace,
     TowerParams,
     _LayerChain,
@@ -403,16 +402,6 @@ def test_torsion_trace_matches_the_hull_at_every_step(case):
     assert [s.vertices for s in trace.snapshots] == [s.vertices for s in snapshots]
 
 
-def test_schedule_json_round_trip():
-    sched = filtration_tables(TowerParams(p=3, q=3, g=2, d=1, N=1, c=2), 4)
-    assert BreakSchedule.from_json(sched.as_json()) == sched
-
-
-def test_torsion_json_round_trip():
-    trace = torsion_valuations((9, 1), q=2, g=1, n_max=3)
-    assert TorsionTrace.from_json(trace.as_json()) == trace
-
-
 def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
     ps = TowerParams(p=3, q=3, g=2, d=1, N=1, c=2)
     bad = ps.N + 3
@@ -430,6 +419,19 @@ def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
         f"{ps}: upper break at {bad}: closed form {w + 1} != composed {w}",
         f"{ps}: phi/psi round trip failed at layer {bad}",
     ]
+
+
+def test_verify_tuple_catches_an_upper_break_equal_to_the_lower(monkeypatch):
+    # above the first layer the upper break must sit strictly below the lower
+    ps = TowerParams(p=2, q=2, g=1, d=1, N=0, c=1)
+    right = tower_upper_break
+
+    def equal(params, k):
+        return layer_break(params, k) if k == params.N + 2 else right(params, k)
+
+    monkeypatch.setattr("ramtower.towers.tower_upper_break", equal)
+    rep = verify_tuple(ps, 3)
+    assert f"{ps}: upper 15 not below lower 15 at 2" in rep.failures
 
 
 def test_verify_tuple_catches_a_wrong_layer_break(monkeypatch):
@@ -501,8 +503,9 @@ def test_verify_diagnostics_are_the_schedule_lints():
 
 
 def test_verify_tuple_needs_a_layer():
-    with pytest.raises(GuardViolation):
-        verify_tuple(BASE, 0)
+    for depth in (0, -1):
+        with pytest.raises(ParameterError, match=r"^depth must be >= 1$"):
+            verify_tuple(BASE, depth)
 
 
 def test_verify_tuple_and_grid():
