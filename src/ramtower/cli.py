@@ -20,9 +20,20 @@ default series precision where one is needed.
 
 Each run is a fresh process, so import time is part of every command's
 latency.  The top level therefore loads only argparse, the errors, the
-report envelope and polygon (the hull and the rational helpers); each
-handler imports the other modules it runs, multiprocessing is loaded only for a verify worker pool and svg
-only when --svg is given.  tests/test_imports.py pins these import sets.
+report envelope (jsonio), polygon (the hull and the rational helpers) and
+the import-free record base they build on; records are plain `__slots__`
+classes, so no command loads `inspect`.  Each handler imports what it runs:
+
+    polygon          nothing more
+    herbrand         herbrand
+    formal           formal, fq and arith, plus fastcheck (and numpy) for
+                     the dense and sampled associativity engines
+    tate             tate, series, seriespoly, fq and arith
+    tower, verify    towers and arith (import-free number helpers); towers
+                     loads herbrand only for its composition cross-checks
+
+multiprocessing is loaded only for a verify worker pool, and svg only when
+--svg is given.  tests/test_imports.py pins these import sets.
 """
 
 from __future__ import annotations

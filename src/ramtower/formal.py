@@ -33,11 +33,12 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .arith import exact_log
 from .errors import IntegralityError, ParameterError
-from .fq import FqField, exact_log, fq_field
+from .fq import FqField, fq_field
+from .record import MutableRecord, Record
 
 RATIONALS = "Q"
 
@@ -187,23 +188,20 @@ def _inverse_log(powers, s) -> dict:
 # truncated series containers
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(Record):
     """Total-degree-truncated series in two variables; ring is RATIONALS or
     an FqField."""
 
-    ring: object
-    D: int
-    coeffs: dict
+    __slots__ = ("ring", "D", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, ring, D: int, coeffs: dict):
         clean = {}
-        for (i, j), c in self.coeffs.items():
-            if i < 0 or j < 0 or i + j > self.D:
-                raise ValueError(f"monomial ({i},{j}) outside truncation {self.D}")
+        for (i, j), c in coeffs.items():
+            if i < 0 or j < 0 or i + j > D:
+                raise ValueError(f"monomial ({i},{j}) outside truncation {D}")
             if c:
                 clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._store(ring, D, clean)
 
     def coeff(self, i, j):
         c = self.coeffs.get((i, j))
@@ -227,20 +225,17 @@ class BivariateSeries:
         }
 
 
-@dataclass(frozen=True)
-class UnivariateSeries:
-    ring: object
-    D: int
-    coeffs: dict
+class UnivariateSeries(Record):
+    __slots__ = ("ring", "D", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, ring, D: int, coeffs: dict):
         clean = {}
-        for e, c in self.coeffs.items():
-            if e < 0 or e > self.D:
-                raise ValueError(f"exponent {e} outside truncation {self.D}")
+        for e, c in coeffs.items():
+            if e < 0 or e > D:
+                raise ValueError(f"exponent {e} outside truncation {D}")
             if c:
                 clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._store(ring, D, clean)
 
     def coeff(self, e):
         c = self.coeffs.get(e)
@@ -464,12 +459,11 @@ def honda_module(p: int, q: int, h: int, D: int | None = None) -> FormalModule:
 # the multiplication-by-p congruence
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    ok: bool
-    i: int
-    ideal_exponent: int
-    first_failure: tuple | None = None
+class CongruenceReport(Record):
+    __slots__ = ("ok", "i", "ideal_exponent", "first_failure")
+
+    def __init__(self, ok: bool, i: int, ideal_exponent: int, first_failure: tuple | None = None):
+        self._store(ok, i, ideal_exponent, first_failure)
 
     def as_json(self):
         return {
@@ -532,14 +526,22 @@ def check_pi_congruence_universal(p: int, q: int, i: int) -> CongruenceReport:
 # axiom checking
 
 
-@dataclass
-class GroupLawReport:
-    unit_ok: bool
-    commutative_ok: bool
-    associative_ok: bool | None
-    method: str
-    first_failure: tuple | None = None
-    detail: dict = dataclass_field(default_factory=dict)
+class GroupLawReport(MutableRecord):
+    __slots__ = (
+        "unit_ok", "commutative_ok", "associative_ok", "method", "first_failure", "detail"
+    )
+
+    def __init__(
+        self,
+        unit_ok: bool,
+        commutative_ok: bool,
+        associative_ok: bool | None,
+        method: str,
+        first_failure: tuple | None = None,
+        detail: dict | None = None,
+    ):
+        detail = {} if detail is None else detail
+        self._store(unit_ok, commutative_ok, associative_ok, method, first_failure, detail)
 
     @property
     def ok(self):

@@ -18,36 +18,33 @@ kept canonical (no collinear interior breakpoints) so equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 from .polygon import format_rat
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BreakFiltration:
+class BreakFiltration(Record):
     """Total order plus (break location, drop factor) pairs, breaks strictly
     increasing and positive, each drop dividing the order remaining there."""
 
-    order: int
-    breaks: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("order", "breaks")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, breaks: tuple[tuple[Fraction, int], ...]):
+        if order < 1:
             raise ParameterError("order must be positive")
-        object.__setattr__(
-            self, "breaks", tuple((Fraction(b), int(d)) for b, d in self.breaks)
-        )
-        left = self.order
+        breaks = tuple((Fraction(b), int(d)) for b, d in breaks)
+        left = order
         prev = Fraction(0)
-        for b, d in self.breaks:
+        for b, d in breaks:
             if b <= prev:
                 raise ParameterError("breaks must be positive and strictly increasing")
             if d < 2 or left % d:
                 raise ParameterError(f"drop {d} does not divide remaining order {left}")
             left //= d
             prev = b
+        self._store(order, breaks)
 
     def as_json(self):
         return {

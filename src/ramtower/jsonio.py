@@ -4,7 +4,8 @@ Every command emits one RunReport: a status, a payload, and a diagnostics
 list, stamped with a schema version.  Rationals travel as "num/den" strings
 throughout — floats never appear in any payload.  Each payload shape is
 written by an `as_json` on the owning class (NewtonPolygon, TateBreaks,
-BreakSchedule, ...); this module imports nothing from ramtower.
+BreakSchedule, ...); this module imports nothing from ramtower but the
+record base.
 
 `RunReport.dumps` writes the report with its own recursive writer, which is
 byte-identical to `json.dumps(report.as_json(), indent=2)`.  It exists
@@ -21,8 +22,9 @@ unserialisable value come out exactly as json writes them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
+
+from .record import MutableRecord
 
 SCHEMA_VERSION = 1
 
@@ -31,15 +33,15 @@ STATUS_FAIL = "fail"
 STATUS_PRECISION = "precision-error"
 
 
-@dataclass
-class RunReport:
-    status: str
-    payload: dict
-    diagnostics: list = field(default_factory=list)
+class RunReport(MutableRecord):
+    __slots__ = ("status", "payload", "diagnostics")
 
-    def __post_init__(self):
-        if self.status not in (STATUS_OK, STATUS_FAIL, STATUS_PRECISION):
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, status: str, payload: dict, diagnostics: list | None = None):
+        if status not in (STATUS_OK, STATUS_FAIL, STATUS_PRECISION):
+            raise ValueError(f"unknown status {status!r}")
+        self.status = status
+        self.payload = payload
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def exit_code(self) -> int:

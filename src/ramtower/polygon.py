@@ -12,23 +12,26 @@ no `Fraction` and pays no gcd.  `brute_force_hull` re-derives the same
 polygon straight from the definition, also on cross-multiplied integers but
 sharing no code with `build_polygon`, and exists purely as an oracle.
 
-The module imports nothing from the rest of ramtower: `root_valuations`
-reads a polynomial only through its `.coeffs` and their `.valuation()`.
+The module imports nothing from the rest of ramtower except the record
+base: `root_valuations` reads a polynomial only through its `.coeffs` and
+their `.valuation()`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Side:
-    slope: Fraction
-    length: int  # horizontal length
-    intercept: Fraction  # y-intercept of the supporting line
+
+class Side(Record):
+    __slots__ = ("slope", "length", "intercept")
+
+    def __init__(self, slope: Fraction, length: int, intercept: Fraction):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "length", length)  # horizontal length
+        object.__setattr__(self, "intercept", intercept)  # of the supporting line
 
     def as_json(self):
         return {
@@ -38,13 +41,17 @@ class Side:
         }
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    vertices: tuple[tuple[int, Fraction], ...]
+class NewtonPolygon(Record):
+    __slots__ = ("vertices", "_sides")
 
-    # cached in the instance __dict__, which a frozen dataclass leaves writable
-    @functools.cached_property
+    def __init__(self, vertices: tuple[tuple[int, Fraction], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_sides", None)
+
+    @property
     def sides(self) -> tuple[Side, ...]:
+        if self._sides is not None:
+            return self._sides
         # slope (y1 − y0)/(x1 − x0) and intercept y0 − slope·x0 with y0 = n0/d0,
         # y1 = n1/d1, both over the one denominator d0·d1·(x1 − x0): two
         # Fraction constructions per side (one when x0 = 0, where the
@@ -57,7 +64,8 @@ class NewtonPolygon:
             den = d0 * d1 * dx
             intercept = y0 if x0 == 0 else Fraction(n0 * d1 * dx - rise * x0, den)
             out.append(Side(Fraction(rise, den), dx, intercept))
-        return tuple(out)
+        object.__setattr__(self, "_sides", tuple(out))
+        return self._sides
 
     def as_json(self):
         return {

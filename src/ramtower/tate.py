@@ -25,29 +25,15 @@ closed form q·v/(q-1) - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import closed_form_break, exact_log  # noqa: F401  (re-exported)
 from .errors import InsufficientPrecision
-from .fq import FqField, exact_log
+from .fq import FqField
 from .polygon import NewtonPolygon, build_polygon, format_rat, y_intercepts
+from .record import Record
 from .series import INF, LaurentSeries
 from .seriespoly import SeriesPoly
-
-
-def closed_form_break(q: int, v) -> Fraction:
-    """Break cut out by a layer with linear-coefficient valuation v:
-    q·v/(q-1) - 1.
-
-    >>> closed_form_break(2, 1)
-    Fraction(1, 1)
-    >>> closed_form_break(4, 1)
-    Fraction(1, 3)
-    """
-    v = Fraction(v)
-    if q < 2 or v <= 0:
-        raise ValueError("need q >= 2 and v > 0")
-    return Fraction(q, q - 1) * v - 1
 
 
 class EisensteinExtension:
@@ -109,10 +95,11 @@ def _reduce(coeffs: list, f: SeriesPoly) -> SeriesPoly:
     return SeriesPoly(f.field, coeffs[:n])
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    ext: EisensteinExtension
-    rep: SeriesPoly
+class ExtElement(Record):
+    __slots__ = ("ext", "rep")
+
+    def __init__(self, ext: EisensteinExtension, rep: SeriesPoly):
+        self._store(ext, rep)
 
     def _join(self, other) -> "ExtElement":
         if not isinstance(other, ExtElement) or other.ext is not self.ext:
@@ -219,14 +206,15 @@ def ramification_polynomial(ext: EisensteinExtension) -> list:
     return points
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """v(a_i) >= v(a_1) for every interior coefficient, plus degree shape."""
 
-    ok: bool
-    witness: tuple | None
-    p_power_degree: bool
-    degree_log: int | None
+    __slots__ = ("ok", "witness", "p_power_degree", "degree_log")
+
+    def __init__(
+        self, ok: bool, witness: tuple | None, p_power_degree: bool, degree_log: int | None
+    ):
+        self._store(ok, witness, p_power_degree, degree_log)
 
 
 def check_tate_hypothesis(ext: EisensteinExtension) -> HypothesisReport:
@@ -251,12 +239,13 @@ def check_tate_hypothesis(ext: EisensteinExtension) -> HypothesisReport:
     return HypothesisReport(ok, witness, k is not None, k)
 
 
-@dataclass(frozen=True)
-class TateBreaks:
-    breaks: tuple
-    polygon: NewtonPolygon
-    points: tuple
-    hypothesis: HypothesisReport
+class TateBreaks(Record):
+    __slots__ = ("breaks", "polygon", "points", "hypothesis")
+
+    def __init__(
+        self, breaks: tuple, polygon: NewtonPolygon, points: tuple, hypothesis: HypothesisReport
+    ):
+        self._store(breaks, polygon, points, hypothesis)
 
     def as_json(self):
         return {
@@ -279,7 +268,12 @@ def tate_breaks(ext: EisensteinExtension) -> TateBreaks:
 
     The hull is taken over (i, v_L(b_i)/n) — ordinates renormalized to the
     base valuation — and each negative-slope side contributes its
-    y-intercept as one break."""
+    y-intercept as one break.
+
+    >>> from ramtower.fq import fq_field
+    >>> tate_breaks(eisenstein_trinomial(fq_field(3), 3)).breaks
+    (Fraction(7, 2),)
+    """
     pts = ramification_polynomial(ext)
     n = ext.n
     normalized = [(i, Fraction(v, n)) for i, v in pts]

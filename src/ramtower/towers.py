@@ -34,32 +34,27 @@ raises GuardViolation rather than extrapolating formulas that do not apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .arith import closed_form_break, exact_log, is_prime, prime_power
 from .errors import GuardViolation, ParameterError
-from .fq import exact_log, fq_field, prime_power
-from .herbrand import BreakFiltration, PiecewiseLinear, compose_tower
 from .polygon import NewtonPolygon, build_polygon, format_rat
+from .record import MutableRecord, Record
 
 
-@dataclass(frozen=True)
-class TowerParams:
-    p: int
-    q: int
-    g: int
-    d: int
-    N: int
-    c: int
+class TowerParams(Record):
+    __slots__ = ("p", "q", "g", "d", "N", "c")
 
-    def __post_init__(self):
-        fq_field(self.p)  # raises "p must be prime"
-        if not exact_log(self.q, self.p):
+    def __init__(self, p: int, q: int, g: int, d: int, N: int, c: int):
+        if not is_prime(p):
+            raise ParameterError("p must be prime")
+        if not exact_log(q, p):
             raise ParameterError("q must be a positive power of p")
-        if self.g < 1 or self.d < 1 or self.c < 1:
+        if g < 1 or d < 1 or c < 1:
             raise ParameterError("g, d, c must be positive")
-        if self.N < 0:
+        if N < 0:
             raise ParameterError("N must be nonnegative")
+        self._store(p, q, g, d, N, c)
 
     def as_json(self):
         return {
@@ -113,6 +108,8 @@ def tower_upper_break(params: TowerParams, k: int) -> Fraction:
 
 
 def layer_filtration(params: TowerParams, k: int) -> BreakFiltration:
+    from .herbrand import BreakFiltration
+
     b = layer_break(params, k)
     order = params.q**params.g
     return BreakFiltration(order, ((b, order),))
@@ -121,6 +118,8 @@ def layer_filtration(params: TowerParams, k: int) -> BreakFiltration:
 def transition_to_base(params: TowerParams, n: int) -> PiecewiseLinear:
     """Transition function of K_{n}/K_N: the composite of the layer maps,
     bottom layer outermost."""
+    from .herbrand import compose_tower
+
     if n < params.N:
         raise GuardViolation("tower has no layers below N")
     filts = [layer_filtration(params, k) for k in range(params.N + 1, n + 1)]
@@ -137,15 +136,20 @@ def upper_break_by_composition(params: TowerParams, n: int) -> Fraction:
     return phi(layer_break(params, n))
 
 
-@dataclass(frozen=True)
-class BreakSchedule:
-    params: TowerParams
-    n: int
-    lower: tuple  # layer breaks B(N+1..n), ascending
-    upper: tuple  # the same pushed to K_N
-    lower_table: tuple  # ((from, to|None), order) rows, half-open (from, to]
-    upper_table: tuple
-    diagnostics: tuple = ()
+class BreakSchedule(Record):
+    __slots__ = ("params", "n", "lower", "upper", "lower_table", "upper_table", "diagnostics")
+
+    def __init__(
+        self,
+        params: TowerParams,
+        n: int,
+        lower: tuple,  # layer breaks B(N+1..n), ascending
+        upper: tuple,  # the same pushed to K_N
+        lower_table: tuple,  # ((from, to|None), order) rows, half-open (from, to]
+        upper_table: tuple,
+        diagnostics: tuple = (),
+    ):
+        self._store(params, n, lower, upper, lower_table, upper_table, diagnostics)
 
     def as_json(self):
         def table(rows):
@@ -212,22 +216,19 @@ def _fractional_break_lints(ks, lower) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class BottomLayer:
+class BottomLayer(Record):
     """What must be known about K_N/K itself: ramification index e and the
     (upper, lower) break pair of its own top step."""
 
-    e: int
-    u: Fraction
-    l: Fraction
+    __slots__ = ("e", "u", "l")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "l", Fraction(self.l))
-        if self.e < 1:
+    def __init__(self, e: int, u: Fraction, l: Fraction):
+        u, l = Fraction(u), Fraction(l)
+        if e < 1:
             raise ValueError("ramification index must be positive")
-        if self.u > self.l:
+        if u > l:
             raise ValueError("upper break cannot exceed the lower break")
+        self._store(e, u, l)
 
 
 def breaks_over_base(w, bottom: BottomLayer) -> Fraction:
@@ -263,21 +264,23 @@ def norm_index(n: int, g: int) -> int:
 # torsion traces
 
 
-@dataclass(frozen=True)
-class TorsionTrace:
-    q: int
-    g: int
-    a_vals: tuple
-    branch: str
-    valuations: tuple
-    m: int | None  # first index with a single-segment polygon
-    snapshots: tuple  # polygon per step, aligned with valuations[1:]
+class TorsionTrace(Record):
+    __slots__ = ("q", "g", "a_vals", "branch", "valuations", "m", "snapshots")
 
-    def __post_init__(self):
-        vals = self.valuations
-        for a, b in zip(vals, vals[1:]):
+    def __init__(
+        self,
+        q: int,
+        g: int,
+        a_vals: tuple,
+        branch: str,
+        valuations: tuple,
+        m: int | None,  # first index with a single-segment polygon
+        snapshots: tuple,  # polygon per step, aligned with valuations[1:]
+    ):
+        for a, b in zip(valuations, valuations[1:]):
             if not b < a:
                 raise AssertionError("torsion valuations must strictly decrease")
+        self._store(q, g, a_vals, branch, valuations, m, snapshots)
 
     def ratio_holds_from(self) -> int | None:
         """First index from which v_n = v_{n-1}/q^d holds for the rest of
@@ -388,11 +391,15 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
 # grid verification
 
 
-@dataclass
-class VerifyReport:
-    cases: int = 0
-    failures: list = dataclass_field(default_factory=list)
-    diagnostics: list = dataclass_field(default_factory=list)
+class VerifyReport(MutableRecord):
+    __slots__ = ("cases", "failures", "diagnostics")
+
+    def __init__(
+        self, cases: int = 0, failures: list | None = None, diagnostics: list | None = None
+    ):
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self):
@@ -460,8 +467,6 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     map by layer map, and no piecewise-linear function is built; the
     `herbrand` command and upper_break_by_composition keep the general
     composition path."""
-    from .tate import closed_form_break
-
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     report = VerifyReport()

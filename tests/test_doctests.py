@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_docstring_examples_run():
     results = {}
-    for name in ("formal", "fq", "herbrand", "polygon", "tate", "towers"):
+    for name in ("arith", "formal", "fq", "herbrand", "polygon", "tate", "towers"):
         module = importlib.import_module(f"ramtower.{name}")
         results[name] = doctest.testmod(module)
     for name, (failed, attempted) in results.items():

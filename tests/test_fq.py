@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import pytest
 
+from ramtower.arith import exact_log, is_prime, prime_power
 from ramtower.errors import FieldMismatch
-from ramtower.fq import exact_log, fq_field, is_irreducible, is_prime, prime_power
+from ramtower.fq import fq_field, is_irreducible
 
 
 def test_moduli_are_deterministic():

@@ -434,6 +434,26 @@ def test_verify_tuple_catches_an_upper_break_equal_to_the_lower(monkeypatch):
     assert f"{ps}: upper 15 not below lower 15 at 2" in rep.failures
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_verify_tuple_catches_unequal_breaks_on_the_first_layer(monkeypatch, shift):
+    # on layer N + 1 the upper break must equal the lower, from either side
+    ps = TowerParams(p=2, q=2, g=1, d=1, N=0, c=1)
+    right = tower_upper_break
+
+    def skewed(params, k):
+        w = right(params, k)
+        return w + shift if k == params.N + 1 else w
+
+    monkeypatch.setattr("ramtower.towers.tower_upper_break", skewed)
+    rep = verify_tuple(ps, 2)
+    b = layer_break(ps, 1)
+    assert rep.failures == [
+        f"{ps}: upper break at 1: closed form {b + shift} != composed {b}",
+        f"{ps}: phi/psi round trip failed at layer 1",
+        f"{ps}: first layer must have equal breaks",
+    ]
+
+
 def test_verify_tuple_catches_a_wrong_layer_break(monkeypatch):
     # the chain is built from layer_break, so a wrong break at layer 4 moves
     # every composed break above it, while the closed form stays right
