@@ -2,7 +2,6 @@
 
     python scripts/mutants.py                 # every mutant
     python scripts/mutants.py NAME [NAME ...] # the named ones
-    python scripts/mutants.py --list          # names, files and tests
 
 Each entry of MUTANTS replaces one exact piece of text, which must occur
 exactly once in its file, by a plausible slip (a `<` for a `<=`, a widened
@@ -194,19 +193,12 @@ def run_mutant(mutant: Mutant) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
     known = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in known]
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[n] for n in args.names] if args.names else MUTANTS
-    if args.list:
-        for m in chosen:
-            note = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
-            print(f"{m.name:32s} {m.path:28s} {' '.join(m.tests)}{note}")
-        return 0
-
     runnable = [m for m in chosen if not m.equivalent]
     selections = sorted({t for m in runnable for t in m.tests})
     if selections:
