@@ -1,7 +1,6 @@
 """Mutation audit: does some test notice when the code is quietly wrong?
 
-    python scripts/mutants.py                 # every mutant
-    python scripts/mutants.py NAME [NAME ...] # the named ones
+    python scripts/mutants.py
 
 Each entry of MUTANTS replaces one exact piece of text, which must occur
 exactly once in its file, by a plausible slip (a `<` for a `<=`, a widened
@@ -20,7 +19,6 @@ exit status is 0 when every mutant that was run was killed, 1 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -190,27 +188,17 @@ def run_mutant(mutant: Mutant) -> str:
     return "survived" if outcome == "passed" else "killed"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] if args.names else MUTANTS
-    runnable = [m for m in chosen if not m.equivalent]
-    selections = sorted({t for m in runnable for t in m.tests})
-    if selections:
-        with tempfile.TemporaryDirectory(prefix="ramtower-mutant-") as tmp:
-            baseline = _run_tests(_copy_checkout(Path(tmp)), selections)
-        if baseline != "passed":
-            print(f"the unpatched checkout does not pass {' '.join(selections)}")
-            return 1
+def main() -> int:
+    selections = sorted({t for m in MUTANTS if not m.equivalent for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="ramtower-mutant-") as tmp:
+        baseline = _run_tests(_copy_checkout(Path(tmp)), selections)
+    if baseline != "passed":
+        print(f"the unpatched checkout does not pass {' '.join(selections)}")
+        return 1
 
     scores: dict[str, list[int]] = {}
     survivors = 0
-    for m in chosen:
+    for m in MUTANTS:
         if m.equivalent:
             print(f"{'equivalent':10s} {m.name}: {m.equivalent}")
             continue

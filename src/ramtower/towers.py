@@ -107,7 +107,8 @@ def tower_upper_break(params: TowerParams, k: int) -> Fraction:
     return num / ((q**g - 1) * (q - 1)) - 1
 
 
-def layer_filtration(params: TowerParams, k: int) -> BreakFiltration:
+def layer_filtration(params: TowerParams, k: int):
+    """The one-break herbrand.BreakFiltration of layer k over layer k-1."""
     from .herbrand import BreakFiltration
 
     b = layer_break(params, k)
@@ -115,9 +116,9 @@ def layer_filtration(params: TowerParams, k: int) -> BreakFiltration:
     return BreakFiltration(order, ((b, order),))
 
 
-def transition_to_base(params: TowerParams, n: int) -> PiecewiseLinear:
-    """Transition function of K_{n}/K_N: the composite of the layer maps,
-    bottom layer outermost."""
+def transition_to_base(params: TowerParams, n: int):
+    """Transition function of K_{n}/K_N, a herbrand.PiecewiseLinear: the
+    composite of the layer maps, bottom layer outermost."""
     from .herbrand import compose_tower
 
     if n < params.N:
