@@ -64,6 +64,27 @@ MUTANTS = [
         ("tests/test_formal.py",),
     ),
     Mutant(
+        "series-kernel-early-exit",
+        "src/ramtower/formal.py",
+        "            if deg > room:\n",
+        "            if deg >= room:\n",
+        ("tests/test_formal.py::test_mul_matches_all_pairs_reference",),
+    ),
+    Mutant(
+        "inverse-log-widen-without-rescale",
+        "src/ramtower/formal.py",
+        "            cs = [c * widen for c in cs]\n",
+        "",
+        ("tests/test_formal.py::test_inverse_log_widens_its_denominator",),
+    ),
+    Mutant(
+        "law-series-degree-cut",
+        "src/ramtower/formal.py",
+        "                if j > D - k:\n",
+        "                if j >= D - k:\n",
+        ("tests/test_formal.py::test_rational_composition_matches_power_table",),
+    ),
+    Mutant(
         "tate-hypothesis-comparison",
         "src/ramtower/tate.py",
         "            if vi < v1:\n",

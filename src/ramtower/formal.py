@@ -85,12 +85,20 @@ def _numeric_log_coeffs(p, q, values, D):
 
 
 def _mul(a: dict, b: dict, D: int) -> dict:
-    """a·b for series {(i, j): c}, dropping terms of total degree above D."""
+    """a·b for series {(i, j): c}, dropping terms of total degree above D.
+
+    b's terms are sorted by total degree, and each term of a stops at the
+    first one above D − (its own degree), so a pair whose product is dropped
+    is never visited: past sorting b, the cost is one step per pair that
+    reaches the output and one per term of a.  Coefficients only need + and
+    *, so ints, Fractions and FqElems all go through here."""
+    terms = sorted((i + j, i, j, c) for (i, j), c in b.items())  # keys unique: c never compared
     out = {}
     for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + i2 + j1 + j2 > D:
-                continue
+        room = D - i1 - j1
+        for deg, i2, j2, c2 in terms:
+            if deg > room:
+                break
             key = (i1 + i2, j1 + j2)
             prod = c1 * c2
             if key in out:
@@ -167,20 +175,27 @@ def _inverse_log(powers, s) -> dict:
 
     Only e ≡ 1 mod s can have g_e != 0, and f^e is T^e plus terms whose
     degrees are ≡ e mod s, so g(f(T)) = T read at T^d, d = 1 + k·s, is the
-    triangular system g_d = −Σ_{j<k} g_{1+j·s}·[T^d] f^{1+j·s}."""
-    g = {1: Fraction(1)}
-    for k in range(1, len(powers)):
-        d = 1 + k * s
-        gd = -sum(
-            (
-                g[1 + j * s] * Fraction(num[d, 0], den)
-                for j, (num, den) in enumerate(powers[:k])
-                if 1 + j * s in g and (d, 0) in num
-            ),
-            Fraction(0),
-        )
-        if gd:
-            g[d] = gd
+    triangular system g_d = −Σ_{j<k} g_{1+j·s}·[T^d] f^{1+j·s}.
+
+    The solve runs on integers: each nonzero c_j = g_{1+j·s}/den_j is kept
+    as an integer numerator over one running denominator, widened (and every
+    kept numerator rescaled) when a new c_j needs a factor it lacks, so each
+    g_d is one integer sum and one Fraction; no denominator is assumed."""
+    g, cs, rows, den = {}, [], [], 1  # each kept c_j is cs[n]/den, over rows[n]
+    for k, (num, fden) in enumerate(powers):
+        key = (1 + k * s, 0)
+        total = sum(c * row[key] for c, row in zip(cs, rows) if key in row)
+        gd = Fraction(-total, den) if k else Fraction(1)
+        if not gd:
+            continue
+        g[key[0]] = gd
+        r = gd / fden
+        if den % r.denominator:
+            widen = r.denominator // math.gcd(den, r.denominator)
+            cs = [c * widen for c in cs]
+            den *= widen
+        cs.append(r.numerator * (den // r.denominator))
+        rows.append(num)
     return g
 
 
@@ -576,7 +591,11 @@ def _assoc_exact(F: BivariateSeries):
     of its denominators, and each side is summed as Σ n_ij·N^i·L^(top−i)·z^j
     (resp. x^i·N^j·L^(top−j)) on integers: the true sums times L^(top+1), so
     they differ at exactly the same keys.  An F_q law is its own N, with
-    L = 1.  Exact in any ring; cost grows fast with D."""
+    L = 1.  Exact in any ring.  The cost is the top − 1 products
+    F^n = F^(n−1)·F, each visiting only the pairs that stay within degree D,
+    plus one pass over F^i and F^j for each term (i, j) of F.  For the law
+    of `atypical_module(3, 3, (1, 2, 1), D=27)` the products visit 59,746
+    pairs of the 619,344 that all pairs would be."""
     D = F.D
     if F.ring == RATIONALS:
         L = math.lcm(*(c.denominator for c in F.coeffs.values()))
@@ -632,7 +651,12 @@ def check_group_law(
       polynomial, so the failure odds are bounded by Schwartz–Zippel and
       reported in the detail dict (finite prime-field coefficients only);
     - "skip": leave associativity unchecked (associative_ok = None).
+
+    An unknown method or reps < 1 (which would let "sampled" pass without
+    drawing a point) raises ParameterError.
     """
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
     one = Fraction(1) if F.ring == RATIONALS else F.ring.one()
     cf = F.coeffs
     x_axis = {key: c for key, c in cf.items() if key[1] == 0}  # F(X, 0)
@@ -676,7 +700,7 @@ def check_group_law(
         ok, fail, detail = fastcheck.sampled_associativity(F, seed=seed, reps=reps)
         report.detail["associativity"] = detail
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ParameterError(f"unknown method {method!r}")
     report.associative_ok = ok
     if not ok and report.first_failure is None:
         report.first_failure = ("associativity", fail)

@@ -32,6 +32,8 @@ from ramtower.formal import (
     _bracket_series,
     _compose,
     _first_difference,
+    _inverse_log,
+    _log_powers,
     _mul,
     atypical_module,
     check_group_law,
@@ -58,8 +60,6 @@ def test_universal_log_coefficients():
 
 def test_catalan_inverse_of_quadratic_log():
     # T + T^2/2 inverts with Catalan coefficients (-1/2)^n C_n
-    from ramtower.formal import _inverse_log, _log_powers
-
     g = _inverse_log(list(_log_powers([Fraction(1), Fraction(1, 2)], 2, 6, first=1)), 1)
     assert g == {
         1: Fraction(1),
@@ -76,6 +76,70 @@ def test_catalan_inverse_of_quadratic_log():
     assert F.inv_coeffs[4] == Fraction(-7, 8)
     # and the law it produces starts X + Y - XY
     assert F.law.coeff(1, 1) == Fraction(-1)
+
+
+def _mul_all_pairs(a, b, D):
+    """a·b truncated at total degree D, visiting every pair of terms."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            if sum(key) <= D:
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+KERNEL_RINGS = {  # ring: (its one, a random coefficient, zero included)
+    "int": (1, lambda rng: rng.randint(-3, 3)),
+    "Fraction": (Fraction(1), lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
+    "F_4": (fq_field(2, 2).one(), lambda rng: fq_field(2, 2).from_int(rng.randrange(4))),
+}
+
+
+@pytest.mark.parametrize("ring", list(KERNEL_RINGS))
+def test_mul_matches_all_pairs_reference(ring):
+    # seeded operands, often empty, with many terms at total degree 0, D and
+    # D + 1, so products land exactly on the truncation and just past it
+    rng = random.Random(f"mul-{ring}")
+    one, draw = KERNEL_RINGS[ring]
+
+    def series(D):
+        out = {}
+        for _ in range(rng.choice([0, 1, 3, 8])):
+            d = rng.choice([0, D, D + 1, rng.randint(0, D + 1)])
+            i = rng.randint(0, d)
+            out[i, d - i] = draw(rng)
+        return out
+
+    for _ in range(300):
+        D = rng.randint(0, 8)
+        a, b = series(D), series(D)
+        assert _mul(a, b, D) == _mul_all_pairs(a, b, D)
+    # the edges themselves: an empty operand, and one product on D, one past it
+    assert _mul({}, {(0, 0): one}, 3) == _mul({(1, 2): one}, {}, 3) == {}
+    assert _mul({(1, 2): one}, {(0, 0): one, (1, 0): one}, 3) == {(1, 2): one}
+
+
+def test_inverse_log_widens_its_denominator():
+    # at p = 2 the values 1/3 and 5/7 are units, so the powers' denominators
+    # carry 3s and 7s as well as 2s, and the running denominator of the solve
+    # has to take on new factors as it goes
+    b = FormalModule(2, 2, (Fraction(1, 3), Fraction(5, 7)), D=32).log_coeffs
+    g = _inverse_log(list(_log_powers(b, 2, 32, first=1)), 1)
+    assert {c.denominator % 3 == 0 for c in g.values()} == {False, True}
+    assert {c.denominator % 7 == 0 for c in g.values()} == {False, True}
+    f = {(2**i, 0): bi for i, bi in enumerate(b) if bi and 2**i <= 32}
+    assert _compose(g, f, 32, Fraction(1)) == {(1, 0): 1}
+
+
+def test_inverse_log_of_the_identity():
+    # f(T) = T: no b_i with i >= 1, so the step is D and g = T
+    M = FormalModule(2, 2, (0, 0), D=8)
+    assert M.log_coeffs == (1, 0, 0, 0) and M._step == 8
+    assert M._powers == [({(1, 0): 1}, 1)]
+    assert M.inv_coeffs == {1: 1}
+    assert M.bracket(2).coeffs == {1: 2}
+    assert M.law.coeffs == {(1, 0): 1, (0, 1): 1}
 
 
 CLOSED_FORM_CASES = [
@@ -426,6 +490,26 @@ def test_group_law_skip_leaves_associativity_open():
     rep = check_group_law(F.law, method="skip")
     assert rep.unit_ok and rep.commutative_ok and rep.associative_ok is None
     assert not rep.ok
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_sampled_check_refuses_fewer_than_one_rep(reps):
+    # with no draw the sampled engine once passed this non-associative law
+    f2 = fq_field(2)
+    one = f2.one()
+    F = BivariateSeries(f2, 40, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
+    with pytest.raises(ParameterError, match=r"^reps must be >= 1$"):
+        check_group_law(F, method="sampled", reps=reps)
+    with pytest.raises(ParameterError, match=r"^reps must be >= 1$"):
+        check_group_law(None, reps=reps)  # refused before the law is read
+    assert check_group_law(F, method="sampled", reps=1).associative_ok is False
+    assert check_group_law(F, method="dense").associative_ok is False
+
+
+def test_unknown_method_is_a_parameter_error():
+    F = BivariateSeries(RATIONALS, 4, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    with pytest.raises(ParameterError, match=r"^unknown method 'bogus'$"):
+        check_group_law(F, method="bogus")
 
 
 def endomorphism_failure(f: UnivariateSeries, F: BivariateSeries, brackets: dict):
