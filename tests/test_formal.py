@@ -492,26 +492,6 @@ def test_group_law_skip_leaves_associativity_open():
     assert not rep.ok
 
 
-@pytest.mark.parametrize("reps", [0, -1])
-def test_sampled_check_refuses_fewer_than_one_rep(reps):
-    # with no draw the sampled engine once passed this non-associative law
-    f2 = fq_field(2)
-    one = f2.one()
-    F = BivariateSeries(f2, 40, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
-    with pytest.raises(ParameterError, match=r"^reps must be >= 1$"):
-        check_group_law(F, method="sampled", reps=reps)
-    with pytest.raises(ParameterError, match=r"^reps must be >= 1$"):
-        check_group_law(None, reps=reps)  # refused before the law is read
-    assert check_group_law(F, method="sampled", reps=1).associative_ok is False
-    assert check_group_law(F, method="dense").associative_ok is False
-
-
-def test_unknown_method_is_a_parameter_error():
-    F = BivariateSeries(RATIONALS, 4, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    with pytest.raises(ParameterError, match=r"^unknown method 'bogus'$"):
-        check_group_law(F, method="bogus")
-
-
 def endomorphism_failure(f: UnivariateSeries, F: BivariateSeries, brackets: dict):
     """The first monomial, tagged "hom" or "bracket a", where
     f(F(X,Y)) != F(f(X), f(Y)) or f∘[a] != [a]∘f for a bracket [a] in
@@ -672,6 +652,12 @@ def test_atypical_rejects_non_integral_values():
         atypical_module(2, 2, values=(Fraction(1, 2),), D=8)
 
 
+def _f2_cubic_law():
+    """X + Y + X^2·Y + X·Y^2 over F_2 at D = 40: not associative."""
+    one = fq_field(2).one()
+    return BivariateSeries(fq_field(2), 40, {(1, 0): one, (0, 1): one, (2, 1): one, (1, 2): one})
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -689,10 +675,15 @@ def test_atypical_rejects_non_integral_values():
             lambda: check_pi_congruence(honda_module(2, 2, 1, D=4), 3),
             "truncation 4 too small for i=3",
         ),
+        # with no draw the sampled engine once passed this non-associative law
+        (lambda: check_group_law(_f2_cubic_law(), method="sampled", reps=0), "reps must be >= 1"),
+        (lambda: check_group_law(_f2_cubic_law(), method="sampled", reps=-1), "reps must be >= 1"),
+        (lambda: check_group_law(None, reps=0), "reps must be >= 1"),  # before any work
+        (lambda: check_group_law(_f2_cubic_law(), method="bogus"), "unknown method 'bogus'"),
     ],
     ids=[
         "D=0", "D=-3", "h=0", "universal-p=4", "universal-q=6", "universal-i=0",
-        "level-i=0", "level-above-D",
+        "level-i=0", "level-above-D", "reps=0", "reps=-1", "reps-before-law", "method=bogus",
     ],
 )
 def test_degenerate_inputs_raise_parameter_error(build, message):
