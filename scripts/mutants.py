@@ -42,6 +42,20 @@ MUTANTS = [
         ("tests/test_formal.py",),
     ),
     Mutant(
+        "sampled-place-shift-off-by-one",
+        "src/ramtower/fastcheck.py",
+        "            k = ((1 - outer) % s + g * e0 - (1 - nxt) % s) // s\n",
+        "            k = ((1 - outer) % s + (g - 1) * e0 - (1 - nxt) % s) // s\n",
+        ("tests/test_formal.py::test_fft_engines_agree_with_the_exact_engine",),
+    ),
+    Mutant(
+        "dense-steps-from-the-wrong-power",
+        "src/ramtower/fastcheck.py",
+        "mul(powers[prev], gap_transform(n - prev))",
+        "mul(base, gap_transform(n - prev))",
+        ("tests/test_formal.py::test_fft_engines_agree_with_the_exact_engine",),
+    ),
+    Mutant(
         "verify-upper-below-lower",
         "src/ramtower/towers.py",
         "            if not w < b:\n",
@@ -83,6 +97,13 @@ MUTANTS = [
         "                if j > D - k:\n",
         "                if j >= D - k:\n",
         ("tests/test_formal.py::test_rational_composition_matches_power_table",),
+    ),
+    Mutant(
+        "exact-assoc-side-cut",
+        "src/ramtower/formal.py",
+        "            if deg > D - j:\n",
+        "            if deg >= D - j:\n",
+        ("tests/test_formal.py::test_exact_engine_pins",),
     ),
     Mutant(
         "tate-hypothesis-comparison",

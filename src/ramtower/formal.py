@@ -26,8 +26,8 @@ kept as integer numerators over one shared denominator, so the hot loops run
 on plain integers for any rational input: a module keeps one table of the
 powers f^(1+k·s) that can meet a nonzero g_e, solves g from it as a
 triangular system, and sums every bracket from it; the law, which needs
-every power, builds its own full table.  All character-zero staging is
-exact.
+every power, reuses that table when s = 1 and builds its own full table
+otherwise.  All character-zero staging is exact.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ class FormalModule:
     @property
     def law(self) -> BivariateSeries:
         if self._law is None:
-            self._law = _law_series(self.log_coeffs, self.inv_coeffs, self.p, self.q, self.D)
+            self._law = _law_series(self)
         return self._law
 
     def bracket(self, a) -> UnivariateSeries:
@@ -412,17 +412,24 @@ def atypical_module(p: int, q: int, values, D: int | None = None) -> FormalModul
     return module
 
 
-def _law_series(b, g, p, q, D) -> BivariateSeries:
+def _law_series(module: FormalModule) -> BivariateSeries:
     """F(x, y) = g(f(x) + f(y)) = Σ_k f(x)^k·B_k(y), where
     B_k = Σ_l g_{k+l}·C(k+l, k)·f^l is truncated at degree D − k.
 
-    One table of the powers f^k serves both axes.  The powers are brought to
-    the lcm P of their denominators and g to the lcm G of its own, so the
-    whole sum runs on integers over P²·G.  That denominator is read off the
-    actual table rather than assumed from a p-adic bound, so there is no
-    scale for a remainder check to guard; the p-integrality that the
-    functional-equation lemma promises is asserted on the result."""
-    table = list(_log_powers(b, q, D))
+    One table of the powers f^k serves both axes.  When the module's step
+    is s = 1 (every q = 2 module with v_1 != 0), its own table f^1, f^2, ...
+    is this one past f^0 and is reused; otherwise the full table is built
+    here.  The powers are brought to the lcm P of their denominators and g
+    to the lcm G of its own, so the whole sum runs on integers over P²·G.
+    That denominator is read off the actual table rather than assumed from
+    a p-adic bound, so there is no scale for a remainder check to guard; the
+    p-integrality that the functional-equation lemma promises is asserted on
+    the result."""
+    p, D, g = module.p, module.D, module.inv_coeffs
+    if module._step == 1:
+        table = [({(0, 0): 1}, 1), *module._powers]
+    else:
+        table = list(_log_powers(module.log_coeffs, module.q, D))
     P = math.lcm(*(den for _, den in table))
     A = [sorted((e, v * (P // den)) for (e, _), v in num.items()) for num, den in table]
     G = math.lcm(*(c.denominator for c in g.values()))
@@ -593,9 +600,13 @@ def _assoc_exact(F: BivariateSeries):
     they differ at exactly the same keys.  An F_q law is its own N, with
     L = 1.  Exact in any ring.  The cost is the top − 1 products
     F^n = F^(n−1)·F, each visiting only the pairs that stay within degree D,
-    plus one pass over F^i and F^j for each term (i, j) of F.  For the law
-    of `atypical_module(3, 3, (1, 2, 1), D=27)` the products visit 59,746
-    pairs of the 619,344 that all pairs would be."""
+    plus, for each term (i, j) of F, one pass over F^i and F^j sorted by
+    degree that stops at the first term past D.  For the law of
+    `atypical_module(3, 3, (1, 2, 1), D=27)` the products visit 59,746 pairs
+    of the 619,344 that all pairs would be, and the side passes visit
+    24,186 (power term, law term) pairs and keep 23,848 of them, where
+    visiting every term took 56,244; the sort costs less than the skipped
+    visits save (the check ran about 5% faster, on one pinned CPU)."""
     D = F.D
     if F.ring == RATIONALS:
         L = math.lcm(*(c.denominator for c in F.coeffs.values()))
@@ -607,19 +618,21 @@ def _assoc_exact(F: BivariateSeries):
     powers = [{(0, 0): one}, num]
     while len(powers) <= top:
         powers.append(_mul(powers[-1], num, D))
+    # each power sorted by total degree (keys unique: v never compared)
+    powers = [sorted((a + bb, a, bb, v) for (a, bb), v in pw.items()) for pw in powers]
     weight = [L ** (top - n) for n in range(top + 1)]
     lhs, rhs = {}, {}
     for (i, j), c in num.items():
         ci, cj = c * weight[i], c * weight[j]
-        for (a, bb), v in powers[i].items():
-            if a + bb + j > D:
-                continue
+        for deg, a, bb, v in powers[i]:
+            if deg > D - j:
+                break
             key = (a, bb, j)
             prod = ci * v
             lhs[key] = lhs[key] + prod if key in lhs else prod
-        for (a, bb), v in powers[j].items():
-            if i + a + bb > D:
-                continue
+        for deg, a, bb, v in powers[j]:
+            if deg > D - i:
+                break
             key = (i, a, bb)
             prod = cj * v
             rhs[key] = rhs[key] + prod if key in rhs else prod

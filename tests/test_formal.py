@@ -15,6 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,25 +231,21 @@ def test_unit_and_commutativity_report_the_lowest_degree_failure(coeffs, failure
     assert check_group_law(bad, method="skip").first_failure == failure
 
 
-def test_power_table_is_built_once_per_module(monkeypatch):
-    # the module's table serves the inverse log and every bracket; only the
-    # law builds a second (full) table
+@pytest.mark.parametrize("p, q, D, law_tables", [(3, 3, 27, 1), (3, 9, 24, 1), (2, 2, 24, 0)])
+def test_power_table_is_built_once_per_module(p, q, D, law_tables):
+    # the module's table f^(1+k·s) serves the inverse log and every bracket;
+    # the law, which needs every power, builds a second (full) table unless
+    # s = 1 (q = 2 with v_1 != 0), where the module's table already is that
     from ramtower import formal
 
-    calls = []
-    original = formal._log_powers
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(formal, "_log_powers", counting)
-    M = atypical_module(3, 3, values=(1, 2, 1), D=27)
-    M.bracket(3)
-    M.bracket(4)
-    assert len(calls) == 1
-    M.law
-    assert len(calls) == 2
+    with mock.patch.object(formal, "_log_powers", wraps=formal._log_powers) as tables:
+        M = atypical_module(p, q, values=(1, 2, 1), D=D)
+        M.bracket(p)
+        M.bracket(p + 1)
+        assert tables.call_count == 1
+        M.law
+        assert tables.call_count == 1 + law_tables
+    assert (M._step == 1) == (law_tables == 0)
 
 
 def test_residue_field_is_built_on_first_use(monkeypatch):
@@ -422,6 +419,78 @@ def test_sampled_check_runs_on_the_grading(monkeypatch):
     assert math.gcd(*(i + j - 1 for i, j in F.coeffs)) == 8
     assert sampled_associativity(F)[0]
     assert lengths == {F.D // 8 + 1}
+
+
+def test_sampled_engine_steps_only_between_occurring_degrees():
+    # Horner multiplies by u^gap from one outer degree of the law to the
+    # next, so a side no longer pays one product per degree up to the top
+    from ramtower import fastcheck
+
+    F = _sampled_case("q9")
+    top = max(i for i, _ in F.coeffs)
+    with mock.patch.object(
+        fastcheck, "_series_mul_fft", wraps=fastcheck._series_mul_fft
+    ) as products:
+        assert sampled_associativity(F, seed=0, reps=2)[:2] == (True, None)
+    assert products.call_count < 2 * 2 * top  # reps × sides × one per degree
+
+
+def test_dense_engine_builds_only_the_powers_the_law_uses():
+    # F^n is needed only for the n that occur as an i or a j; at (2, 4, 64)
+    # most degrees up to the top do not
+    from ramtower import fastcheck
+
+    M = atypical_module(2, 4, (1, 2, 1), D=64)
+    F = M.law.reduce_mod_p(M.field)
+    top = max(max(key) for key in F.coeffs)
+    assert len({n for key in F.coeffs for n in key}) < top
+    with mock.patch.object(fastcheck, "_plane_mul", wraps=fastcheck._plane_mul) as products:
+        assert dense_associativity(F) == (True, None)
+    assert products.call_count < top
+
+
+@st.composite
+def sparse_laws(draw):
+    """A sparse series over F_p, p in {2, 3, 5}, with terms on a t^s grading
+    i + j ≡ 1 mod s (so outer degrees leave gaps), laid over nothing, an
+    associative law or a module's residue law; optionally every term with
+    i = 0 (or j = 0) dropped, so a side has no outer degree 0, and
+    optionally bumped by `_bumped`."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    D = draw(st.integers(3, 16))
+    s = draw(st.sampled_from([1, 2, 3]))
+    field = fq_field(p)
+    base = draw(st.sampled_from(["none", "additive", "multiplicative", "module"]))
+    coeffs = {}
+    if base == "module":
+        values = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        coeffs = dict(atypical_module(p, p, values, D=D).law.reduce_mod_p(field).coeffs)
+    elif base != "none":
+        coeffs = {(1, 0): field.one(), (0, 1): field.one()}
+        if base == "multiplicative":
+            coeffs[(1, 1)] = field.from_int(draw(st.integers(1, p - 1)))
+    cells = [(i, d - i) for d in range(1, D + 1) if (d - 1) % s == 0 for i in range(d + 1)]
+    for key in draw(st.lists(st.sampled_from(cells), max_size=6, unique=True)):
+        coeffs[key] = field.from_int(draw(st.integers(1, p - 1)))
+    axis = draw(st.sampled_from([None, 0, 1]))
+    if axis is not None:
+        coeffs = {key: c for key, c in coeffs.items() if key[axis]}
+    F = BivariateSeries(field, D, coeffs)
+    if draw(st.booleans()):
+        degrees = [d for d in range(2, D + 1) if draw(st.booleans()) or (d - 1) % s == 0]
+        if degrees:
+            value = field.from_int(draw(st.integers(1, p - 1)))
+            F = _bumped(F, draw(st.integers(0, 999)), degrees, value)
+    return F
+
+
+@given(sparse_laws(), st.integers(0, 99))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fft_engines_agree_with_the_exact_engine(F, seed):
+    ok, key = _assoc_exact(F)
+    assert dense_associativity(F) == (ok, key)
+    degree = None if key is None else sum(key)
+    assert sampled_associativity(F, seed=seed)[:2] == (ok, degree)
 
 
 @pytest.mark.parametrize("method", ["exact", "dense", "sampled"])
