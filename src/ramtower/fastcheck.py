@@ -152,8 +152,8 @@ def dense_associativity(F):
     (`_halving_powers`), so the plane products number the occurring degrees
     plus O(log gap) per distinct gap, not the largest degree: 26 instead of
     55 at (2, 4, 64), where 21 of the degrees 1..56 occur.  When every
-    degree occurs, as at (2, 2, 64), that is one product per degree, as
-    before.
+    degree occurs it is one product per degree, as before: (2, 2, 64) has
+    61 of its 62 and takes 60.
 
     Returns (ok, first_failing_monomial)."""
     p = _check_prime_subfield(F, "dense")
