@@ -78,6 +78,27 @@ MUTANTS = [
         ("tests/test_formal.py",),
     ),
     Mutant(
+        "bracket-widen-never",
+        "src/ramtower/formal.py",
+        "            r = ge * a_e / fden\n            if den % r.denominator:\n",
+        "            r = ge * a_e / fden\n            if False:\n",
+        ("tests/test_formal.py",),
+    ),
+    Mutant(
+        "log-powers-recurrence-weight",
+        "src/ramtower/formal.py",
+        "total += (n1 * w - k) * c * H[j - m]",
+        "total += (n * w - k) * c * H[j - m]",
+        ("tests/test_formal.py::test_log_powers_match_the_product_oracle",),
+    ),
+    Mutant(
+        "log-powers-delta-drops-denominator",
+        "src/ramtower/formal.py",
+        "math.lcm(*(c.denominator * delta[j - m] for m, _, c in terms))",
+        "math.lcm(*(delta[j - m] for m, _, c in terms))",
+        ("tests/test_formal.py::test_log_powers_match_the_product_oracle",),
+    ),
+    Mutant(
         "series-kernel-early-exit",
         "src/ramtower/formal.py",
         "            if deg > room:\n",

@@ -18,16 +18,17 @@ rationals; its residue law and brackets over F_q are the series reduced one
 by one, `module.law.reduce_mod_p(module.field)`.
 
 Every truncated series here is a dict {(i, j): c} that drops total degree
-above D (univariate series use (e, 0) keys), and one kernel does all of
-their arithmetic: `_mul` for products, and `_compose` for g(S) = Σ g_e·S^e,
-the plain composition the tests check the faster paths against.
-Everything else is assembled from the powers f^k of the logarithm, each
-kept as integer numerators over one shared denominator, so the hot loops run
-on plain integers for any rational input: a module keeps one table of the
-powers f^(1+k·s) that can meet a nonzero g_e, solves g from it as a
-triangular system, and sums every bracket from it; the law, which needs
-every power, reuses that table when s = 1 and builds its own full table
-otherwise.  All character-zero staging is exact.
+above D (univariate series use (e, 0) keys).  The sparse product `_mul` is
+left only to the exact associativity check, which multiplies powers of the
+law.  Everything else is assembled from the powers f^n of the logarithm.
+f has at most log_q D + 1 terms, so `_log_powers` reads each power straight
+off f by the power recurrence, on integers over per-degree denominator
+bounds δ_k, and keeps it as integer numerators over one shared denominator:
+the hot loops run on plain integers for any rational input.  A module keeps
+one table of the powers f^(1+k·s) that can meet a nonzero g_e, solves g
+from it as a triangular system, and sums every bracket from it; the law,
+which needs every power, reuses that table when s = 1 and builds its own
+full table otherwise.  All character-zero staging is exact.
 """
 
 from __future__ import annotations
@@ -108,28 +109,6 @@ def _mul(a: dict, b: dict, D: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _compose(outer: dict, inner: dict, D: int, one) -> dict:
-    """Σ_e outer[e]·inner^e truncated at total degree D.  `outer` is keyed
-    by exponent; `inner` is a {(i, j): c} series with no constant term, so
-    exponents above D contribute nothing."""
-    if inner.get((0, 0)):
-        raise ValueError("inner series has a constant term")
-    out = {}
-    power = {(0, 0): one}
-    prev = 0
-    for e in sorted(outer):
-        if e > D:
-            break
-        for _ in range(e - prev):
-            power = _mul(power, inner, D)
-        prev = e
-        c = outer[e]
-        for key, v in power.items():
-            prod = c * v
-            out[key] = out[key] + prod if key in out else prod
-    return {k: v for k, v in out.items() if v}
-
-
 def _log_step(b, q, D) -> int:
     """s = gcd(q^i − 1) over the i >= 1 with b_i != 0 and q^i <= D, or 0 if
     there is none.  Every exponent of f(T) = Σ b_i T^{q^i} is ≡ 1 mod s, and
@@ -138,35 +117,65 @@ def _log_step(b, q, D) -> int:
 
 
 def _log_powers(b, q, D, first=0, step=1):
-    """Yield f^k = num/den for k = first, first + step, ... truncated at
-    degree D, where f(T) = Σ b_i T^{q^i}, stopping at the first zero power.
-    `num` holds integer numerators under (e, 0) keys and `den` is their one
-    shared denominator, exact for any rational b_i; each product divides both
-    by their common gcd to keep them small."""
-    f = {(q**i, 0): Fraction(bi) for i, bi in enumerate(b) if bi and q**i <= D}
-    fden = math.lcm(*(c.denominator for c in f.values()))
-    fnum = {key: c.numerator * (fden // c.denominator) for key, c in f.items()}
+    """Yield f^n = num/den for n = first, first + step, ... up to D, the
+    powers of f(T) = Σ b_i T^{q^i} (b_0 = 1) truncated at degree D; f^n is
+    zero for every n > D.  `num` holds integer numerators under (e, 0) keys
+    and `den` is their one shared denominator, in lowest terms, exact for
+    any rational b_i.
 
-    def times(num, den, other, oden):
-        num = _mul(num, other, D)
-        den *= oden
-        common = math.gcd(den, *num.values())
+    Each power is read straight off f by the power recurrence (Euler;
+    J.C.P. Miller; Knuth, TAOCP vol. 2, §4.7), not built from another power.
+    Write f = T·(1 + u), u = Σ_{i>=1} β_i T^{w_i} with β_i = b_i and
+    w_i = q^i − 1 over the nonzero b_i with q^i <= D.  Comparing
+    derivatives in A·(A^n)' = n·A'·A^n, A = 1 + u, the coefficients h_k of
+    A^n satisfy h_0 = 1 and
+
+        k·h_k = Σ_i ((n + 1)·w_i − k)·β_i·h_{k−w_i},
+
+    so a power costs one step per degree and term of u, whatever n is.
+    Only the k divisible by s = gcd(w_i) occur.  The recurrence runs on the
+    integers H_k = h_k·δ_k, where δ_0 = 1 and δ_k = lcm_i(den(β_i)·δ_{k−w_i})
+    bounds the denominator of every degree-k monomial in the β_i, whatever
+    n is.  Over d = lcm_i den(β_i) and the integers a_i = d·β_i,
+
+        k·d·H_k = Σ_i ((n + 1)·w_i − k)·a_i·(δ_k/δ_{k−w_i})·H_{k−w_i},
+
+    a division that must be exact: a remainder raises ArithmeticError.  The
+    δ_k, the weights a_i·δ_k/δ_{k−w_i} and, for the lcm L of every δ_k, the
+    multipliers L/δ_k are computed once per call; each power is the
+    H_k·L/δ_k over L, divided by their gcd."""
+    if b[0] != 1:
+        raise ValueError("the logarithm must start with T")
+    u = [(q**i - 1, Fraction(bi)) for i, bi in enumerate(b) if i and bi and q**i <= D]
+    s = math.gcd(*(w for w, _ in u)) or 1
+    d = math.lcm(*(c.denominator for _, c in u))
+    delta, rows = [1], [()]  # δ_{j·s}, and its (w/s, w, weight) for each w <= j·s
+    for j in range(1, (D - first) // s + 1):
+        terms = [(w // s, w, c) for w, c in u if w <= j * s]
+        delta.append(math.lcm(*(c.denominator * delta[j - m] for m, _, c in terms)))
+        rows.append(
+            [(m, w, c.numerator * (d // c.denominator) * (delta[j] // delta[j - m]))
+             for m, w, c in terms]
+        )
+    L = math.lcm(*delta)
+    scale = [L // x for x in delta]
+    keys = [(e, 0) for e in range(D + 1)]
+    for n in range(first, D + 1, step):
+        H, n1 = [1], n + 1
+        for j in range(1, (D - n) // s + 1):
+            k = j * s
+            total = 0
+            for m, w, c in rows[j]:
+                total += (n1 * w - k) * c * H[j - m]
+            h, rem = divmod(total, k * d)
+            if rem:
+                raise ArithmeticError(f"δ_{k} does not clear f^{n} at T^{n + k}")
+            H.append(h)
+        num = {keys[n + j * s]: h * scale[j] for j, h in enumerate(H) if h}
+        common = math.gcd(L, *num.values())
         if common > 1:
             num = {key: v // common for key, v in num.items()}
-            den //= common
-        return num, den
-
-    def power(n):
-        num, den = {(0, 0): 1}, 1
-        for _ in range(n):
-            num, den = times(num, den, fnum, fden)
-        return num, den
-
-    num, den = power(first)
-    snum, sden = power(step)
-    while num:
-        yield num, den
-        num, den = times(num, den, snum, sden)
+        yield num, L // common
 
 
 def _inverse_log(powers, s) -> dict:

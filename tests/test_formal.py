@@ -31,10 +31,10 @@ from ramtower.formal import (
     UnivariateSeries,
     _assoc_exact,
     _bracket_series,
-    _compose,
     _first_difference,
     _inverse_log,
     _log_powers,
+    _log_step,
     _mul,
     atypical_module,
     check_group_law,
@@ -90,6 +90,29 @@ def _mul_all_pairs(a, b, D):
     return {k: v for k, v in out.items() if v}
 
 
+def _compose(outer: dict, inner: dict, D: int, one) -> dict:
+    """Σ_e outer[e]·inner^e truncated at total degree D, the plain
+    composition the faster paths are checked against.  `outer` is keyed by
+    exponent; `inner` is a {(i, j): c} series with no constant term, so
+    exponents above D contribute nothing."""
+    if inner.get((0, 0)):
+        raise ValueError("inner series has a constant term")
+    out = {}
+    power = {(0, 0): one}
+    prev = 0
+    for e in sorted(outer):
+        if e > D:
+            break
+        for _ in range(e - prev):
+            power = _mul(power, inner, D)
+        prev = e
+        c = outer[e]
+        for key, v in power.items():
+            prod = c * v
+            out[key] = out[key] + prod if key in out else prod
+    return {k: v for k, v in out.items() if v}
+
+
 KERNEL_RINGS = {  # ring: (its one, a random coefficient, zero included)
     "int": (1, lambda rng: rng.randint(-3, 3)),
     "Fraction": (Fraction(1), lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
@@ -141,6 +164,84 @@ def test_inverse_log_of_the_identity():
     assert M.inv_coeffs == {1: 1}
     assert M.bracket(2).coeffs == {1: 2}
     assert M.law.coeffs == {(1, 0): 1, (0, 1): 1}
+
+
+def _log_powers_by_products(b, q, D, first=0, step=1):
+    """The powers f^first, f^(first+step), ... of f(T) = Σ b_i T^{q^i} as
+    `_log_powers` yields them, each the previous one times f^step in `_mul`
+    and divided by its gcd with the shared denominator."""
+    f = {(q**i, 0): Fraction(bi) for i, bi in enumerate(b) if bi and q**i <= D}
+    fden = math.lcm(*(c.denominator for c in f.values()))
+    fnum = {key: c.numerator * (fden // c.denominator) for key, c in f.items()}
+
+    def times(num, den, other, oden):
+        num = _mul(num, other, D)
+        den *= oden
+        common = math.gcd(den, *num.values())
+        return {key: v // common for key, v in num.items()}, den // common
+
+    def power(n):
+        num, den = {(0, 0): 1}, 1
+        for _ in range(n):
+            num, den = times(num, den, fnum, fden)
+        return num, den
+
+    num, den = power(first)
+    snum, sden = power(step)
+    while num:
+        yield num, den
+        num, den = times(num, den, snum, sden)
+
+
+LOG_PRIMES = {2: 2, 3: 3, 4: 2, 9: 3}
+
+
+@st.composite
+def logarithms(draw):
+    """(b, q, D): b_0 = 1, and b_i either Honda-shaped (p^(−i/h) where h
+    divides i, else 0) or drawn from zeros, p-power denominators and units
+    whose denominators are prime to p (1/3 and 5/7 at p = 2, 1/2 and 5/7 at
+    p = 3); q in {2, 3, 4, 9}, D <= 100."""
+    q = draw(st.sampled_from(sorted(LOG_PRIMES)))
+    p = LOG_PRIMES[q]
+    D = draw(st.integers(1, 100))
+    n = 0
+    while q ** (n + 1) <= D:
+        n += 1
+    n += draw(st.integers(0, 1))  # sometimes one b_i past D
+    if draw(st.booleans()):
+        h = draw(st.integers(1, 3))
+        b = [Fraction(1, p ** (i // h)) if i % h == 0 else Fraction(0) for i in range(n + 1)]
+    else:
+        unit = Fraction(1, 3) if p == 2 else Fraction(1, 2)
+        pool = [Fraction(0), Fraction(1), Fraction(-2), unit, Fraction(5, 7)]
+        pool += [Fraction(c, p**e) for c in (1, -3) for e in (1, 2, 4)]
+        b = [Fraction(1)] + [draw(st.sampled_from(pool)) for _ in range(n)]
+    return tuple(b), q, D
+
+
+@given(logarithms(), st.integers(0, 1), st.sampled_from(["1", "s", "D"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_log_powers_match_the_product_oracle(log, first, step_kind):
+    # the power recurrence yields the same table as repeated products, entry
+    # for entry: the same numerator dict and the same lowest-terms denominator
+    b, q, D = log
+    step = {"1": 1, "s": _log_step(b, q, D) or D, "D": D}[step_kind]
+    assert list(_log_powers(b, q, D, first, step)) == list(
+        _log_powers_by_products(b, q, D, first, step)
+    )
+
+
+def test_honda_table_is_built_without_the_product_kernel():
+    # the height-1 Honda module at q = 9 reads its 92 powers f^(1+8k) straight
+    # off f; no power is a product of series
+    from ramtower import formal
+
+    with mock.patch.object(formal, "_mul", side_effect=AssertionError("_mul called")):
+        M = honda_module(3, 9, 1, D=729)
+    assert M._step == 8 and len(M._powers) == 92
+    low = {e: c for e, c in M.bracket(3).coeffs.items() if e <= 9}
+    assert low == {1: 3, 9: 1 - 3**8}  # [p] up to its cap q^h
 
 
 CLOSED_FORM_CASES = [
