@@ -147,7 +147,7 @@ def _log_powers(b, q, D, first=0, step=1):
     if b[0] != 1:
         raise ValueError("the logarithm must start with T")
     u = [(q**i - 1, Fraction(bi)) for i, bi in enumerate(b) if i and bi and q**i <= D]
-    s = math.gcd(*(w for w, _ in u)) or 1
+    s = _log_step(b, q, D) or 1
     d = math.lcm(*(c.denominator for _, c in u))
     delta, rows = [1], [()]  # δ_{j·s}, and its (w/s, w, weight) for each w <= j·s
     for j in range(1, (D - first) // s + 1):

@@ -230,6 +230,9 @@ def test_log_powers_match_the_product_oracle(log, first, step_kind):
     assert list(_log_powers(b, q, D, first, step)) == list(
         _log_powers_by_products(b, q, D, first, step)
     )
+    # the recurrence is for f = T·(1 + u); it refuses any other lead term
+    with pytest.raises(ValueError, match="must start with T"):
+        next(_log_powers((Fraction(2),) + b[1:], q, D, first, step))
 
 
 def test_honda_table_is_built_without_the_product_kernel():
