@@ -78,11 +78,11 @@ MUTANTS = [
         ("tests/test_formal.py",),
     ),
     Mutant(
-        "bracket-widen-never",
+        "inverse-log-widen-never",
         "src/ramtower/formal.py",
-        "            r = ge * a_e / fden\n            if den % r.denominator:\n",
-        "            r = ge * a_e / fden\n            if False:\n",
-        ("tests/test_formal.py",),
+        "        if G % ge.denominator:\n",
+        "        if False:\n",
+        ("tests/test_formal.py::test_inverse_log_widens_its_denominator",),
     ),
     Mutant(
         "log-powers-recurrence-weight",
@@ -96,6 +96,13 @@ MUTANTS = [
         "src/ramtower/formal.py",
         "math.lcm(*(c.denominator * delta[j - m] for m, _, c in terms))",
         "math.lcm(*(delta[j - m] for m, _, c in terms))",
+        ("tests/test_formal.py::test_log_powers_match_the_product_oracle",),
+    ),
+    Mutant(
+        "log-powers-table-gcd-skipped",
+        "src/ramtower/formal.py",
+        "    common = math.gcd(L, *(c for row in table for c in row.values()))\n",
+        "    common = 1\n",
         ("tests/test_formal.py::test_log_powers_match_the_product_oracle",),
     ),
     Mutant(
@@ -115,8 +122,8 @@ MUTANTS = [
     Mutant(
         "law-series-degree-cut",
         "src/ramtower/formal.py",
-        "                if j > D - k:\n",
-        "                if j >= D - k:\n",
+        "            if e > cap:\n",
+        "            if e >= cap:\n",
         ("tests/test_formal.py::test_rational_composition_matches_power_table",),
     ),
     Mutant(
@@ -176,6 +183,13 @@ MUTANTS = [
         "            return n == b\n",
         "            return True\n",
         ("tests/test_fq.py",),
+    ),
+    Mutant(
+        "ben-or-degree-bound",
+        "src/ramtower/fq.py",
+        "    for _ in range(m // 2):\n",
+        "    for _ in range(m // 2 - 1):\n",
+        ("tests/test_fq.py::test_irreducibility_matches_a_factor_search",),
     ),
     Mutant(
         "report-precision-exit-code",

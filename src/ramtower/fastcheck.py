@@ -2,12 +2,15 @@
 
 Both engines take an F_q law with p < 2^16 whose coefficients lie in the
 prime subfield F_p (every law reduced from a p-integral one does) and raise
-ValueError on any other; method="exact" answers those.  Both are exact
-despite running through floating-point FFTs: convolution inputs are reduced
-residues, so every true convolution value is a small integer far below 2^53,
-and `_rint_exact` rounds each inverse transform and raises ArithmeticError
-unless every value was within 0.01 of an integer.  A rounding failure is
-therefore impossible to miss — it raises, it cannot corrupt.
+ValueError on any other; method="exact" answers those.  Both run through
+floating-point FFTs on reduced residues, so every true convolution value is
+a small integer far below 2^53, and `_rint_exact` rounds each inverse
+transform and raises ArithmeticError unless every value was within 0.01 of
+an integer.  That observed residual, <= 0.01, is what is checked; nothing
+bounds the true error in advance, so a wrong integer that lands within 0.01
+of a computed value would pass.  The largest residual measured on a random
+dense law at p = 65521, D = 200, the edge of the engines' domain, was
+0.0098; at p = 3, D = 64 it was 9·10^-13.
 
 - dense_associativity: the powers F^n, for the degrees n that occur in the
   law's support only, as (D+1)×(D+1) planes of residues mod p, each the
@@ -67,19 +70,13 @@ def _fast_len(n: int) -> int:
 
 
 def _reduction_rows(field: FqField) -> np.ndarray:
-    """Row r = coordinates of theta^(m+r) on the power basis, r = 0..m-2."""
-    p, m, mod = field.p, field.m, field.modulus
-    rows = np.zeros((max(m - 1, 0), m), dtype=np.int64)
-    cur = [(-mod[j]) % p for j in range(m)]
-    for r in range(m - 1):
-        rows[r] = cur
-        lead = cur[-1]
-        nxt = [0] + cur[:-1]
-        if lead:
-            for j in range(m):
-                nxt[j] = (nxt[j] + lead * ((-mod[j]) % p)) % p
-        cur = nxt
-    return rows
+    """Row r = coordinates of theta^(m+r) on the power basis, r = 0..m-2,
+    for theta = x, the field's generator, by the field's own multiplication."""
+    m, theta = field.m, field.from_int(field.p)
+    powers = [field.one()]
+    for _ in range(2 * m - 2):
+        powers.append(powers[-1] * theta)
+    return np.array([c.coeffs for c in powers[m:]], dtype=np.int64).reshape(m - 1, m)
 
 
 def _check_prime_subfield(F, engine: str) -> int:

@@ -17,18 +17,19 @@ A `FormalModule` is built from (p, q, values, D) alone, always over the
 rationals; its residue law and brackets over F_q are the series reduced one
 by one, `module.law.reduce_mod_p(module.field)`.
 
-Every truncated series here is a dict {(i, j): c} that drops total degree
-above D (univariate series use (e, 0) keys).  The sparse product `_mul` is
-left only to the exact associativity check, which multiplies powers of the
-law.  Everything else is assembled from the powers f^n of the logarithm.
-f has at most log_q D + 1 terms, so `_log_powers` reads each power straight
-off f by the power recurrence, on integers over per-degree denominator
-bounds δ_k, and keeps it as integer numerators over one shared denominator:
-the hot loops run on plain integers for any rational input.  A module keeps
-one table of the powers f^(1+k·s) that can meet a nonzero g_e, solves g
-from it as a triangular system, and sums every bracket from it; the law,
-which needs every power, reuses that table when s = 1 and builds its own
-full table otherwise.  All character-zero staging is exact.
+Every bivariate series here is a dict {(i, j): c} that drops total degree
+above D.  The sparse product `_mul` is left only to the exact associativity
+check, which multiplies powers of the law.  Everything else is assembled
+from one table of the powers f^n of the logarithm.  f has at most
+log_q D + 1 terms, so `_log_powers` reads each power straight off f by the
+power recurrence and returns the table as integer rows {e: c} in ascending
+e over one denominator for the whole table: the inverse, the brackets and
+the law read those rows as they are, so the hot loops run on plain integers
+for any rational input, and `_sum_rows` is their one row-summing loop.  A
+module keeps the table of the powers f^(1+k·s) that can meet a nonzero g_e,
+solves g from it as a triangular system, and sums every bracket from it;
+the law, which needs every power, reuses that table when s = 1 and builds
+its own full table otherwise.  All character-zero staging is exact.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ def _log_step(b, q, D) -> int:
 
 
 def _log_powers(b, q, D, first=0, step=1):
-    """Yield f^n = num/den for n = first, first + step, ... up to D, the
-    powers of f(T) = Σ b_i T^{q^i} (b_0 = 1) truncated at degree D; f^n is
-    zero for every n > D.  `num` holds integer numerators under (e, 0) keys
-    and `den` is their one shared denominator, in lowest terms, exact for
-    any rational b_i.
+    """(table, den): the powers f^n = table[k]/den, n = first + k·step up to
+    D, of f(T) = Σ b_i T^{q^i} (b_0 = 1) truncated at degree D; f^n is zero
+    for every n > D.  Each row table[k] is {e: c}, integer numerators in
+    ascending e with the zeros dropped, and den is one denominator for the
+    whole table, the lcm of the powers' own lowest-terms denominators, so
+    gcd(den, every numerator) = 1.  Exact for any rational b_i.
 
     Each power is read straight off f by the power recurrence (Euler;
     J.C.P. Miller; Knuth, TAOCP vol. 2, §4.7), not built from another power.
@@ -142,8 +144,8 @@ def _log_powers(b, q, D, first=0, step=1):
 
     a division that must be exact: a remainder raises ArithmeticError.  The
     δ_k, the weights a_i·δ_k/δ_{k−w_i} and, for the lcm L of every δ_k, the
-    multipliers L/δ_k are computed once per call; each power is the
-    H_k·L/δ_k over L, divided by their gcd."""
+    multipliers L/δ_k are computed once per call; every row is the
+    H_k·L/δ_k over L, and one gcd over the whole table brings it to den."""
     if b[0] != 1:
         raise ValueError("the logarithm must start with T")
     u = [(q**i - 1, Fraction(bi)) for i, bi in enumerate(b) if i and bi and q**i <= D]
@@ -159,7 +161,7 @@ def _log_powers(b, q, D, first=0, step=1):
         )
     L = math.lcm(*delta)
     scale = [L // x for x in delta]
-    keys = [(e, 0) for e in range(D + 1)]
+    table = []
     for n in range(first, D + 1, step):
         H, n1 = [1], n + 1
         for j in range(1, (D - n) // s + 1):
@@ -171,40 +173,51 @@ def _log_powers(b, q, D, first=0, step=1):
             if rem:
                 raise ArithmeticError(f"δ_{k} does not clear f^{n} at T^{n + k}")
             H.append(h)
-        num = {keys[n + j * s]: h * scale[j] for j, h in enumerate(H) if h}
-        common = math.gcd(L, *num.values())
-        if common > 1:
-            num = {key: v // common for key, v in num.items()}
-        yield num, L // common
+        table.append({n + j * s: h * scale[j] for j, h in enumerate(H) if h})
+    common = math.gcd(L, *(c for row in table for c in row.values()))
+    return [{e: c // common for e, c in row.items()} for row in table], L // common
 
 
-def _inverse_log(powers, s) -> dict:
-    """Compositional inverse g of f, solved from the powers f^(1+k·s) that
-    `_log_powers(b, q, D, first=1, step=s)` yields, as {e: g_e}.
+def _sum_rows(pairs, cap) -> dict:
+    """Σ c·row over the (c, row) pairs, for integer rows {e: v} in ascending
+    e, dropping every e above cap."""
+    acc = {}
+    for c, row in pairs:
+        for e, v in row.items():
+            if e > cap:
+                break
+            acc[e] = acc.get(e, 0) + c * v
+    return acc
+
+
+def _inverse_log(table, den, s) -> dict:
+    """Compositional inverse g of f, solved from the rows f^(1+k·s) =
+    table[k]/den that `_log_powers(b, q, D, first=1, step=s)` returns, as
+    {e: g_e}.
 
     Only e ≡ 1 mod s can have g_e != 0, and f^e is T^e plus terms whose
     degrees are ≡ e mod s, so g(f(T)) = T read at T^d, d = 1 + k·s, is the
     triangular system g_d = −Σ_{j<k} g_{1+j·s}·[T^d] f^{1+j·s}.
 
-    The solve runs on integers: each nonzero c_j = g_{1+j·s}/den_j is kept
-    as an integer numerator over one running denominator, widened (and every
-    kept numerator rescaled) when a new c_j needs a factor it lacks, so each
-    g_d is one integer sum and one Fraction; no denominator is assumed."""
-    g, cs, rows, den = {}, [], [], 1  # each kept c_j is cs[n]/den, over rows[n]
-    for k, (num, fden) in enumerate(powers):
-        key = (1 + k * s, 0)
-        total = sum(c * row[key] for c, row in zip(cs, rows) if key in row)
-        gd = Fraction(-total, den) if k else Fraction(1)
-        if not gd:
+    The solve runs on integers: each nonzero g_e is kept as an integer
+    numerator over one running denominator G, widened (and every kept
+    numerator rescaled) when a new g_e needs a factor it lacks, so each g_d
+    is one integer sum over the rows and one Fraction over G·den; no
+    denominator is assumed."""
+    g, cs, rows, G = {}, [], [], 1  # each kept g_e is cs[n]/G, over rows[n]
+    for k, row in enumerate(table):
+        e = 1 + k * s
+        total = sum(c * r[e] for c, r in zip(cs, rows) if e in r)
+        ge = Fraction(-total, G * den) if k else Fraction(1)
+        if not ge:
             continue
-        g[key[0]] = gd
-        r = gd / fden
-        if den % r.denominator:
-            widen = r.denominator // math.gcd(den, r.denominator)
+        g[e] = ge
+        if G % ge.denominator:
+            widen = ge.denominator // math.gcd(G, ge.denominator)
             cs = [c * widen for c in cs]
-            den *= widen
-        cs.append(r.numerator * (den // r.denominator))
-        rows.append(num)
+            G *= widen
+        cs.append(ge.numerator * (G // ge.denominator))
+        rows.append(row)
     return g
 
 
@@ -326,8 +339,10 @@ class FormalModule:
         self.brackets = {}
         self._law = None
         self._step = _log_step(self.log_coeffs, q, D) or D  # f(T) = T: only g_1
-        self._powers = list(_log_powers(self.log_coeffs, q, D, first=1, step=self._step))
-        self.inv_coeffs = _inverse_log(self._powers, self._step)
+        self._powers, self._den = _log_powers(
+            self.log_coeffs, q, D, first=1, step=self._step
+        )
+        self.inv_coeffs = _inverse_log(self._powers, self._den, self._step)
 
     @property
     def field(self) -> FqField:
@@ -346,7 +361,7 @@ class FormalModule:
         a = Fraction(a)
         if a not in self.brackets:
             self.brackets[a] = _bracket_series(
-                self._powers, self._step, self.inv_coeffs, a, self.D
+                self._powers, self._den, self._step, self.inv_coeffs, a, self.D
             )
         return self.brackets[a]
 
@@ -374,27 +389,18 @@ class FormalModule:
         }
 
 
-def _bracket_series(powers, s, g, a, D) -> UnivariateSeries:
-    """[a](T) = Σ_e g_e·a^e·f(T)^e, read off the module's table of powers
-    f^e = num/den, e = 1 + k·s: only those e can have g_e != 0.
+def _bracket_series(table, den, s, g, a, D) -> UnivariateSeries:
+    """[a](T) = Σ_e g_e·a^e·f(T)^e, read off the module's rows
+    f^e = table[k]/den, e = 1 + k·s: only those e can have g_e != 0.
 
-    The sum is kept as integer numerators over one denominator, widened
-    whenever a term needs a factor it lacks, so no denominator is assumed."""
+    The weights g_e·a^e are brought to the lcm M of their denominators, and
+    the rows are summed on integers over M·den, so no denominator is
+    assumed."""
     a = Fraction(a)
-    acc, den, a_e, a_s = {}, 1, a, a**s
-    for k, (num, fden) in enumerate(powers):
-        ge = g.get(1 + k * s)
-        if ge is not None:
-            r = ge * a_e / fden
-            if den % r.denominator:
-                widen = r.denominator // math.gcd(den, r.denominator)
-                acc = {i: v * widen for i, v in acc.items()}
-                den *= widen
-            c = r.numerator * (den // r.denominator)
-            for (i, _), v in num.items():
-                acc[i] = acc.get(i, 0) + c * v
-        a_e *= a_s
-    coeffs = {i: Fraction(v, den) for i, v in acc.items() if v}
+    weights = [(g[e] * a**e, row) for e, row in zip(range(1, D + 1, s), table) if e in g]
+    M = math.lcm(*(w.denominator for w, _ in weights))
+    acc = _sum_rows(((w.numerator * (M // w.denominator), row) for w, row in weights), D)
+    coeffs = {e: Fraction(v, M * den) for e, v in acc.items() if v}
     lead = coeffs.get(1, Fraction(0))
     if lead != a:
         raise IntegralityError(f"bracket linear term {lead} != {a}", (1,))
@@ -426,37 +432,26 @@ def _law_series(module: FormalModule) -> BivariateSeries:
     B_k = Σ_l g_{k+l}·C(k+l, k)·f^l is truncated at degree D − k.
 
     One table of the powers f^k serves both axes.  When the module's step
-    is s = 1 (every q = 2 module with v_1 != 0), its own table f^1, f^2, ...
-    is this one past f^0 and is reused; otherwise the full table is built
-    here.  The powers are brought to the lcm P of their denominators and g
-    to the lcm G of its own, so the whole sum runs on integers over P²·G.
-    That denominator is read off the actual table rather than assumed from
-    a p-adic bound, so there is no scale for a remainder check to guard; the
-    p-integrality that the functional-equation lemma promises is asserted on
-    the result."""
+    is s = 1 (every q = 2 module with v_1 != 0), its own rows f^1, f^2, ...
+    are this table past f^0 = den/den and are reused; otherwise the full
+    table is built here.  Its rows share the one denominator P, and g is
+    brought to the lcm G of its own, so the whole sum runs on integers over
+    P²·G.  That denominator is read off the actual table rather than
+    assumed from a p-adic bound, so there is no scale for a remainder check
+    to guard; the p-integrality that the functional-equation lemma promises
+    is asserted on the result."""
     p, D, g = module.p, module.D, module.inv_coeffs
     if module._step == 1:
-        table = [({(0, 0): 1}, 1), *module._powers]
+        table, P = [{0: module._den}, *module._powers], module._den
     else:
-        table = list(_log_powers(module.log_coeffs, module.q, D))
-    P = math.lcm(*(den for _, den in table))
-    A = [sorted((e, v * (P // den)) for (e, _), v in num.items()) for num, den in table]
+        table, P = _log_powers(module.log_coeffs, module.q, D)
     G = math.lcm(*(c.denominator for c in g.values()))
     g_num = sorted((e, c.numerator * (G // c.denominator)) for e, c in g.items())
     acc = {}
-    for k, row in enumerate(A):
-        bk = {}
-        for e, c in g_num:
-            l = e - k
-            if l < 0:
-                continue
-            c *= math.comb(e, k)
-            for j, v in A[l]:
-                if j > D - k:
-                    break
-                bk[j] = bk.get(j, 0) + c * v
+    for k, row in enumerate(table):
+        bk = _sum_rows(((c * math.comb(e, k), table[e - k]) for e, c in g_num if e >= k), D - k)
         bk = sorted(bk.items())
-        for i, v in row:
+        for i, v in row.items():
             for j, w in bk:
                 if i + j > D:
                     break

@@ -76,39 +76,25 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p, coefficients ascending."""
+    """Ben-Or's test for a monic polynomial f over F_p, coefficients
+    ascending.  A reducible f of degree m has an irreducible factor of some
+    degree i <= m/2, and that factor divides x^{p^i} − x, so f is
+    irreducible exactly when gcd(x^{p^i} − x, f) = 1 for every i <= m/2.
+    The powers x^{p^i} mod f are taken one Frobenius step at a time, and the
+    test stops at the first i with a common factor, which a reducible
+    candidate usually has at a small i."""
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
-    if m == 1:
-        return True
-
-    def frobenius_minus_x(k):
-        # x^{p^k} - x mod f
-        h = list(_poly_powmod((0, 1), p**k, coeffs, p)) + [0, 0]
-        h[1] = (h[1] - 1) % p
-        return _trim(tuple(h))
-
-    for r in _prime_factors(m):
-        # gcd(x^{p^{m/r}} - x, f) must be 1
-        if len(_poly_gcd(frobenius_minus_x(m // r), coeffs, p)) > 1:
+    h = (0, 1)
+    for _ in range(m // 2):
+        h = _poly_powmod(h, p, coeffs, p)  # x^{p^i} mod f
+        h_minus_x = list(h) + [0, 0]
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if len(_poly_gcd(tuple(h_minus_x), coeffs, p)) > 1:
             return False
-    return not frobenius_minus_x(m)
+    return True
 
 
 def _find_modulus(p: int, m: int) -> tuple[int, ...]:

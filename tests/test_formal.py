@@ -61,7 +61,7 @@ def test_universal_log_coefficients():
 
 def test_catalan_inverse_of_quadratic_log():
     # T + T^2/2 inverts with Catalan coefficients (-1/2)^n C_n
-    g = _inverse_log(list(_log_powers([Fraction(1), Fraction(1, 2)], 2, 6, first=1)), 1)
+    g = _inverse_log(*_log_powers([Fraction(1), Fraction(1, 2)], 2, 6, first=1), 1)
     assert g == {
         1: Fraction(1),
         2: Fraction(-1, 2),
@@ -149,7 +149,7 @@ def test_inverse_log_widens_its_denominator():
     # carry 3s and 7s as well as 2s, and the running denominator of the solve
     # has to take on new factors as it goes
     b = FormalModule(2, 2, (Fraction(1, 3), Fraction(5, 7)), D=32).log_coeffs
-    g = _inverse_log(list(_log_powers(b, 2, 32, first=1)), 1)
+    g = _inverse_log(*_log_powers(b, 2, 32, first=1), 1)
     assert {c.denominator % 3 == 0 for c in g.values()} == {False, True}
     assert {c.denominator % 7 == 0 for c in g.values()} == {False, True}
     f = {(2**i, 0): bi for i, bi in enumerate(b) if bi and 2**i <= 32}
@@ -160,16 +160,16 @@ def test_inverse_log_of_the_identity():
     # f(T) = T: no b_i with i >= 1, so the step is D and g = T
     M = FormalModule(2, 2, (0, 0), D=8)
     assert M.log_coeffs == (1, 0, 0, 0) and M._step == 8
-    assert M._powers == [({(1, 0): 1}, 1)]
+    assert M._powers == [{1: 1}] and M._den == 1
     assert M.inv_coeffs == {1: 1}
     assert M.bracket(2).coeffs == {1: 2}
     assert M.law.coeffs == {(1, 0): 1, (0, 1): 1}
 
 
 def _log_powers_by_products(b, q, D, first=0, step=1):
-    """The powers f^first, f^(first+step), ... of f(T) = Σ b_i T^{q^i} as
-    `_log_powers` yields them, each the previous one times f^step in `_mul`
-    and divided by its gcd with the shared denominator."""
+    """The powers f^first, f^(first+step), ... of f(T) = Σ b_i T^{q^i} up
+    to degree D, each the previous one times f^step in `_mul`, yielded as
+    (num, den) in lowest terms with num under (e, 0) keys."""
     f = {(q**i, 0): Fraction(bi) for i, bi in enumerate(b) if bi and q**i <= D}
     fden = math.lcm(*(c.denominator for c in f.values()))
     fnum = {key: c.numerator * (fden // c.denominator) for key, c in f.items()}
@@ -223,16 +223,22 @@ def logarithms(draw):
 @given(logarithms(), st.integers(0, 1), st.sampled_from(["1", "s", "D"]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_log_powers_match_the_product_oracle(log, first, step_kind):
-    # the power recurrence yields the same table as repeated products, entry
-    # for entry: the same numerator dict and the same lowest-terms denominator
+    # the power recurrence gives the same powers as repeated products, entry
+    # for entry, as integer rows in ascending degree over one denominator:
+    # the lcm of the products' own lowest-terms denominators
     b, q, D = log
     step = {"1": 1, "s": _log_step(b, q, D) or D, "D": D}[step_kind]
-    assert list(_log_powers(b, q, D, first, step)) == list(
-        _log_powers_by_products(b, q, D, first, step)
-    )
+    table, den = _log_powers(b, q, D, first, step)
+    oracle = list(_log_powers_by_products(b, q, D, first, step))
+    assert [{e: Fraction(c, den) for e, c in row.items()} for row in table] == [
+        {e: Fraction(c, oden) for (e, _), c in num.items()} for num, oden in oracle
+    ]
+    assert all(list(row) == sorted(row) and all(row.values()) for row in table)
+    assert den == math.lcm(*(oden for _, oden in oracle))
+    assert math.gcd(den, *(c for row in table for c in row.values())) == 1
     # the recurrence is for f = T·(1 + u); it refuses any other lead term
     with pytest.raises(ValueError, match="must start with T"):
-        next(_log_powers((Fraction(2),) + b[1:], q, D, first, step))
+        _log_powers((Fraction(2),) + b[1:], q, D, first, step)
 
 
 def test_honda_table_is_built_without_the_product_kernel():
@@ -654,7 +660,7 @@ def test_bracket_series_refuses_a_wrong_linear_term():
     M = atypical_module(2, 2, (1, 2, 1), D=16)
     g = {**M.inv_coeffs, 1: Fraction(2)}
     with pytest.raises(IntegralityError, match=r"^bracket linear term 6 != 3$") as err:
-        _bracket_series(M._powers, M._step, g, 3, M.D)
+        _bracket_series(M._powers, M._den, M._step, g, 3, M.D)
     assert err.value.monomial == (1,)
 
 

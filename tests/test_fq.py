@@ -1,3 +1,4 @@
+import itertools
 import time
 
 from hypothesis import given, settings
@@ -16,6 +17,16 @@ def test_moduli_are_deterministic():
     assert fq_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert fq_field(2, 3).modulus == (1, 1, 0, 1)
     assert fq_field(5, 1).modulus == (0, 1)
+    # the extensions of degree r, p^r >= 2^26, that the sampled associativity
+    # engine draws its points from, by their terms below x^r
+    for p, r, low in [
+        (2, 26, {0: 1, 1: 1, 3: 1, 4: 1}),  # x^26 + x^4 + x^3 + x + 1
+        (3, 17, {0: 1, 1: 2}),
+        (5, 12, {0: 4, 1: 1}),
+        (7, 10, {0: 3, 1: 2}),
+        (65521, 2, {0: 17}),
+    ]:
+        assert fq_field(p, r).modulus == tuple(low.get(i, 0) for i in range(r)) + (1,)
 
 
 def test_modulus_is_irreducible():
@@ -23,6 +34,36 @@ def test_modulus_is_irreducible():
         f = fq_field(p, m)
         assert is_irreducible(f.modulus, p)
         assert f.q == p**m
+
+
+def _monic(p, d):
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, m) for m in range(1, 7)] + [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)],
+)
+def test_irreducibility_matches_a_factor_search(p, m):
+    # every monic polynomial of degree m, reducible ones included: the
+    # reducible ones are exactly the products of two monic polynomials of
+    # degrees d and m - d, 1 <= d <= m/2
+    reducible = {
+        _times(a, b, p)
+        for d in range(1, m // 2 + 1)
+        for a in _monic(p, d)
+        for b in _monic(p, m - d)
+    }
+    for f in _monic(p, m):
+        assert is_irreducible(f, p) == (f not in reducible), f
 
 
 def test_field_cache_identity():

@@ -402,6 +402,61 @@ def test_torsion_trace_matches_the_hull_at_every_step(case):
     assert [s.vertices for s in trace.snapshots] == [s.vertices for s in snapshots]
 
 
+def _q_layer(a_vals, twist):
+    """Q(x) = x^{q^d} + Σ_j t^{twist·v_j}·x^{q^{j−1}} as {m: {t-degree: c}},
+    the coefficient of x^{q^m}; a None valuation is a zero coefficient."""
+    Q = {j: {v * twist: 1} for j, v in enumerate(a_vals) if v is not None}
+    Q[len(a_vals)] = {0: 1}
+    return Q
+
+
+def _q_compose(A, B, q, p):
+    """A∘B for q-polynomials over F_p[t]: (A∘B)_m = Σ_{j+k=m} A_j·B_k^{q^j},
+    where B_k^{q^j}(t) = B_k(t^{q^j}) because F_p is fixed by Frobenius."""
+    out = {}
+    for j, a in A.items():
+        for k, b in B.items():
+            acc = out.setdefault(j + k, {})
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2 * q**j
+                    acc[e] = (acc.get(e, 0) + c1 * c2) % p
+    return {m: {e: c for e, c in poly.items() if c} for m, poly in out.items()}
+
+
+@pytest.mark.parametrize(
+    "a_vals, q, g, n_max",
+    [
+        ((1,), 2, 1, 4),
+        ((9, 1), 2, 1, 3),  # m = 2 on the max branch
+        ((1, None, 1), 2, 1, 3),
+        ((1, 1), 2, 2, 3),
+        ((4, None, 1), 2, 1, 3),
+        ((2, 1), 3, 1, 2),
+        ((3, None, 1), 3, 2, 2),
+        ((5, 1, 2), 3, 1, 2),
+    ],
+)
+def test_torsion_traces_are_roots_of_the_actual_tower_polynomials(a_vals, q, g, n_max):
+    # y_n is a root of C_n = Q^(0) ∘ … ∘ Q^(n), with Q^(i) the layer whose
+    # coefficient valuations are twisted by q^{ig}; C_n is built exactly in
+    # F_p[t], so cancellation is seen, and its Newton polygon over the points
+    # (q^m, v(C_m)) lists every root valuation.  The min branch is the
+    # smallest of them; the max branch need not be the largest, since roots
+    # whose chain passes through some y_i = 0 lie on other sides.
+    p = q  # q in {2, 3}
+    high = torsion_valuations(a_vals, q=q, g=g, n_max=n_max)
+    low = torsion_valuations(a_vals, q=q, g=g, n_max=n_max, branch="min")
+    C = _q_layer(a_vals, 1)
+    for n in range(n_max + 1):
+        if n:
+            C = _q_compose(C, _q_layer(a_vals, q ** (n * g)), q, p)
+        pts = [(q**m, Fraction(min(poly))) for m, poly in C.items() if poly]
+        roots = {-side.slope for side in build_polygon(pts).sides}
+        assert high.valuations[n] in roots
+        assert low.valuations[n] == min(roots)
+
+
 def test_verify_tuple_catches_a_wrong_closed_form(monkeypatch):
     ps = TowerParams(p=3, q=3, g=2, d=1, N=1, c=2)
     bad = ps.N + 3
