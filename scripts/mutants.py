@@ -150,8 +150,8 @@ MUTANTS = [
     Mutant(
         "torsion-single-segment-step",
         "src/ramtower/towers.py",
-        "            if len(poly.vertices) == 2:\n",
-        "            if len(poly.vertices) <= 3:\n",
+        "            if i and len(poly.vertices) == 2:\n",
+        "            if i and len(poly.vertices) <= 3:\n",
         ("tests/test_towers.py",),
     ),
     Mutant(
@@ -176,6 +176,34 @@ MUTANTS = [
         "            if d < 2 or left % d:\n",
         "            if left % d:\n",
         ("tests/test_herbrand.py", "tests/test_records.py"),
+    ),
+    Mutant(
+        "canonical-form-keeps-every-point",
+        "src/ramtower/herbrand.py",
+        "zip(bps[1:], slopes, slopes[1:]) if s0 != s1]",
+        "zip(bps[1:], slopes, slopes[1:]) if True]",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "evaluation-bisect-left",
+        "src/ramtower/herbrand.py",
+        "from bisect import bisect_right\n",
+        "from bisect import bisect_left as bisect_right\n",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "walk-slopes-swapped",
+        "src/ramtower/herbrand.py",
+        "        slope = slope * d if inverse else slope / d\n",
+        "        slope = slope / d if inverse else slope * d\n",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "fft-length-drops-factor-5",
+        "src/ramtower/fastcheck.py",
+        "        for f in (2, 3, 5):\n",
+        "        for f in (2, 3):\n",
+        ("tests/test_formal.py::test_fft_length_is_the_least_5_smooth_length",),
     ),
     Mutant(
         "prime-test-small-factor",

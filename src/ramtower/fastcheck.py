@@ -52,21 +52,15 @@ _MAX_P = 1 << 16
 
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (keeps numpy FFTs off slow paths)."""
-    if n <= 1:
-        return 1
-    best = None
-    f5 = 1
-    while f5 < 4 * n:
-        f35 = f5
-        while f35 < 4 * n:
-            k = f35
-            while k < n:
-                k *= 2
-            if best is None or k < best:
-                best = k
-            f35 *= 3
-        f5 *= 5
-    return best
+    k = max(n, 1)
+    while True:
+        rest = k
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return k
+        k += 1
 
 
 def _reduction_rows(field: FqField) -> np.ndarray:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .arith import exact_log
 from .errors import IntegralityError, ParameterError
 from .fq import FqField, fq_field
-from .record import MutableRecord, Record
+from .record import Record
 
 RATIONALS = "Q"
 
@@ -295,9 +295,7 @@ class UnivariateSeries(Record):
 
 
 def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-    return c.to_int()
+    return str(c) if isinstance(c, Fraction) else c.to_int()
 
 
 def _residue(fr: Fraction, field: FqField):
@@ -552,7 +550,7 @@ def check_pi_congruence_universal(p: int, q: int, i: int) -> CongruenceReport:
 # axiom checking
 
 
-class GroupLawReport(MutableRecord):
+class GroupLawReport(Record):
     __slots__ = (
         "unit_ok", "commutative_ok", "associative_ok", "method", "first_failure", "detail"
     )
@@ -682,16 +680,6 @@ def check_group_law(
         y_axis, {(0, 1): one}
     )
     comm_fail = _first_difference(cf, {(j, i): c for (i, j), c in cf.items()})
-    report = GroupLawReport(
-        unit_ok=unit_fail is None,
-        commutative_ok=comm_fail is None,
-        associative_ok=None,
-        method=method,
-    )
-    if unit_fail:
-        report.first_failure = ("unit", unit_fail)
-    elif comm_fail:
-        report.first_failure = ("commutativity", comm_fail)
     if method == "auto":
         if F.D <= EXACT_ASSOC_MAX_D:
             method = "exact"
@@ -702,10 +690,10 @@ def check_group_law(
                 f"no automatic associativity strategy for rationals at D={F.D}; "
                 "pass method explicitly or reduce mod p first"
             )
-    report.method = method
+    detail = {}
     if method == "skip":
-        return report
-    if method == "exact":
+        ok = fail = None
+    elif method == "exact":
         ok, fail = _assoc_exact(F)
     elif method == "dense":
         from . import fastcheck
@@ -714,11 +702,19 @@ def check_group_law(
     elif method == "sampled":
         from . import fastcheck
 
-        ok, fail, detail = fastcheck.sampled_associativity(F, seed=seed, reps=reps)
-        report.detail["associativity"] = detail
+        ok, fail, detail["associativity"] = fastcheck.sampled_associativity(
+            F, seed=seed, reps=reps
+        )
     else:
         raise ParameterError(f"unknown method {method!r}")
-    report.associative_ok = ok
-    if not ok and report.first_failure is None:
-        report.first_failure = ("associativity", fail)
-    return report
+    if unit_fail:
+        first_failure = ("unit", unit_fail)
+    elif comm_fail:
+        first_failure = ("commutativity", comm_fail)
+    elif ok is False:
+        first_failure = ("associativity", fail)
+    else:
+        first_failure = None
+    return GroupLawReport(
+        unit_fail is None, comm_fail is None, ok, method, first_failure, detail
+    )

@@ -12,13 +12,17 @@ an increasing piecewise-linear bijection of [0, inf) with phi(0) = 0 and
 slope 1 before the first break.  Its inverse converts upper indexing back to
 lower indexing, and transition functions of towers compose bottom-to-top.
 
-Everything here is exact rational arithmetic; piecewise-linear functions are
-kept canonical (no collinear interior breakpoints) so equality is structural.
+Everything here is exact rational arithmetic.  A piecewise-linear function
+is kept canonical, so equality is structural: a breakpoint past (0, 0) is
+kept exactly when the slope into it differs from the slope out of it, the
+slope out of the last breakpoint being the final slope.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ParameterError
 from .polygon import format_rat
@@ -53,12 +57,12 @@ class BreakFiltration(Record):
         }
 
 
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     """Increasing piecewise-linear function on [0, inf), exact rational.
 
-    Stored as breakpoints [(x_i, y_i)] starting at (0, 0) plus the slope past
-    the last breakpoint.  The representation is canonical: interior
-    breakpoints where the slope does not change are merged away.
+    Stored as breakpoints ((x_i, y_i), ...) starting at (0, 0) plus the
+    slope past the last breakpoint, in the canonical form of the module
+    docstring.
     """
 
     __slots__ = ("breakpoints", "final_slope")
@@ -70,62 +74,31 @@ class PiecewiseLinear:
         final_slope = Fraction(final_slope)
         if final_slope <= 0:
             raise ValueError("slopes must be positive")
-        canon: list[tuple[Fraction, Fraction]] = [bps[0]]
-        for x, y in bps[1:]:
-            if x <= canon[-1][0]:
+        slopes = []
+        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+            if x1 <= x0:
                 raise ValueError("breakpoint x-values must increase strictly")
-            if y <= canon[-1][1]:
+            if y1 <= y0:
                 raise ValueError("function must increase strictly")
-            canon.append((x, y))
-        # merge interior points where adjacent slopes agree (incl. final slope)
-        out: list[tuple[Fraction, Fraction]] = []
-        for i, (x, y) in enumerate(canon):
-            while len(out) >= 2:
-                (x0, y0), (x1, y1) = out[-2], out[-1]
-                if (y1 - y0) * (x - x0) == (y - y0) * (x1 - x0):
-                    out.pop()
-                else:
-                    break
-            out.append((x, y))
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            if (y1 - y0) == final_slope * (x1 - x0):
-                out.pop()
-            else:
-                break
-        self.breakpoints = tuple(out)
-        self.final_slope = final_slope
+            slopes.append((y1 - y0) / (x1 - x0))
+        slopes.append(final_slope)
+        kept = [pt for pt, s0, s1 in zip(bps[1:], slopes, slopes[1:]) if s0 != s1]
+        self._store((bps[0], *kept), final_slope)
 
     @classmethod
     def identity(cls) -> "PiecewiseLinear":
         return cls([(0, 0)], 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PiecewiseLinear)
-            and self.breakpoints == other.breakpoints
-            and self.final_slope == other.final_slope
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.final_slope))
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0:
             raise ValueError("domain is [0, inf)")
         bps = self.breakpoints
-        if x >= bps[-1][0]:
-            x0, y0 = bps[-1]
+        i = bisect_right(bps, x, key=itemgetter(0))
+        x0, y0 = bps[i - 1]
+        if i == len(bps):
             return y0 + self.final_slope * (x - x0)
-        lo, hi = 0, len(bps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bps[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = bps[lo], bps[hi]
+        x1, y1 = bps[i]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def inverse(self) -> "PiecewiseLinear":
@@ -153,6 +126,23 @@ class PiecewiseLinear:
         return f"PiecewiseLinear([{pts}], final_slope={self.final_slope})"
 
 
+def _walk(filt: BreakFiltration, inverse: bool):
+    """Walk from (0, 0) through the breaks b_i of `filt`: each b_i is reached
+    with slope left/order (the order left before b_i over the total order),
+    the slope of phi, or with its reciprocal order/left when `inverse`, the
+    slope of psi.  Returns the pairs (image of b_i, drop at b_i) and the
+    slope past the last break."""
+    moved = []
+    x = t = Fraction(0)
+    slope = Fraction(1)
+    for b, d in filt.breaks:
+        t += slope * (b - x)
+        x = b
+        moved.append((t, d))
+        slope = slope * d if inverse else slope / d
+    return tuple(moved), slope
+
+
 def phi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
     """Transition function of a break filtration: slope 1 up to the first
     break, then (remaining order)/(total order) between consecutive breaks.
@@ -163,16 +153,9 @@ def phi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
     >>> phi.final_slope
     Fraction(1, 4)
     """
-    bps = [(Fraction(0), Fraction(0))]
-    left = filt.order
-    x0, y0 = bps[0]
-    for b, d in filt.breaks:
-        slope = Fraction(left, filt.order)
-        y0 = y0 + slope * (b - x0)
-        x0 = b
-        bps.append((x0, y0))
-        left //= d
-    return PiecewiseLinear(bps, Fraction(left, filt.order))
+    moved, slope = _walk(filt, inverse=False)
+    bps = [(0, 0)] + [(b, y) for (b, _), (y, _) in zip(filt.breaks, moved)]
+    return PiecewiseLinear(bps, slope)
 
 
 def compose_tower(filtrations) -> PiecewiseLinear:
@@ -187,22 +170,10 @@ def compose_tower(filtrations) -> PiecewiseLinear:
 def lower_to_upper(filt: BreakFiltration) -> BreakFiltration:
     """Push the break locations through phi (upper numbering); drops and
     order are unchanged."""
-    phi = phi_from_filtration(filt)
-    return BreakFiltration(filt.order, tuple((phi(b), d) for b, d in filt.breaks))
+    return BreakFiltration(filt.order, _walk(filt, inverse=False)[0])
 
 
 def upper_to_lower(filt: BreakFiltration) -> BreakFiltration:
     """Inverse of lower_to_upper: the input breaks are upper-numbering
-    locations; rebuild the lower ones progressively."""
-    out = []
-    left = filt.order
-    x_prev = Fraction(0)
-    u_prev = Fraction(0)
-    for u, d in filt.breaks:
-        slope = Fraction(left, filt.order)
-        b = x_prev + (u - u_prev) / slope
-        out.append((b, d))
-        left //= d
-        x_prev, u_prev = b, u
-    return BreakFiltration(filt.order, tuple(out))
-
+    locations, pulled back through psi."""
+    return BreakFiltration(filt.order, _walk(filt, inverse=True)[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .record import MutableRecord
+from .record import Record
 
 SCHEMA_VERSION = 1
 
@@ -33,15 +33,13 @@ STATUS_FAIL = "fail"
 STATUS_PRECISION = "precision-error"
 
 
-class RunReport(MutableRecord):
+class RunReport(Record):
     __slots__ = ("status", "payload", "diagnostics")
 
     def __init__(self, status: str, payload: dict, diagnostics: list | None = None):
         if status not in (STATUS_OK, STATUS_FAIL, STATUS_PRECISION):
             raise ValueError(f"unknown status {status!r}")
-        self.status = status
-        self.payload = payload
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self._store(status, payload, [] if diagnostics is None else diagnostics)
 
     @property
     def exit_code(self) -> int:

@@ -13,8 +13,6 @@ slot whose name starts with an underscore is a private cache, not a field.
 - pickling through the constructor, which the blocked `__setattr__` would
   otherwise refuse.
 
-`MutableRecord` is the same with assignment allowed and no hash.
-
 One exception: `polygon.Side` and `polygon.NewtonPolygon` set their fields
 with `object.__setattr__` directly.  A towers benchmark pass builds about
 6,300 of each, and `_store`'s call and loop would add 0.15-0.4 µs to each
@@ -67,10 +65,3 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
-
-
-class MutableRecord(Record):
-    __slots__ = ()
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__

@@ -216,17 +216,22 @@ class HypothesisReport(Record):
     ):
         self._store(ok, witness, p_power_degree, degree_log)
 
+    def as_json(self):
+        return {
+            "ok": self.ok,
+            "witness": list(self.witness) if self.witness else None,
+            "p_power_degree": self.p_power_degree,
+            "degree_log": self.degree_log,
+        }
+
 
 def check_tate_hypothesis(ext: EisensteinExtension) -> HypothesisReport:
     f, n = ext.poly, ext.n
     a1 = f.coeff(1)
-    if a1.is_exact_zero():
-        # nothing can undercut an infinite reference valuation
-        ok, witness = True, None
-        v1 = None
-    else:
+    ok, witness = True, None
+    # nothing can undercut an infinite reference valuation
+    if not a1.is_exact_zero():
         v1 = a1.valuation()
-        ok, witness = True, None
         for i in range(1, n):
             ai = f.coeff(i)
             if ai.is_exact_zero():
@@ -252,14 +257,7 @@ class TateBreaks(Record):
             "breaks": [format_rat(b) for b in self.breaks],
             "points": [[i, v] for i, v in self.points],
             "polygon": self.polygon.as_json(),
-            "hypothesis": {
-                "ok": self.hypothesis.ok,
-                "witness": list(self.hypothesis.witness)
-                if self.hypothesis.witness
-                else None,
-                "p_power_degree": self.hypothesis.p_power_degree,
-                "degree_log": self.hypothesis.degree_log,
-            },
+            "hypothesis": self.hypothesis.as_json(),
         }
 
 

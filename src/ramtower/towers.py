@@ -39,7 +39,7 @@ from fractions import Fraction
 from .arith import closed_form_break, exact_log, is_prime, prime_power
 from .errors import GuardViolation, ParameterError
 from .polygon import NewtonPolygon, build_polygon, format_rat
-from .record import MutableRecord, Record
+from .record import Record
 
 
 class TowerParams(Record):
@@ -317,8 +317,10 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
 
         (0, v(y_{i-1})),  (q^{j-1}, q^{ig}·v(a_j)),  (q^d, 0)
 
+    without the first point at step 0, which has no y_{-1} to shift by,
     and `branch` selects the largest ("max") or smallest ("min") root
-    valuation.  m is the first step whose polygon is one segment.
+    valuation.  m is the first step i >= 1 whose polygon is one segment,
+    and the snapshots are the polygons of steps 1 .. n_max.
 
     Past step m the trace is written in closed form, with no hull: step
     i > m records the single side from (0, v(y_{i-1})) to (q^d, 0) and
@@ -351,21 +353,17 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
         return -side.slope
 
     top = (q**d, Fraction(0))
-    base_pts = [
-        (q ** (j - 1), v) for j, v in enumerate(a_vals, start=1) if v is not None
-    ]
-    base_pts.append(top)
-    vals = [pick(build_polygon(base_pts))]
+    vals = []
     snapshots = []
     m = None
-    for i in range(1, n_max + 1):
+    for i in range(n_max + 1):
         if m is not None:
             # the closed-form tail (see the docstring)
             poly = NewtonPolygon(((0, vals[-1]), top))
             vals.append(vals[-1] / q**d)
         else:
             twist = q ** (i * g)
-            pts = [(0, vals[-1])]
+            pts = [(0, vals[-1])] if i else []
             pts.extend(
                 (q ** (j - 1), twist * v)
                 for j, v in enumerate(a_vals, start=1)
@@ -373,10 +371,11 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
             )
             pts.append(top)
             poly = build_polygon(pts)
-            if len(poly.vertices) == 2:
+            if i and len(poly.vertices) == 2:
                 m = i
             vals.append(pick(poly))
-        snapshots.append(poly)
+        if i:
+            snapshots.append(poly)
     return TorsionTrace(
         q=q,
         g=g,
@@ -392,15 +391,14 @@ def torsion_valuations(a_vals, q: int, g: int, n_max: int, branch: str = "max") 
 # grid verification
 
 
-class VerifyReport(MutableRecord):
+class VerifyReport(Record):
     __slots__ = ("cases", "failures", "diagnostics")
 
     def __init__(
         self, cases: int = 0, failures: list | None = None, diagnostics: list | None = None
     ):
-        self.cases = cases
-        self.failures = [] if failures is None else failures
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        failures = [] if failures is None else failures
+        self._store(cases, failures, [] if diagnostics is None else diagnostics)
 
     @property
     def ok(self):
@@ -470,41 +468,35 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     composition path."""
     if depth < 1:
         raise ParameterError("depth must be >= 1")
-    report = VerifyReport()
+    failures = []
     N = params.N
     prev_b = prev_w = None
     chain = _LayerChain(params.q**params.g)  # transition of K_N/K_N
     for n in range(N + 1, N + depth + 1):
         b = layer_break(params, n)
         w = tower_upper_break(params, n)
-        report.cases += 1
         composed = chain.phi(b)
         if composed != w:
-            report.failures.append(
-                f"{params}: upper break at {n}: closed form {w} != composed {composed}"
-            )
+            failures.append(f"{params}: upper break at {n}: closed form {w} != composed {composed}")
         chain.breaks.append(b)
         # the new layer fixes b, so phi(b) through K_n/K_N is still `composed`
         if composed != w or chain.psi(w) != b:
-            report.failures.append(f"{params}: phi/psi round trip failed at layer {n}")
+            failures.append(f"{params}: phi/psi round trip failed at layer {n}")
         if n == N + 1 and b != w:
-            report.failures.append(f"{params}: first layer must have equal breaks")
+            failures.append(f"{params}: first layer must have equal breaks")
         if n > N + 1:
             if not w < b:
-                report.failures.append(f"{params}: upper {w} not below lower {b} at {n}")
+                failures.append(f"{params}: upper {w} not below lower {b} at {n}")
             if not (b > prev_b and w > prev_w):
-                report.failures.append(f"{params}: breaks not strictly increasing at {n}")
+                failures.append(f"{params}: breaks not strictly increasing at {n}")
         prev_b, prev_w = b, w
         alt = closed_form_break(
             params.q**params.g, (params.q**n) * linear_coefficient_valuation(params, n)
         )
         if alt != b:
-            report.failures.append(
-                f"{params}: trinomial closed form {alt} != layer break {b} at {n}"
-            )
-    ks = range(N + 1, N + depth + 1)
-    report.diagnostics.extend(_fractional_break_lints(ks, chain.breaks))
-    return report
+            failures.append(f"{params}: trinomial closed form {alt} != layer break {b} at {n}")
+    lints = _fractional_break_lints(range(N + 1, N + depth + 1), chain.breaks)
+    return VerifyReport(depth, failures, lints)
 
 
 def verify_grid(grid: dict | None = None) -> tuple:

@@ -6,6 +6,7 @@ mostly probe the checkers with planted failures plus a few coefficient
 values worked by hand.
 """
 
+import bisect
 import importlib.util
 import json
 import math
@@ -23,7 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import IntegralityError, ParameterError
-from ramtower.fastcheck import _rint_exact, dense_associativity, sampled_associativity
+from ramtower.fastcheck import (
+    _fast_len,
+    _rint_exact,
+    dense_associativity,
+    sampled_associativity,
+)
 from ramtower.formal import (
     RATIONALS,
     BivariateSeries,
@@ -653,6 +659,19 @@ def test_fft_rounding_is_certified():
         with pytest.raises(ArithmeticError):
             _rint_exact(np.array([4.0 + residue]))
     assert _rint_exact(np.array([1.009])).tolist() == [1]
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    # every 2^a·3^b·5^c up to 40,000, the lengths no prime above 5 divides
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(16)
+        for b in range(10)
+        for c in range(7)
+        if 2**a * 3**b * 5**c <= 40_000
+    )
+    for n in range(-3, 20_001):
+        assert _fast_len(n) == smooth[bisect.bisect_left(smooth, n)], n
 
 
 def test_bracket_series_refuses_a_wrong_linear_term():

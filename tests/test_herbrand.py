@@ -105,3 +105,42 @@ def test_filtration_validation():
         BreakFiltration(4, ((Fraction(3), 3),))  # drop does not divide order
     with pytest.raises(ValueError):
         BreakFiltration(4, ((Fraction(5), 2), (Fraction(2), 2)))  # unsorted
+
+
+@st.composite
+def padded_functions(draw):
+    """A canonical function, and its breakpoints with points inserted on its
+    segments and on the final slope past the last breakpoint."""
+    f = phi_from_filtration(draw(filtrations()))
+    if draw(st.booleans()):
+        f = f.inverse()
+    bps = list(f.breakpoints)
+    ends = [x for x, _ in bps[1:]] + [bps[-1][0] + draw(st.integers(1, 20))]
+    xs = {x for x, _ in bps}
+    for x0, x1 in zip([x for x, _ in bps], ends):
+        for t in draw(st.lists(st.fractions(0, 1), max_size=3)):
+            xs.add(x0 + t * (x1 - x0))
+    return f, [(x, f(x)) for x in sorted(xs)]
+
+
+@given(padded_functions())
+@settings(max_examples=150, deadline=None)
+def test_points_on_a_segment_or_the_final_slope_are_merged(case):
+    f, padded = case
+    g = PiecewiseLinear(padded, f.final_slope)
+    assert g == f and g.breakpoints == f.breakpoints
+    # the canonical rule: every breakpoint past (0, 0) changes the slope
+    bps = f.breakpoints
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
+    slopes.append(f.final_slope)
+    assert all(s0 != s1 for s0, s1 in zip(slopes, slopes[1:]))
+
+
+def test_evaluation_at_zero_and_at_every_breakpoint():
+    phi = phi_from_filtration(BreakFiltration(4, ((1, 2), (3, 2))))
+    for f in (PiecewiseLinear.identity(), PiecewiseLinear([(0, 0)], 3), phi, phi.inverse()):
+        assert f(0) == 0
+        for x, y in f.breakpoints:
+            assert f(x) == y
+    halves = [Fraction(n, 2) for n in (1, 3, 5)]
+    assert [phi(x) for x in (Fraction(1, 2), 2, 5)] == halves

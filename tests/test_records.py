@@ -3,9 +3,9 @@
 Each record is built from one set of field values.  It must equal another
 instance of its class built from the same values and nothing else: not a
 record whose values differ in any one field, not an instance of another
-class, not the tuple of its fields.  Its hash agrees with equality, and the
-mutable reports stay unhashable.  Assigning to a frozen record raises
-AttributeError.  Its repr is the one the records have always printed
+class, not the tuple of its fields.  Its hash agrees with equality, and
+records holding a dict or list stay unhashable.  Assigning to a record
+raises AttributeError.  Its repr is the one the records have always printed
 (`TowerParams`' repr is part of `verify` failure strings), it survives a
 pickle round trip (the `verify --jobs 2` pool pickles `TowerParams`), and
 every constructor check raises the same exception class and message as
@@ -23,7 +23,7 @@ import pytest
 from ramtower.errors import ParameterError
 from ramtower.formal import BivariateSeries, CongruenceReport, GroupLawReport, UnivariateSeries
 from ramtower.fq import FqField, fq_field
-from ramtower.herbrand import BreakFiltration
+from ramtower.herbrand import BreakFiltration, PiecewiseLinear
 from ramtower.jsonio import RunReport
 from ramtower.polygon import NewtonPolygon, Side, build_polygon
 from ramtower.tate import ExtElement, HypothesisReport, TateBreaks, eisenstein_trinomial
@@ -43,9 +43,9 @@ class Case:
     field order), for each field an override that changes it, the repr of
     the record, and what the contract says about it."""
 
-    def __init__(self, cls, values, changes, text, mutable=False, hashable=True):
+    def __init__(self, cls, values, changes, text, hashable=True):
         self.cls, self.values, self.changes, self.text = cls, values, changes, text
-        self.mutable, self.hashable = mutable, hashable
+        self.hashable = hashable
 
     def build(self, **override):
         return self.cls(**dict(self.values, **override))
@@ -74,7 +74,6 @@ CASES = [
             diagnostics={"diagnostics": []},
         ),
         "RunReport(status='ok', payload={'a': 1}, diagnostics=['d'])",
-        mutable=True,
         hashable=False,
     ),
     Case(
@@ -88,6 +87,15 @@ CASES = [
         dict(order=4, breaks=((1, 2), (3, 2))),
         dict(order={"order": 8}, breaks={"breaks": ((1, 2),)}),
         "BreakFiltration(order=4, breaks=((Fraction(1, 1), 2), (Fraction(3, 1), 2)))",
+    ),
+    Case(
+        PiecewiseLinear,
+        dict(breakpoints=((0, 0), (1, 1)), final_slope=F(1, 2)),
+        dict(
+            breakpoints={"breakpoints": ((0, 0), (2, 2))},
+            final_slope={"final_slope": F(1, 3)},
+        ),
+        "PiecewiseLinear([(0, 0), (1, 1)], final_slope=1/2)",
     ),
     Case(
         ExtElement,
@@ -195,7 +203,6 @@ CASES = [
         dict(cases=3, failures=["x"], diagnostics=["y"]),
         dict(cases={"cases": 4}, failures={"failures": []}, diagnostics={"diagnostics": []}),
         "VerifyReport(cases=3, failures=['x'], diagnostics=['y'])",
-        mutable=True,
         hashable=False,
     ),
     Case(
@@ -244,7 +251,6 @@ CASES = [
         ),
         "GroupLawReport(unit_ok=True, commutative_ok=True, associative_ok=None, "
         "method='skip', first_failure=None, detail={})",
-        mutable=True,
         hashable=False,
     ),
 ]
@@ -253,7 +259,7 @@ records = pytest.mark.parametrize("case", CASES, ids=IDS)
 
 
 def test_every_record_is_covered_once():
-    assert len(set(IDS)) == len(IDS) == 17
+    assert len(set(IDS)) == len(IDS) == 18
 
 
 @records
@@ -296,20 +302,15 @@ def test_hash_agrees_with_equality(case):
 def test_frozen_records_refuse_assignment(case):
     a = case.build()
     for name, override in case.changes.items():
-        if case.mutable:
-            setattr(a, name, override[name])
-            assert getattr(a, name) == override[name]
-        else:
-            before = getattr(a, name)
-            with pytest.raises(AttributeError):
-                setattr(a, name, override[name])
-            with pytest.raises(AttributeError):
-                delattr(a, name)
-            assert getattr(a, name) is before
-    assert a == case.build() or case.mutable
-    if not case.mutable:
+        before = getattr(a, name)
         with pytest.raises(AttributeError):
-            a.unknown_attribute = 1
+            setattr(a, name, override[name])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is before
+    assert a == case.build()
+    with pytest.raises(AttributeError):
+        a.unknown_attribute = 1
 
 
 @records
@@ -402,6 +403,31 @@ def test_polygon_sides_are_computed_once_and_stay_out_of_equality():
             lambda: TowerParams(p=2, q=2, g=1, d=1, N=-1, c=1),
             ParameterError,
             "N must be nonnegative",
+        ),
+        (
+            lambda: PiecewiseLinear([], 1),
+            ValueError,
+            "piecewise-linear functions here start at (0, 0)",
+        ),
+        (
+            lambda: PiecewiseLinear([(1, 1)], -1),
+            ValueError,
+            "piecewise-linear functions here start at (0, 0)",
+        ),
+        (
+            lambda: PiecewiseLinear([(0, 0), (1, 0), (1, 1)], 0),
+            ValueError,
+            "slopes must be positive",
+        ),
+        (
+            lambda: PiecewiseLinear([(0, 0), (2, 1), (1, 0)], 1),
+            ValueError,
+            "breakpoint x-values must increase strictly",
+        ),
+        (
+            lambda: PiecewiseLinear([(0, 0), (1, 1), (2, 1), (2, 3)], 1),
+            ValueError,
+            "function must increase strictly",
         ),
         (lambda: BottomLayer(0, 1, 2), ValueError, "ramification index must be positive"),
         (
