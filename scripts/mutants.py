@@ -56,6 +56,20 @@ MUTANTS = [
         ("tests/test_formal.py::test_fft_engines_agree_with_the_exact_engine",),
     ),
     Mutant(
+        "residues-skip-prime-subfield-check",
+        "src/ramtower/fastcheck.py",
+        "        if any(c.coeffs[1:]):\n",
+        "        if False:\n",
+        ("tests/test_formal.py::test_sampled_rejects_extension_field_coefficients",),
+    ),
+    Mutant(
+        "extension-fold-drops-reduction-rows",
+        "src/ramtower/fastcheck.py",
+        "    return (C[:, :r] + C[:, r:] @ R) % p\n",
+        "    return C[:, :r] % p\n",
+        ("tests/test_formal.py::test_vec_mul_is_the_field_multiplication",),
+    ),
+    Mutant(
         "verify-upper-below-lower",
         "src/ramtower/towers.py",
         "            if not w < b:\n",
@@ -218,6 +232,20 @@ MUTANTS = [
         "    for _ in range(m // 2):\n",
         "    for _ in range(m // 2 - 1):\n",
         ("tests/test_fq.py::test_irreducibility_matches_a_factor_search",),
+    ),
+    Mutant(
+        "series-sum-keeps-left-precision",
+        "src/ramtower/series.py",
+        "        prec = _min_prec(self.prec, other.prec)\n        if not self.coeffs:\n",
+        "        prec = self.prec\n        if not self.coeffs:\n",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "fq-mul-truncates-instead-of-reducing",
+        "src/ramtower/fq.py",
+        "red = _poly_mod(prod, f.modulus, f.p) if len(prod) > f.m else prod",
+        "red = prod[: f.m]",
+        ("tests/test_fq.py",),
     ),
     Mutant(
         "report-precision-exit-code",

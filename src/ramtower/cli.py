@@ -231,7 +231,7 @@ def _run_tuple(job):
 
     params, depth = job
     rep = verify_tuple(params, depth)
-    return params.as_json(), rep.cases, rep.failures, rep.diagnostics
+    return rep.cases, rep.failures, rep.diagnostics
 
 
 def _cmd_verify(args):
@@ -249,9 +249,9 @@ def _cmd_verify(args):
 
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_run_tuple, tuples)
-    cases = sum(r[1] for r in results)
-    failures = [f for r in results for f in r[2]]
-    lints = [d for r in results for d in r[3]]
+    cases = sum(r[0] for r in results)
+    failures = [f for r in results for f in r[1]]
+    lints = [d for r in results for d in r[2]]
     payload = {
         "grid": args.grid,
         "tuples": len(tuples),

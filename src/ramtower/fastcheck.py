@@ -2,15 +2,16 @@
 
 Both engines take an F_q law with p < 2^16 whose coefficients lie in the
 prime subfield F_p (every law reduced from a p-integral one does) and raise
-ValueError on any other; method="exact" answers those.  Both run through
-floating-point FFTs on reduced residues, so every true convolution value is
-a small integer far below 2^53, and `_rint_exact` rounds each inverse
-transform and raises ArithmeticError unless every value was within 0.01 of
-an integer.  That observed residual, <= 0.01, is what is checked; nothing
-bounds the true error in advance, so a wrong integer that lands within 0.01
-of a computed value would pass.  The largest residual measured on a random
-dense law at p = 65521, D = 200, the edge of the engines' domain, was
-0.0098; at p = 3, D = 64 it was 9·10^-13.
+ValueError on any other; method="exact" answers those.  `_residues` makes
+those checks once for both.  The one floating-point product is `_fft_mul`,
+an FFT convolution of reduced residues, so every true value is a small
+integer far below 2^53; its certificate is `_rint_exact`, which rounds the
+inverse transform and raises ArithmeticError unless every value was within
+0.01 of an integer.  That observed residual, <= 0.01, is what is checked;
+nothing bounds the true error in advance, so a wrong integer that lands
+within 0.01 of a computed value would pass.  The largest residual measured
+on a random dense law at p = 65521, D = 200, the edge of the engines'
+domain, was 0.0098; at p = 3, D = 64 it was 9·10^-13.
 
 - dense_associativity: the powers F^n, for the degrees n that occur in the
   law's support only, as (D+1)×(D+1) planes of residues mod p, each the
@@ -73,20 +74,23 @@ def _reduction_rows(field: FqField) -> np.ndarray:
     return np.array([c.coeffs for c in powers[m:]], dtype=np.int64).reshape(m - 1, m)
 
 
-def _check_prime_subfield(F, engine: str) -> int:
-    """Return p < _MAX_P after checking that every coefficient of F lies in F_p."""
+def _residues(F, engine: str):
+    """(p, [(i, j, c)]) for the terms of F sorted by key, c the residue in
+    F_p, after checking that p < _MAX_P and every coefficient lies in F_p."""
     field = F.ring
     if not isinstance(field, FqField):
         raise ValueError(f"{engine} check needs finite-field coefficients")
     if field.p >= _MAX_P:
         raise ValueError(f'{engine} check needs p < {_MAX_P} (use method="exact")')
+    terms = []
     for (i, j), c in sorted(F.coeffs.items()):
         if any(c.coeffs[1:]):
             raise ValueError(
                 f"{engine} check needs prime-subfield coefficients; ({i},{j}) is not"
                 ' (use method="exact")'
             )
-    return field.p
+        terms.append((i, j, c.coeffs[0]))
+    return field.p, terms
 
 
 def _rint_exact(raw: np.ndarray) -> np.ndarray:
@@ -99,9 +103,22 @@ def _rint_exact(raw: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _halving_powers(x, mul, transform):
-    """Memoised powers X^g, g >= 1, and their transforms, as the functions
-    (power, transform_of).  X^g is built as X^⌈g/2⌉·X^⌊g/2⌋ by
+def _fft_mul(a, fb, shape, rows, cols):
+    """a·b cropped to rows × cols, where fb is b's transform at `shape`: the
+    one floating-point product, certified by `_rint_exact`."""
+    return _rint_exact(np.fft.irfft2(np.fft.rfft2(a, shape) * fb, shape)[:rows, :cols])
+
+
+def _reduce_ext(C, R, p):
+    """Fold the rows C of 2r − 1 coefficients into the power basis of
+    F_{p^r}, by the rows R of `_reduction_rows`, mod p."""
+    r = R.shape[1]
+    return (C[:, :r] + C[:, r:] @ R) % p
+
+
+def _halving_powers(x, mul, shape):
+    """Memoised powers X^g, g >= 1, and their transforms at `shape`, as the
+    functions (power, transform_of).  X^g is built as X^⌈g/2⌉·X^⌊g/2⌋ by
     `mul(X^⌈g/2⌉, transform_of(⌊g/2⌋))`, so each power costs one product
     and each power used as a multiplier one forward transform, both at most
     once."""
@@ -109,7 +126,7 @@ def _halving_powers(x, mul, transform):
 
     def transform_of(g):
         if g not in transforms:
-            transforms[g] = transform(power(g))
+            transforms[g] = np.fft.rfft2(power(g), shape)
         return transforms[g]
 
     def power(g):
@@ -122,16 +139,6 @@ def _halving_powers(x, mul, transform):
 
 # ---------------------------------------------------------------------------
 # dense grid
-
-
-def _plane_mul(a, fb, shape, D, p, beyond):
-    """a·b mod p truncated at total degree D, for (D+1)×(D+1) planes of
-    residues, where fb is b's transform at `shape` and `beyond` masks the
-    cells past degree D."""
-    prod = np.fft.irfft2(np.fft.rfft2(a, shape) * fb, shape)
-    out = _rint_exact(prod[: D + 1, : D + 1]) % p
-    out[beyond] = 0
-    return out
 
 
 def dense_associativity(F):
@@ -147,13 +154,12 @@ def dense_associativity(F):
     61 of its 62 and takes 60.
 
     Returns (ok, first_failing_monomial)."""
-    p = _check_prime_subfield(F, "dense")
+    p, terms = _residues(F, "dense")
     D = F.D
     if D > DENSE_ASSOC_MAX_D:
         raise ValueError(f"dense grid at D={D} would not fit; use the sampled check")
-    if not F.coeffs:
+    if not terms:
         return True, None
-    terms = [(i, j, c.coeffs[0]) for (i, j), c in F.coeffs.items()]
     base = np.zeros((D + 1, D + 1), dtype=np.int64)
     for i, j, c in terms:
         base[i, j] = c
@@ -162,10 +168,12 @@ def dense_associativity(F):
     degree = x + y
     beyond = degree > D
 
-    def mul(a, fb):
-        return _plane_mul(a, fb, shape, D, p, beyond)
+    def mul(a, fb):  # mod p, truncated at total degree D
+        out = _fft_mul(a, fb, shape, D + 1, D + 1) % p
+        out[beyond] = 0
+        return out
 
-    gap_power, gap_transform = _halving_powers(base, mul, lambda a: np.fft.rfft2(a, shape))
+    gap_power, gap_transform = _halving_powers(base, mul, shape)
     powers = {0: np.zeros_like(base)}
     powers[0][0, 0] = 1
     prev = 0
@@ -203,8 +211,7 @@ def _vec_mul(A, B, R, p):
         if not col.any():
             continue
         C[:, k : k + r] += col[:, None] * B
-    low = C[:, :r] + C[:, r:] @ R
-    return low % p
+    return _reduce_ext(C, R, p)
 
 
 def _pow_table(x, n, R, p):
@@ -230,15 +237,7 @@ def _line_value(support, pow_a, pow_b, L, R, p):
     return u % p
 
 
-def _series_mul_fft(acc, fu, shape, L, width, R, p):
-    fa = np.fft.rfft2(acc, shape)
-    out = _rint_exact(np.fft.irfft2(fa * fu, shape)[:L, :width])
-    r = R.shape[1]
-    low = out[:, :r] + out[:, r:] @ R
-    return low % p
-
-
-def _horner_side(by_outer, u, pow_inner, grading, R, p, shape, width):
+def _horner_side(by_outer, u, pow_inner, grading, mul, p, shape):
     """Σ_outer u^outer · Σ_inner c·(x·t)^inner = t^off·A(t^s), as the
     (D//s + 1, r) series A of places.
 
@@ -251,15 +250,12 @@ def _horner_side(by_outer, u, pow_inner, grading, R, p, shape, width):
     `_halving_powers`, each transform computed once per call.  So a side
     costs one FFT product per occurring outer degree plus O(log g) per
     distinct gap, not one per degree: 55 instead of 171 at (3, 9, 243), whose
-    law has 48 outer degrees up to 171.  Truncating every product at
-    L = D//s + 1 places is exact, since a place only feeds higher ones."""
-    s, e0, L = grading
-
-    def mul(a, fb):
-        return _series_mul_fft(a, fb, shape, L, width, R, p)
-
-    _, gap_transform = _halving_powers(u, mul, lambda a: np.fft.rfft2(a, shape))
-    acc = np.zeros((L, R.shape[1]), dtype=np.int64)
+    law has 48 outer degrees up to 171.  `mul` is the engine's product in
+    F_{p^r}, truncated at L = D//s + 1 places, which is exact, since a place
+    only feeds higher ones."""
+    s, e0 = grading
+    _, gap_transform = _halving_powers(u, mul, shape)
+    acc = np.zeros_like(u)
     outers = sorted(by_outer, reverse=True)
     for outer, nxt in zip(outers, outers[1:] + [0]):
         J, V, places = by_outer[outer]
@@ -280,7 +276,7 @@ def sampled_associativity(F, seed=0, reps=2):
     Needs prime-subfield coefficients (every law built here reduces from
     rational integrality, so that is the common case).  Returns
     (ok, first_failing_t_degree_or_None, detail)."""
-    p = _check_prime_subfield(F, "sampled")
+    p, terms = _residues(F, "sampled")
     D = F.D
     r = 1  # extension degree: the least with p^r >= 2^26
     while p**r < 1 << 26:
@@ -293,22 +289,23 @@ def sampled_associativity(F, seed=0, reps=2):
         "seed": seed,
         "false_pass_bound": f"{(D + 1) * per_slice:.3e}",
     }
-    items = sorted(F.coeffs.items())
-    if not items:
+    if not terms:
         return True, None, detail
     # the t^s grading: every i + j in the support is ≡ 1 mod s, so on a line
     # u = F(a·t, b·t) = t^e0·U(t^s), and each side is kept as D//s + 1 places
     # of t^s; s = 1 (e0 = 0) is the plain series in t
-    s = math.gcd(*(i + j - 1 for (i, j), _ in items)) or 1
+    s = math.gcd(*(i + j - 1 for i, j, _ in terms)) or 1
     e0 = 1 % s
     L = D // s + 1
-    grading = (s, e0, L)
+    grading = (s, e0)
     R = _reduction_rows(fq_field(p, r))
     width = 2 * r - 1
     shape = (_fast_len(2 * L - 1), _fast_len(width))
-    I = np.array([i for (i, _), _ in items], dtype=np.int64)
-    J = np.array([j for (_, j), _ in items], dtype=np.int64)
-    V = np.array([c.coeffs[0] for _, c in items], dtype=np.int64)
+
+    def mul(a, fb):  # in F_{p^r}, truncated at L places
+        return _reduce_ext(_fft_mul(a, fb, shape, L, width), R, p)
+
+    I, J, V = np.array(terms, dtype=np.int64).T
     support = (I, J, V, (I + J - e0) // s)
     top = int(max(I.max(), J.max()))  # the largest power of a, b or c read
 
@@ -336,9 +333,9 @@ def sampled_associativity(F, seed=0, reps=2):
         pow_b = _pow_table(bv, top, R, p)
         pow_c = _pow_table(cv, top, R, p)
         u = _line_value(support, pow_a, pow_b, L, R, p)
-        w1 = _horner_side(by_i, u, pow_c, grading, R, p, shape, width)
+        w1 = _horner_side(by_i, u, pow_c, grading, mul, p, shape)
         v = _line_value(support, pow_b, pow_c, L, R, p)
-        w2 = _horner_side(by_j, v, pow_a, grading, R, p, shape, width)
+        w2 = _horner_side(by_j, v, pow_a, grading, mul, p, shape)
         # both sides end at outer degree 0, at offset e0: place k is t^(e0 + k·s)
         bad = e0 + s * np.flatnonzero(np.any(w1 != w2, axis=1))
         bad = bad[bad <= D]

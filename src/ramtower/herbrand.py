@@ -29,6 +29,16 @@ from .polygon import format_rat
 from .record import Record
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; ParameterError unless it equals one."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 class BreakFiltration(Record):
     """Total order plus (break location, drop factor) pairs, breaks strictly
     increasing and positive, each drop dividing the order remaining there."""
@@ -36,9 +46,10 @@ class BreakFiltration(Record):
     __slots__ = ("order", "breaks")
 
     def __init__(self, order: int, breaks: tuple[tuple[Fraction, int], ...]):
+        order = _integer(order, "order")
         if order < 1:
             raise ParameterError("order must be positive")
-        breaks = tuple((Fraction(b), int(d)) for b, d in breaks)
+        breaks = tuple((Fraction(b), _integer(d, "drop")) for b, d in breaks)
         left = order
         prev = Fraction(0)
         for b, d in breaks:

@@ -300,7 +300,7 @@ class TorsionTrace(Record):
         return {
             "q": self.q,
             "g": self.g,
-            "a_vals": [format_rat(v) for v in self.a_vals],
+            "a_vals": [None if v is None else format_rat(v) for v in self.a_vals],
             "branch": self.branch,
             "valuations": [format_rat(v) for v in self.valuations],
             "m": self.m,

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from ramtower.errors import IntegralityError, ParameterError
 from ramtower.fastcheck import (
     _fast_len,
+    _reduction_rows,
     _rint_exact,
+    _vec_mul,
     dense_associativity,
     sampled_associativity,
 )
@@ -524,13 +526,13 @@ def test_sampled_check_runs_on_the_grading(monkeypatch):
     from ramtower import fastcheck
 
     lengths = set()
-    original = fastcheck._series_mul_fft
+    original = fastcheck._fft_mul
 
     def recording(acc, *args):
         lengths.add(acc.shape[0])
         return original(acc, *args)
 
-    monkeypatch.setattr(fastcheck, "_series_mul_fft", recording)
+    monkeypatch.setattr(fastcheck, "_fft_mul", recording)
     F = _sampled_case("q9")
     assert math.gcd(*(i + j - 1 for i, j in F.coeffs)) == 8
     assert sampled_associativity(F)[0]
@@ -544,9 +546,7 @@ def test_sampled_engine_steps_only_between_occurring_degrees():
 
     F = _sampled_case("q9")
     top = max(i for i, _ in F.coeffs)
-    with mock.patch.object(
-        fastcheck, "_series_mul_fft", wraps=fastcheck._series_mul_fft
-    ) as products:
+    with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
         assert sampled_associativity(F, seed=0, reps=2)[:2] == (True, None)
     assert products.call_count < 2 * 2 * top  # reps × sides × one per degree
 
@@ -560,7 +560,7 @@ def test_dense_engine_builds_only_the_powers_the_law_uses():
     F = M.law.reduce_mod_p(M.field)
     top = max(max(key) for key in F.coeffs)
     assert len({n for key in F.coeffs for n in key}) < top
-    with mock.patch.object(fastcheck, "_plane_mul", wraps=fastcheck._plane_mul) as products:
+    with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
         assert dense_associativity(F) == (True, None)
     assert products.call_count < top
 
@@ -659,6 +659,18 @@ def test_fft_rounding_is_certified():
         with pytest.raises(ArithmeticError):
             _rint_exact(np.array([4.0 + residue]))
     assert _rint_exact(np.array([1.009])).tolist() == [1]
+
+
+def test_vec_mul_is_the_field_multiplication():
+    # the sampled engine's scalars live in F_{p^r}: folding a product by
+    # `_reduction_rows` is the field's own reduction by its modulus
+    rng = random.Random(7)
+    for p, r in ((2, 26), (3, 17), (65521, 2)):
+        field = fq_field(p, r)
+        xs, ys = ([field.from_int(rng.randrange(field.q)) for _ in range(20)] for _ in "xy")
+        A, B = (np.array([e.coeffs for e in es], dtype=np.int64) for es in (xs, ys))
+        product = _vec_mul(A, B, _reduction_rows(field), p)
+        assert product.tolist() == [list((x * y).coeffs) for x, y in zip(xs, ys)]
 
 
 def test_fft_length_is_the_least_5_smooth_length():

@@ -93,6 +93,18 @@ def test_ring_axioms(args):
     assert a * f.one() == a
 
 
+@given(field_and_elems(n=1))
+@settings(max_examples=100)
+def test_nonzero_elements_have_order_dividing_q_minus_1(args):
+    # a^(q-1) = 1 holds in F_q, not in F_p[x] cut off at degree m, whose
+    # ring axioms the test above cannot tell apart from the field's
+    f, a = args
+    power = f.one()
+    for _ in range(f.q - 1):
+        power = power * a
+    assert power == (f.one() if a else f.zero())
+
+
 @given(field_and_elems(n=2))
 @settings(max_examples=150)
 def test_frobenius_is_additive(args):

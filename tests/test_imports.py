@@ -12,10 +12,15 @@ imports `inspect` itself.  The tower commands load neither `fq` nor
 `herbrand`, `verify` loads none of `tate`, `series` and `seriespoly`, and
 only a verify worker pool loads multiprocessing.
 
+The one floating-point product in the package is `fastcheck._fft_mul`: a
+parse of the source finds a single inverse FFT, rounded by `_rint_exact`,
+and no module but `fastcheck` importing numpy.
+
 Each case runs in a fresh interpreter, so modules that other tests have
 already imported cannot hide an import edge.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -25,6 +30,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "ramtower"
 
 
 def loaded_after(statements):
@@ -163,3 +169,43 @@ def test_each_subcommand_loads_only_what_it_runs(argv, absent, tmp_path):
     if not sampled:
         assert not {"dataclasses", "inspect"} & loaded
     assert ("multiprocessing" in loaded) == (argv[-2:] == ["--jobs", "2"])
+
+
+def _name(func):
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _calls(node, owner=None):
+    """(innermost enclosing function, call) for every call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+
+def _is_inverse_fft(node):
+    return isinstance(node, ast.Call) and _name(node.func) == "irfft2"
+
+
+def test_the_one_inverse_fft_is_fft_mul_and_is_rounded_by_rint_exact():
+    inverse, rounded, numpy_users = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                numpy_users.add(path.name)
+        for owner, call in _calls(tree):
+            if _is_inverse_fft(call):
+                inverse.append((path.name, owner))
+            if _name(call.func) == "_rint_exact" and call.args:
+                arg = call.args[0]
+                if _is_inverse_fft(arg.value if isinstance(arg, ast.Subscript) else arg):
+                    rounded.append((path.name, owner))
+    assert inverse == rounded == [("fastcheck.py", "_fft_mul")]
+    assert numpy_users == {"fastcheck.py"}

@@ -365,6 +365,31 @@ def test_polygon_sides_are_computed_once_and_stay_out_of_equality():
             "drop 1 does not divide remaining order 4",
         ),
         (
+            lambda: BreakFiltration(4, ((1, 2.5),)),
+            ParameterError,
+            "drop must be an integer, got 2.5",
+        ),
+        (
+            lambda: BreakFiltration(4, ((1, F(5, 2)),)),
+            ParameterError,
+            "drop must be an integer, got Fraction(5, 2)",
+        ),
+        (
+            lambda: BreakFiltration(4, ((1, "2"),)),
+            ParameterError,
+            "drop must be an integer, got '2'",
+        ),
+        (
+            lambda: BreakFiltration(4.5, ((1, 2),)),
+            ParameterError,
+            "order must be an integer, got 4.5",
+        ),
+        (
+            lambda: BreakFiltration(float("inf"), ()),
+            ParameterError,
+            "order must be an integer, got inf",
+        ),
+        (
             lambda: TowerParams(p=4, q=4, g=1, d=1, N=0, c=1),
             ParameterError,
             "p must be prime",
@@ -471,6 +496,10 @@ def test_constructor_checks_keep_their_class_and_message(build, exc, message):
 
 def test_constructors_normalise_as_before():
     assert BreakFiltration(4, (("1/2", 2.0),)).breaks == ((F(1, 2), 2),)
+    # an order or drop that equals an integer is stored as that int
+    filt = BreakFiltration(4.0, ((1, F(2)),))
+    assert [type(v) for v in (filt.order, filt.breaks[0][1])] == [int, int]
+    assert filt.as_json() == {"order": 4, "breaks": [["1", 2]]}
     assert BottomLayer(2, "1/2", 3).u == F(1, 2)
     assert BivariateSeries("Q", 2, {(1, 0): F(1), (0, 1): F(0)}).coeffs == {(1, 0): F(1)}
     assert UnivariateSeries("Q", 2, {1: F(0), 2: F(3)}).coeffs == {2: F(3)}

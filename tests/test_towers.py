@@ -1,5 +1,6 @@
 """Break schedules, character bookkeeping, and torsion traces."""
 
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +12,7 @@ from ramtower import herbrand
 from ramtower.errors import GuardViolation, ParameterError
 from ramtower.fq import fq_field
 from ramtower.herbrand import BreakFiltration, compose_tower
+from ramtower.jsonio import RunReport
 from ramtower.polygon import brute_force_hull, build_polygon
 from ramtower.tate import closed_form_break, eisenstein_trinomial, tate_breaks
 from ramtower.towers import (
@@ -277,6 +279,10 @@ def test_torsion_skipped_coefficient():
     assert trace.valuations[0] == Fraction(1, 3)
     assert trace.m == 1
     assert trace.valuations[1] == Fraction(1, 12)
+    # a_2 = 0 has no valuation: the payload writes null for it
+    payload = json.loads(RunReport("ok", trace.as_json()).dumps())["payload"]
+    assert payload == trace.as_json()
+    assert payload["a_vals"] == ["1", None]
 
 
 def test_torsion_validation():
