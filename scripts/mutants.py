@@ -185,6 +185,41 @@ MUTANTS = [
         "they differ mod n and best never equals bound",
     ),
     Mutant(
+        "ext-valuation-accepts-long-representative",
+        "src/ramtower/tate.py",
+        "    if len(coeffs) > n:\n",
+        "    if len(coeffs) > n + 1:\n",
+        ("tests/test_tate.py::test_ext_valuation_edge_cases",),
+    ),
+    Mutant(
+        "expansion-binomial-strict",
+        "src/ramtower/tate.py",
+        "math.comb(k, i) % p if k >= i else 0",
+        "math.comb(k, i) % p if k > i else 0",
+        ("tests/test_tate.py",),
+    ),
+    Mutant(
+        "expansion-drops-lead-coefficient",
+        "src/ramtower/tate.py",
+        "c = c + -(ak * an) * cn",
+        "c = c + -ak * cn",
+        ("tests/test_tate.py::test_expansion_is_the_reduced_representative",),
+    ),
+    Mutant(
+        "expansion-binomial-of-n-minus-1",
+        "src/ramtower/tate.py",
+        "math.comb(n, i) % p",
+        "math.comb(n - 1, i) % p",
+        ("tests/test_tate.py",),
+    ),
+    Mutant(
+        "series-valuation-guesses-the-precision",
+        "src/ramtower/series.py",
+        'raise InsufficientPrecision(f"series is 0 mod t^{self.prec}; valuation unknown")',
+        "return self.prec",
+        ("tests/test_tate.py::test_truncation_keeps_the_points_or_is_refused_at_construction",),
+    ),
+    Mutant(
         "filtration-drop-of-one",
         "src/ramtower/herbrand.py",
         "            if d < 2 or left % d:\n",

@@ -9,9 +9,9 @@ class InsufficientPrecision(RamtowerError):
     """A truncated series does not carry enough known digits to decide the result.
 
     Raised, for example, when asking for the valuation of a series whose known
-    coefficients are all zero but whose precision is finite, or when an extension
-    element's valuation is undecided: a basis coefficient known only to O(t^P)
-    could undercut every determined term.
+    coefficients are all zero but whose precision is finite, or when a valuation
+    in an Eisenstein extension, read off basis coefficients, is undecided: a
+    coefficient known only to O(t^P) could undercut every determined term.
     """
 
 

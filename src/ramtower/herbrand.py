@@ -39,6 +39,14 @@ def _integer(value, name: str) -> int:
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _rational(value, name: str) -> Fraction:
+    """value as a Fraction; ParameterError unless it names a finite rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParameterError(f"{name} must be a rational number, got {value!r}") from None
+
+
 class BreakFiltration(Record):
     """Total order plus (break location, drop factor) pairs, breaks strictly
     increasing and positive, each drop dividing the order remaining there."""
@@ -49,7 +57,7 @@ class BreakFiltration(Record):
         order = _integer(order, "order")
         if order < 1:
             raise ParameterError("order must be positive")
-        breaks = tuple((Fraction(b), _integer(d, "drop")) for b, d in breaks)
+        breaks = tuple((_rational(b, "break"), _integer(d, "drop")) for b, d in breaks)
         left = order
         prev = Fraction(0)
         for b, d in breaks:

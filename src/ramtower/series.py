@@ -212,8 +212,9 @@ def parse_series(text: str, field: FqField, default_prec: int | None = None) -> 
     """Parse a series literal like `t^2*(1 + 2*t) + O(t^10)`.
 
     Integer coefficients are reduced into F_q through the base-p digit map.
-    `O(t^P)` contributes a zero-known series of absolute precision P; scaling
-    by t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
+    `O(t^P)` contributes a zero-known series of absolute precision P; its
+    argument is read like a bare power, so `O(t)` is `O(t^1)`.  Scaling by
+    t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
     be negative.  When the literal has no O-term the result is exact unless
     `default_prec` is given.
     """
@@ -282,22 +283,23 @@ class _Parser:
         if tok == "O":
             self.take("O")
             self.take("(")
-            self.take("t")
-            self.take("^")
-            e = self._signed_int()
+            e = self._t_exponent()
             self.take(")")
             return LaurentSeries.zero(self.field, e)
         if tok == "t":
-            self.take("t")
-            e = 1
-            if self.peek() == "^":
-                self.take("^")
-                e = self._signed_int()
-            return LaurentSeries.t_power(self.field, e)
+            return LaurentSeries.t_power(self.field, self._t_exponent())
         if tok.isdigit():
             self.take()
             return LaurentSeries.from_terms(self.field, {0: int(tok)})
         raise ValueError(f"unexpected token {tok!r} in series literal")
+
+    def _t_exponent(self):
+        """k of a power `t` (k = 1) or `t^k`."""
+        self.take("t")
+        if self.peek() != "^":
+            return 1
+        self.take("^")
+        return self._signed_int()
 
     def _signed_int(self):
         neg = False

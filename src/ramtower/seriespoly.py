@@ -1,13 +1,13 @@
 """Polynomials in one variable with Laurent-series coefficients over F_q.
 
-This is the carrier for Eisenstein polynomials and ramification
-polynomials; `polygon.root_valuations` reads root valuations off its
-coefficients.  Its operations are +, - and *, and the resultant, a
-Sylvester determinant computed by division-free minor expansion, so
-precision propagates through +/* only; the expansion is exponential in the
-degree.  Extension valuations are read off basis coefficients
-(tate.ext_valuation); the resultant norm is the reference the tests check
-that reading against.
+This is the carrier for Eisenstein polynomials; `polygon.root_valuations`
+reads root valuations off its coefficients.  Its one arithmetic operation is
+the product, by a polynomial or by a series, which builds a polynomial from
+planted linear factors.  The resultant is a Sylvester determinant computed
+by division-free minor expansion, so precision propagates through series
++ and * only; the expansion is exponential in the degree.  Extension
+valuations are read off basis coefficients (tate.ext_valuation); the
+resultant norm is the reference the tests check that reading against.
 """
 
 from __future__ import annotations
@@ -69,18 +69,6 @@ class SeriesPoly:
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SeriesPoly(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self):
-        return SeriesPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):

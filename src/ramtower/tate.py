@@ -14,8 +14,13 @@ Fields, I §6), and any other root alpha breaks the v_L(alpha) = 1
 normalization.
 
 The break data lives on the twisted polynomial g(x) = f(alpha·x + alpha) /
-alpha^n, whose roots are sigma(alpha)/alpha - 1.  `ramification_polynomial`
-reports the integer points (i, v_L(b_i)); `tate_breaks` renormalizes the
+alpha^n, whose roots are sigma(alpha)/alpha - 1.  Its coefficients are
+b_i/alpha^n with b_i = sum_{j >= i} C(j,i)·a_j·alpha^j, and since f is monic,
+alpha^n = -sum_{k<n} a_k·alpha^k, so b_i is written down on the basis at
+once: its coefficient at alpha^k is C(k,i)·a_k (when k >= i) minus
+C(n,i)·a_k·a_n, binomials mod p.  The a_n factor is kept because a monic
+a_n may still carry an O(t^P).  `ramification_polynomial` reports the
+integer points (i, v_L(b_i) - n); `tate_breaks` renormalizes the
 ordinates to base valuation (divide by n) and reads the breaks off the
 y-intercepts of the negative-slope sides of the hull.  For the one-sided
 polygon of a trinomial layer x^q + u1·t^v x + u0·t that intercept has the
@@ -61,94 +66,22 @@ class EisensteinExtension:
         self.n = n
         self.field: FqField = poly.field
 
-    def element(self, coeffs) -> "ExtElement":
-        """Element from a list of LaurentSeries coefficients in alpha."""
-        return ExtElement(self, _reduce(list(coeffs), self.poly))
-
-    def from_base(self, series: LaurentSeries) -> "ExtElement":
-        return ExtElement(self, SeriesPoly(self.field, [series]))
-
-    def alpha(self) -> "ExtElement":
-        return ExtElement(
-            self,
-            SeriesPoly(
-                self.field,
-                [LaurentSeries.zero(self.field), LaurentSeries.one(self.field)],
-            ),
-        )
-
     def __repr__(self):
         return f"EisensteinExtension(n={self.n}, {self.poly!r})"
 
 
-def _reduce(coeffs: list, f: SeriesPoly) -> SeriesPoly:
-    """Long division remainder by monic f, exact series arithmetic."""
-    n = f.degree
-    coeffs = list(coeffs)
-    for d in range(len(coeffs) - 1, n - 1, -1):
-        lead = coeffs[d]
-        if lead.is_exact_zero():
-            continue
-        for k in range(n):
-            coeffs[d - n + k] = coeffs[d - n + k] - lead * f.coeff(k)
-        coeffs[d] = LaurentSeries.zero(f.field)
-    return SeriesPoly(f.field, coeffs[:n])
+def ext_valuation(coeffs, n: int) -> int:
+    """v_L of the nonzero element sum c_k·alpha^k (k < n), with
+    v_L(alpha) = 1 and v_L = n·v_K on K.
 
-
-class ExtElement(Record):
-    __slots__ = ("ext", "rep")
-
-    def __init__(self, ext: EisensteinExtension, rep: SeriesPoly):
-        self._store(ext, rep)
-
-    def _join(self, other) -> "ExtElement":
-        if not isinstance(other, ExtElement) or other.ext is not self.ext:
-            raise ValueError("elements of different extensions")
-        return other
-
-    def __add__(self, other):
-        other = self._join(other)
-        return ExtElement(self.ext, self.rep + other.rep)
-
-    def __sub__(self, other):
-        other = self._join(other)
-        return ExtElement(self.ext, self.rep - other.rep)
-
-    def __neg__(self):
-        return ExtElement(self.ext, -self.rep)
-
-    def __mul__(self, other):
-        other = self._join(other)
-        prod = self.rep * other.rep
-        return ExtElement(self.ext, _reduce(list(prod.coeffs), self.ext.poly))
-
-    def is_exact_zero(self) -> bool:
-        return all(c.is_exact_zero() for c in self.rep.coeffs)
-
-    def is_known_zero(self) -> bool:
-        """No coefficient has a digit known to be nonzero (weaker than
-        exact zero when precision is finite)."""
-        return all(c.known_zero() for c in self.rep.coeffs)
-
-    def valuation(self) -> int:
-        return ext_valuation(self)
-
-
-def ext_valuation(elt: ExtElement) -> int:
-    """v_L of a nonzero element, with v_L(alpha) = 1 and v_L = n·v_K on K.
-
-    This is min_k (n·v(c_k) + k) over the reduced representative
-    sum c_k·alpha^k.  A c_k known only to O(t^P) bounds its term below by
-    n·P + k; unless some determined term lies strictly below every bound the
-    valuation is undecided and InsufficientPrecision is raised."""
-    if elt.is_exact_zero():
-        raise ValueError("valuation of zero")
-    ext = elt.ext
-    n, rep = ext.n, elt.rep
-    if rep.degree >= n:
-        rep = _reduce(list(rep.coeffs), ext.poly)
+    This is min_k (n·v(c_k) + k) over the representative's coefficients.  A
+    c_k known only to O(t^P) bounds its term below by n·P + k; unless some
+    determined term lies strictly below every bound the valuation is
+    undecided and InsufficientPrecision is raised."""
+    if len(coeffs) > n:
+        raise ValueError(f"a representative has at most {n} coefficients, got {len(coeffs)}")
     best = bound = INF
-    for k, c in enumerate(rep.coeffs):
+    for k, c in enumerate(coeffs):
         if c.known_zero():
             bound = min(bound, n * c.valuation_lower_bound() + k)
         else:
@@ -163,46 +96,35 @@ def ext_valuation(elt: ExtElement) -> int:
     return best
 
 
-def ramification_polynomial(ext: EisensteinExtension) -> list:
-    """Integer points (i, v_L(b_i)) of g(x) = f(alpha·x + alpha)/alpha^n for
-    i = 1..n; the i = 0 coefficient is f(alpha) = 0 and is checked, not
-    reported.  b_n = 1 contributes (n, 0)."""
-    f, n, field = ext.poly, ext.n, ext.field
+def _twisted_coefficient(f: SeriesPoly, i: int) -> list:
+    """b_i = sum_{j >= i} C(j,i)·a_j·alpha^j on the basis 1, alpha, ...,
+    alpha^(n-1): C(k,i)·a_k (k >= i) minus C(n,i)·a_k·a_n at alpha^k, with
+    both binomials mod p and a term whose binomial vanishes left out.  An
+    exact-zero a_k gives an exact-zero coefficient."""
+    n, field = f.degree, f.field
     p = field.p
-    alpha = ext.alpha()
-    powers = [ext.from_base(LaurentSeries.one(field))]
-    for _ in range(n):
-        powers.append(powers[-1] * alpha)
+    an, cn = f.coeff(n), math.comb(n, i) % p
+    out = []
+    for k in range(n):
+        ak = f.coeff(k)
+        ck = math.comb(k, i) % p if k >= i else 0
+        c = ak * ck if ck else LaurentSeries.zero(field)
+        if cn:
+            c = c + -(ak * an) * cn
+        out.append(c)
+    return out
 
-    def coeff_elt(i: int) -> ExtElement:
-        total = None
-        for j in range(i, n + 1):
-            c = math.comb(j, i) % p
-            if not c:
-                continue
-            aj = f.coeff(j)
-            if aj.is_exact_zero():
-                continue
-            term = ExtElement(
-                ext, _reduce([s * field.from_int(c) for s in (powers[j].rep * aj).coeffs], f)
-            )
-            total = term if total is None else total + term
-        return total if total is not None else ext.from_base(LaurentSeries.zero(field))
 
-    b0 = coeff_elt(0)
-    if not b0.is_known_zero():
-        raise AssertionError("f(alpha) did not reduce to zero")
+def ramification_polynomial(ext: EisensteinExtension) -> list:
+    """Integer points (i, v_L(b_i) - n) of g(x) = f(alpha·x + alpha)/alpha^n
+    for i = 1..n, skipping exact-zero b_i.  b_n = alpha^n contributes
+    (n, 0)."""
+    n = ext.n
     points = []
     for i in range(1, n + 1):
-        bi = coeff_elt(i)
-        if bi.is_exact_zero():
-            continue
-        if bi.is_known_zero():
-            raise InsufficientPrecision(
-                f"coefficient {i} of the ramification polynomial vanishes to "
-                "working precision; rebuild the extension with more digits"
-            )
-        points.append((i, ext_valuation(bi) - n))
+        bi = _twisted_coefficient(ext.poly, i)
+        if not all(c.is_exact_zero() for c in bi):
+            points.append((i, ext_valuation(bi, n) - n))
     return points
 
 

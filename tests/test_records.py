@@ -26,11 +26,9 @@ from ramtower.fq import FqField, fq_field
 from ramtower.herbrand import BreakFiltration, PiecewiseLinear
 from ramtower.jsonio import RunReport
 from ramtower.polygon import NewtonPolygon, Side, build_polygon
-from ramtower.tate import ExtElement, HypothesisReport, TateBreaks, eisenstein_trinomial
+from ramtower.tate import HypothesisReport, TateBreaks
 from ramtower.towers import BottomLayer, BreakSchedule, TorsionTrace, TowerParams, VerifyReport
 
-EXT = eisenstein_trinomial(fq_field(2), 1, prec=4)
-OTHER_EXT = eisenstein_trinomial(fq_field(2), 2, prec=4)
 GF3 = fq_field(3)
 POLY = NewtonPolygon(((1, F(1, 2)), (2, F(0))))
 HYP = HypothesisReport(True, None, True, 1)
@@ -96,13 +94,6 @@ CASES = [
             final_slope={"final_slope": F(1, 3)},
         ),
         "PiecewiseLinear([(0, 0), (1, 1)], final_slope=1/2)",
-    ),
-    Case(
-        ExtElement,
-        dict(ext=EXT, rep=EXT.alpha().rep),
-        dict(ext={"ext": OTHER_EXT}, rep={"rep": EXT.alpha().rep + EXT.alpha().rep}),
-        "ExtElement(ext=EisensteinExtension(n=2, SeriesPoly([t + O(t^4), t + O(t^4), "
-        "1 + O(t^4)])), rep=SeriesPoly([0, 1]))",
     ),
     Case(
         HypothesisReport,
@@ -259,7 +250,7 @@ records = pytest.mark.parametrize("case", CASES, ids=IDS)
 
 
 def test_every_record_is_covered_once():
-    assert len(set(IDS)) == len(IDS) == 18
+    assert len(set(IDS)) == len(IDS) == 17
 
 
 @records
@@ -323,11 +314,7 @@ def test_pickle_round_trip(case):
     a = case.build()
     back = pickle.loads(pickle.dumps(a))
     assert type(back) is case.cls and repr(back) == repr(a)
-    if case.cls is ExtElement:
-        # an extension compares by identity, and the copy has a new one
-        assert back.rep == a.rep and back.ext is not a.ext
-    else:
-        assert back == a
+    assert back == a
 
 
 def test_polygon_sides_are_computed_once_and_stay_out_of_equality():
@@ -378,6 +365,31 @@ def test_polygon_sides_are_computed_once_and_stay_out_of_equality():
             lambda: BreakFiltration(4, ((1, "2"),)),
             ParameterError,
             "drop must be an integer, got '2'",
+        ),
+        (
+            lambda: BreakFiltration(4, ((None, 2),)),
+            ParameterError,
+            "break must be a rational number, got None",
+        ),
+        (
+            lambda: BreakFiltration(4, (("x", 2),)),
+            ParameterError,
+            "break must be a rational number, got 'x'",
+        ),
+        (
+            lambda: BreakFiltration(4, ((float("nan"), 2),)),
+            ParameterError,
+            "break must be a rational number, got nan",
+        ),
+        (
+            lambda: BreakFiltration(4, ((float("inf"), 2),)),
+            ParameterError,
+            "break must be a rational number, got inf",
+        ),
+        (
+            lambda: BreakFiltration(4, (("1/0", 2),)),
+            ParameterError,
+            "break must be a rational number, got '1/0'",
         ),
         (
             lambda: BreakFiltration(4.5, ((1, 2),)),

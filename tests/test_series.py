@@ -67,6 +67,17 @@ def test_literal_grammar():
         s("t^^2")
 
 
+def test_o_term_reads_its_argument_like_a_bare_power():
+    # `t` is t^1, so `O(t)` is O(t^1); the canonical form still writes t^1
+    assert s("O(t)") == s("O(t^1)") == LaurentSeries.zero(F2, prec=1)
+    assert s("t^2*(1 + O(t))") == s("t^2 + O(t^3)")
+    assert s("t + O(t)").known_zero() and s("t + O(t)").prec == 1
+    assert format_series(s("1 + O(t)")) == "1 + O(t^1)"
+    for bad in ("O(t^)", "O()", "O(2)", "O(t^t)", "O(t"):
+        with pytest.raises(ValueError):
+            s(bad)
+
+
 def test_precision_propagates_through_product():
     a = s("1 + t + O(t^3)")
     b = s("t^2*(1) + O(t^9)")

@@ -14,7 +14,7 @@ from ramtower.series import LaurentSeries
 from ramtower.seriespoly import SeriesPoly, resultant
 from ramtower.tate import (
     EisensteinExtension,
-    ExtElement,
+    _twisted_coefficient,
     check_tate_hypothesis,
     closed_form_break,
     eisenstein_trinomial,
@@ -85,14 +85,13 @@ def test_hypothesis_witness():
 def test_extension_arithmetic():
     f2 = fq_field(2)
     ext = eisenstein_trinomial(f2, 1)
-    alpha = ext.alpha()
-    assert ext_valuation(alpha) == 1
+    zero, one = LaurentSeries.zero(f2), LaurentSeries.one(f2)
     t = LaurentSeries.t_power(f2, 1, prec=12)
-    assert ext_valuation(ext.from_base(t)) == ext.n
+    assert ext_valuation([zero, one], ext.n) == 1
+    assert ext_valuation([t], ext.n) == ext.n
     # alpha^2 = t·alpha + t in this quotient, so alpha·(alpha + t) = t
-    prod = alpha * (alpha + ext.from_base(t))
-    diff = prod - ext.from_base(t)
-    assert diff.is_known_zero()
+    prod = _reduce_mod((SeriesPoly(f2, [zero, one]) * SeriesPoly(f2, [t, one])).coeffs, ext.poly)
+    assert (prod[0] - t).known_zero() and prod[1].known_zero()
 
 
 def test_eisenstein_validation():
@@ -154,21 +153,37 @@ def _outcome(fn):
         return PRECISION
 
 
+def _reduce_mod(coeffs, f):
+    """Remainder of sum coeffs[d]·x^d on long division by the monic f, as its
+    deg f coefficients: this file's own extension arithmetic."""
+    n = f.degree
+    coeffs = list(coeffs) + [LaurentSeries.zero(f.field)] * (n - len(coeffs))
+    for d in range(len(coeffs) - 1, n - 1, -1):
+        lead = coeffs.pop()
+        for k in range(n):
+            coeffs[d - n + k] = coeffs[d - n + k] - lead * f.coeff(k)
+    return coeffs
+
+
 def _twisted_coefficients(ext):
-    """b_i = sum_{j >= i} C(j,i)·a_j·alpha^j for i = 1..n, built by extension
-    arithmetic."""
+    """[b_0, ..., b_n] with b_i = sum_{j >= i} C(j,i)·a_j·alpha^j, each as its
+    n coefficients on 1, alpha, ..., alpha^(n-1): the powers of alpha are
+    polynomial products reduced by f, independent of the library's
+    expansion."""
     field, f, n = ext.field, ext.poly, ext.n
-    alpha = ext.alpha()
-    powers = [ext.from_base(LaurentSeries.one(field))]
+    zero, one = LaurentSeries.zero(field), LaurentSeries.one(field)
+    alpha = SeriesPoly(field, [zero, one])
+    powers = [SeriesPoly(field, [one])]
     for _ in range(n):
-        powers.append(powers[-1] * alpha)
+        powers.append(SeriesPoly(field, _reduce_mod((powers[-1] * alpha).coeffs, f)))
     out = []
-    for i in range(1, n + 1):
-        total = ext.from_base(LaurentSeries.zero(field))
+    for i in range(n + 1):
+        total = [zero] * n
         for j in range(i, n + 1):
             c = math.comb(j, i) % field.p
             if c:
-                total = total + ext.from_base(f.coeff(j) * field.from_int(c)) * powers[j]
+                term = _reduce_mod((powers[j] * (f.coeff(j) * c)).coeffs, f)
+                total = [a + b for a, b in zip(total, term)]
         out.append(total)
     return out
 
@@ -181,7 +196,7 @@ def _unit_literal(rng, q, v, tail):
     return lit + (f" + O(t^{v + tail})" if tail else "")
 
 
-def _random_eisenstein(rng, field, n):
+def _random_eisenstein(rng, field, n, lead="1"):
     """Eisenstein literals a_0..a_n; most coefficients are known only to
     finite precision, some interior ones are exact zeros."""
     lits = [_unit_literal(rng, field.q, 1, rng.choice([None, 1, 3, 6]))]
@@ -190,7 +205,7 @@ def _random_eisenstein(rng, field, n):
             lits.append("0")
         else:
             lits.append(_unit_literal(rng, field.q, rng.randint(1, 3), rng.choice([None, 1, 4])))
-    return lits + ["1"]
+    return lits + [lead]
 
 
 def _random_coefficient(rng, field):
@@ -211,14 +226,15 @@ def test_coefficient_reading_matches_resultant():
         for n in range(2, 6):
             for _ in range(3):
                 ext = _ext(field, _random_eisenstein(rng, field, n))
-                elements = _twisted_coefficients(ext)
-                elements.append(ext.element([_random_coefficient(rng, field) for _ in range(n + 2)]))
+                elements = _twisted_coefficients(ext)[1:]
+                raw = [_random_coefficient(rng, field) for _ in range(n + 2)]
+                elements.append(_reduce_mod(raw, ext.poly))
                 for b in elements:
-                    if b.is_exact_zero():
+                    if all(c.is_exact_zero() for c in b):
                         continue
-                    got = _outcome(lambda: ext_valuation(b))
-                    want = _outcome(lambda: resultant(ext.poly, b.rep).valuation())
-                    assert got == want, (p, m, ext.poly, b.rep)
+                    got = _outcome(lambda: ext_valuation(b, n))
+                    want = _outcome(lambda: resultant(ext.poly, SeriesPoly(field, b)).valuation())
+                    assert got == want, (p, m, ext.poly, b)
                     if got == PRECISION:
                         refused += 1
                     else:
@@ -229,25 +245,78 @@ def test_coefficient_reading_matches_resultant():
 def test_ext_valuation_edge_cases():
     f2 = fq_field(2)
     ext = _ext(f2, ["t", "t", "1"])  # exact coefficients, n = 2
-    # representatives of degree >= n are reduced first: alpha^2 = t·alpha + t
-    alpha_squared = ExtElement(ext, SeriesPoly.from_literals(f2, ["0", "0", "1"]))
-    assert ext_valuation(alpha_squared) == 2
-    with pytest.raises(ValueError):
-        ext_valuation(ExtElement(ext, ext.poly))
-    undecided = ExtElement(ext, SeriesPoly.from_literals(f2, ["t^3", "O(t^1)"]))
+    # alpha^2 = t·alpha + t, once reduced
+    alpha_squared = _reduce_mod(SeriesPoly.from_literals(f2, ["0", "0", "1"]).coeffs, ext.poly)
+    assert alpha_squared == list(SeriesPoly.from_literals(f2, ["t", "t"]).coeffs)
+    assert ext_valuation(alpha_squared, 2) == 2
+    # a representative has at most n coefficients; f itself has n + 1
+    with pytest.raises(ValueError, match="at most 2 coefficients, got 3"):
+        ext_valuation(ext.poly.coeffs, 2)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        ext_valuation(_reduce_mod(ext.poly.coeffs, ext.poly), 2)
+    undecided = SeriesPoly.from_literals(f2, ["t^3", "O(t^1)"]).coeffs
     with pytest.raises(InsufficientPrecision):
-        ext_valuation(undecided)
-    decided = ExtElement(ext, SeriesPoly.from_literals(f2, ["t^3", "O(t^3)"]))
-    assert ext_valuation(decided) == 6
-    with pytest.raises(ValueError):
-        ext_valuation(ext.from_base(LaurentSeries.zero(f2)))
+        ext_valuation(undecided, 2)
+    decided = SeriesPoly.from_literals(f2, ["t^3", "O(t^3)"]).coeffs
+    assert ext_valuation(decided, 2) == 6
+    with pytest.raises(ValueError, match="valuation of zero"):
+        ext_valuation([LaurentSeries.zero(f2)], 2)
+    with pytest.raises(ValueError, match="valuation of zero"):
+        ext_valuation([], 2)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_expansion_is_the_reduced_representative(p, m):
+    # b_i written down from f is the representative that multiplying and
+    # reducing alpha-powers builds, coefficient by coefficient and precision
+    # included, for i = 0..n; a_n = 1 + O(t^P) as trinomials carry it
+    rng = random.Random(100 * p + m)
+    field = fq_field(p, m)
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        lead = rng.choice(["1", "1 + O(t^1)", "1 + O(t^2)", "1 + O(t^5)"])
+        ext = _ext(field, _random_eisenstein(rng, field, n, lead))
+        want = _twisted_coefficients(ext)
+        for i in range(n + 1):
+            assert _twisted_coefficient(ext.poly, i) == want[i], (ext.poly, i)
+
+
+def test_truncation_keeps_the_points_or_is_refused_at_construction():
+    # truncating the coefficients of an Eisenstein polynomial either leaves
+    # the Greve-Pauli points of its coefficient valuations, or makes a
+    # valuation undecidable, which EisensteinExtension refuses; nothing else
+    rng = random.Random(20120402)
+    agreed = refused = 0
+    for _ in range(400):
+        p, m = rng.choice([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+        field = fq_field(p, m)
+        n = rng.randint(2, 8)
+        vals = [1] + [rng.choice([1, 2, 3, math.inf]) for _ in range(n - 1)] + [0]
+        lits = ["0" if v == math.inf else _unit_literal(rng, field.q, v, None) for v in vals[:-1]]
+        coeffs = []
+        for c in SeriesPoly.from_literals(field, lits + ["1"]).coeffs:
+            if rng.random() < 0.5:
+                c = c.truncate(rng.randint(1, 6))
+            coeffs.append(c)
+        try:
+            ext = EisensteinExtension(SeriesPoly(field, coeffs))
+        except InsufficientPrecision:
+            refused += 1
+            continue
+        assert ramification_polynomial(ext) == _greve_pauli_points(vals, p), coeffs
+        agreed += 1
+    assert agreed > 50 and refused > 50
 
 
 def _greve_pauli_points(vals, p):
+    """(i, v_L(b_i) - n) as the minimum of n·v(a_j) + j over j >= i with
+    C(j,i) != 0 mod p and a_j nonzero; an i without such a j is left out."""
     n = len(vals) - 1
     pts = []
     for i in range(1, n + 1):
-        cands = [n * vals[j] + j for j in range(i, n + 1) if math.comb(j, i) % p]
+        cands = [
+            n * vals[j] + j for j in range(i, n + 1) if math.comb(j, i) % p and vals[j] < math.inf
+        ]
         if cands:
             pts.append((i, min(cands) - n))
     return pts
