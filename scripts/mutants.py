@@ -271,9 +271,45 @@ MUTANTS = [
     Mutant(
         "series-sum-keeps-left-precision",
         "src/ramtower/series.py",
-        "        prec = _min_prec(self.prec, other.prec)\n        if not self.coeffs:\n",
+        "        prec = min(self.prec, other.prec)\n        if not self.coeffs:\n",
         "        prec = self.prec\n        if not self.coeffs:\n",
         ("tests/test_series.py",),
+    ),
+    Mutant(
+        "series-product-precision-drops-a-side",
+        "src/ramtower/series.py",
+        "        prec = min(\n            self.prec + other.valuation_lower_bound(), "
+        "other.prec + self.valuation_lower_bound()\n        )\n",
+        "        prec = self.prec + other.valuation_lower_bound()\n",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "series-coeff-at-the-precision",
+        "src/ramtower/series.py",
+        "        if e >= self.prec:\n",
+        "        if e > self.prec:\n",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "parser-negates-by-the-int-minus-one",
+        "src/ramtower/series.py",
+        "            s = -s\n",
+        "            s = s * -1\n",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "eisenstein-accepts-inseparable",
+        "src/ramtower/tate.py",
+        "        if all(poly.coeff(j).is_exact_zero() for j",
+        "        if False and all(poly.coeff(j).is_exact_zero() for j",
+        ("tests/test_tate.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "separability-ignores-the-lead",
+        "src/ramtower/tate.py",
+        "for j in range(1, n + 1) if j % poly.field.p",
+        "for j in range(1, n) if j % poly.field.p",
+        ("tests/test_tate.py",),
     ),
     Mutant(
         "fq-mul-truncates-instead-of-reducing",

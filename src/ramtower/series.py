@@ -1,15 +1,20 @@
 """Truncated Laurent series over a finite field F_q, with absolute precision.
 
-A series is a finite table of known coefficients plus an optional absolute
-precision P, meaning "known modulo t^P".  The operations are the ring ones
-(+, -, * by a series or a scalar) and truncation, plus a literal grammar
-that parses and formats series; there is no division or composition.  They
-propagate precision pessimistically and never fabricate digits; a question
-that the known digits cannot answer raises InsufficientPrecision instead of
-guessing.
+A series is a finite table of known coefficients plus an absolute precision
+P, meaning "known modulo t^P".  The operations are the ring ones between
+series (+, -, *), multiplication by a scalar on the right, and truncation,
+plus a literal grammar that parses and formats series; there is no division
+or composition.  They propagate precision pessimistically and never
+fabricate digits; a question that the known digits cannot answer raises
+InsufficientPrecision instead of guessing.
 
-The zero series comes in two flavours: exact zero (precision None, valuation
-+infinity) and "zero modulo t^P", whose valuation is undecidable.
+An exact series has precision INF (+infinity), the same INF that is the
+valuation of the exact zero; `prec=None` in a constructor means INF.  So
+precision is always a number: sums and truncations take a minimum, and a
+product a·b is known to min(P_a + v(b), P_b + v(a)), where v is the
+valuation's lower bound (P for a zero mod t^P).  The zero series comes in
+two flavours: exact zero (precision and valuation INF) and "zero modulo
+t^P", whose valuation is undecidable.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ class LaurentSeries:
     __slots__ = ("field", "v0", "coeffs", "prec")
 
     def __init__(self, field: FqField, v0: int, coeffs: tuple[FqElem, ...], prec: int | None):
+        if prec is None:
+            prec = INF
         # normalize: strip leading/trailing zero coefficients, clamp to precision
         lo = 0
         hi = len(coeffs)
         while lo < hi and not coeffs[lo]:
             lo += 1
         v0 += lo
-        if prec is not None:
-            hi = min(hi, lo + max(0, prec - v0))
+        hi = min(hi, lo + max(0, prec - v0))
         while hi > lo and not coeffs[hi - 1]:
             hi -= 1
         coeffs = coeffs[lo:hi]
@@ -73,7 +79,7 @@ class LaurentSeries:
     # -- structure ---------------------------------------------------------
 
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.prec is None
+        return not self.coeffs and self.prec == INF
 
     def known_zero(self) -> bool:
         return not self.coeffs
@@ -84,20 +90,16 @@ class LaurentSeries:
         Raises InsufficientPrecision when all known digits vanish but the
         precision is finite.
         """
-        if self.coeffs:
-            return self.v0
-        if self.prec is None:
-            return INF
-        raise InsufficientPrecision(f"series is 0 mod t^{self.prec}; valuation unknown")
+        if not self.coeffs and self.prec < INF:
+            raise InsufficientPrecision(f"series is 0 mod t^{self.prec}; valuation unknown")
+        return self.valuation_lower_bound()
 
     def valuation_lower_bound(self):
-        if self.coeffs:
-            return self.v0
-        return INF if self.prec is None else self.prec
+        return self.v0 if self.coeffs else self.prec
 
     def coeff(self, e: int) -> FqElem:
         """Coefficient of t^e; raises if e is beyond the known precision."""
-        if self.prec is not None and e >= self.prec:
+        if e >= self.prec:
             raise InsufficientPrecision(f"coefficient of t^{e} unknown (precision {self.prec})")
         if self.v0 <= e < self.v0 + len(self.coeffs):
             return self.coeffs[e - self.v0]
@@ -126,12 +128,10 @@ class LaurentSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, FqElem)):
-            other = LaurentSeries.from_terms(self.field, {0: other})
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check(other)
-        prec = _min_prec(self.prec, other.prec)
+        prec = min(self.prec, other.prec)
         if not self.coeffs:
             return LaurentSeries(other.field, other.v0, other.coeffs, prec)
         if not other.coeffs:
@@ -144,17 +144,11 @@ class LaurentSeries:
                 row[s.v0 + i - lo] = row[s.v0 + i - lo] + c
         return LaurentSeries(self.field, lo, tuple(row), prec)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentSeries(self.field, self.v0, tuple(-c for c in self.coeffs), self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (int, FqElem)):
-            other = LaurentSeries.from_terms(self.field, {0: other})
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
@@ -163,14 +157,9 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return LaurentSeries.zero(self.field)
-        prec = _min_prec(
-            _shift_prec(self.prec, other.valuation_lower_bound()),
-            _shift_prec(other.prec, self.valuation_lower_bound()),
+        prec = min(
+            self.prec + other.valuation_lower_bound(), other.prec + self.valuation_lower_bound()
         )
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.zero(self.field, prec)
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -180,27 +169,11 @@ class LaurentSeries:
                         out[i + j] = out[i + j] + a * b
         return LaurentSeries(self.field, self.v0 + other.v0, tuple(out), prec)
 
-    __rmul__ = __mul__
-
     def truncate(self, prec: int):
-        return LaurentSeries(self.field, self.v0, self.coeffs, _min_prec(self.prec, prec))
+        return LaurentSeries(self.field, self.v0, self.coeffs, min(self.prec, prec))
 
     def __repr__(self):
         return f"LaurentSeries({format_series(self)!r})"
-
-
-def _min_prec(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _shift_prec(p: int | None, v) -> int | None:
-    if p is None or v is INF:
-        return None
-    return int(p + v)
 
 
 # -- literal parsing -------------------------------------------------------
@@ -211,7 +184,8 @@ _TOKEN = re.compile(r"\s*(\d+|[tO()^*+-])")
 def parse_series(text: str, field: FqField, default_prec: int | None = None) -> LaurentSeries:
     """Parse a series literal like `t^2*(1 + 2*t) + O(t^10)`.
 
-    Integer coefficients are reduced into F_q through the base-p digit map.
+    Integer coefficients are reduced into F_q through the base-p digit map;
+    a leading `-` negates in F_q, so `-t + t` is the exact zero.
     `O(t^P)` contributes a zero-known series of absolute precision P; its
     argument is read like a bare power, so `O(t)` is `O(t^1)`.  Scaling by
     t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
@@ -232,8 +206,8 @@ def parse_series(text: str, field: FqField, default_prec: int | None = None) -> 
     s = parser.parse_sum()
     if parser.pos != len(tokens):
         raise ValueError(f"trailing tokens in series literal: {tokens[parser.pos:]}")
-    if s.prec is None and default_prec is not None:
-        s = s.truncate(default_prec)
+    if s.prec == INF:
+        s = LaurentSeries(field, s.v0, s.coeffs, default_prec)
     return s
 
 
@@ -254,10 +228,10 @@ class _Parser:
         return tok
 
     def parse_sum(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        s = self.parse_product() * sign
+        sign = self.take() if self.peek() in ("+", "-") else "+"
+        s = self.parse_product()
+        if sign == "-":
+            s = -s
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_product()
@@ -329,7 +303,7 @@ def format_series(s: LaurentSeries) -> str:
             else:
                 inner.append(f"t^{e}" if n == 1 else f"{n}*t^{e}")
         parts.append(" + ".join(inner))
-    if s.prec is not None:
+    if s.prec < INF:
         parts.append(f"O(t^{s.prec})")
     if not parts:
         return "0"

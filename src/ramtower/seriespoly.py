@@ -13,7 +13,7 @@ resultant norm is the reference the tests check that reading against.
 from __future__ import annotations
 
 from .fq import FqField
-from .series import LaurentSeries, parse_series
+from .series import LaurentSeries, format_series, parse_series
 
 
 class SeriesPoly:
@@ -33,16 +33,6 @@ class SeriesPoly:
         """Coefficients as series literals, ascending degree."""
         return cls(field, [parse_series(s, field, default_prec) for s in literals])
 
-    @classmethod
-    def from_terms(cls, field: FqField, terms: dict[int, LaurentSeries]):
-        if not terms:
-            return cls(field, [])
-        deg = max(terms)
-        row = [LaurentSeries.zero(field)] * (deg + 1)
-        for k, c in terms.items():
-            row[k] = c
-        return cls(field, row)
-
     @property
     def degree(self) -> int:
         """Degree as stored; the leading coefficient may still be an
@@ -60,21 +50,9 @@ class SeriesPoly:
         lead = self.coeffs[-1]
         return bool(lead.coeffs) and lead.v0 == 0 and lead.coeffs[0] == 1 and len(lead.coeffs) == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
             return SeriesPoly(self.field, [c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return SeriesPoly(self.field, [])
         out = [LaurentSeries.zero(self.field)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a.is_exact_zero():
@@ -84,8 +62,6 @@ class SeriesPoly:
         return SeriesPoly(self.field, out)
 
     def __repr__(self):
-        from .series import format_series
-
         inner = ", ".join(format_series(c) for c in self.coeffs)
         return f"SeriesPoly([{inner}])"
 

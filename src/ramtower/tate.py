@@ -8,10 +8,11 @@ k < n the terms n·v_K(c_k) + k are distinct mod n, so
 
     v_L(beta) = min_k n·v_K(c_k) + k.
 
-Only polynomials verified Eisenstein are accepted: a uniformiser of a totally
-ramified extension always has an Eisenstein minimal polynomial (Serre, Local
-Fields, I §6), and any other root alpha breaks the v_L(alpha) = 1
-normalization.
+Only polynomials verified Eisenstein and separable are accepted: a
+uniformiser of a totally ramified extension always has an Eisenstein minimal
+polynomial (Serre, Local Fields, I §6), and any other root alpha breaks the
+v_L(alpha) = 1 normalization.  An inseparable f (a_j = 0 for every j prime
+to p, so f' = 0) has no conjugates sigma(alpha) to read breaks from.
 
 The break data lives on the twisted polynomial g(x) = f(alpha·x + alpha) /
 alpha^n, whose roots are sigma(alpha)/alpha - 1.  Its coefficients are
@@ -46,7 +47,10 @@ class EisensteinExtension:
 
     Coefficients with undetermined valuation raise InsufficientPrecision at
     construction, so alpha is verifiably a uniformiser: v(a_0) = 1 on a
-    known digit and every interior coefficient in the maximal ideal.
+    known digit and every interior coefficient in the maximal ideal.  After
+    those checks every a_j is an exact zero or has a known nonzero digit, so
+    separability (some a_j != 0 with p not dividing j) is decided, and an
+    inseparable f is refused with ValueError.
     """
 
     def __init__(self, poly: SeriesPoly):
@@ -62,6 +66,8 @@ class EisensteinExtension:
             ai = poly.coeff(i)
             if not ai.is_exact_zero() and ai.valuation() < 1:
                 raise ValueError(f"coefficient of x^{i} must sit in the maximal ideal")
+        if all(poly.coeff(j).is_exact_zero() for j in range(1, n + 1) if j % poly.field.p):
+            raise ValueError("polynomial is inseparable: a_j = 0 for every j prime to p")
         self.poly = poly
         self.n = n
         self.field: FqField = poly.field
@@ -217,9 +223,8 @@ def eisenstein_trinomial(
         raise ValueError("c must be positive")
     if prec is None:
         prec = 4 * q * c + 8
-    terms = {
-        0: LaurentSeries.t_power(field, 1, coeff=field.from_int(unit), prec=prec),
-        1: LaurentSeries.t_power(field, c, coeff=field.from_int(lin_unit), prec=prec),
-        q: LaurentSeries.one(field, prec=prec),
-    }
-    return EisensteinExtension(SeriesPoly.from_terms(field, terms))
+    coeffs = [LaurentSeries.zero(field)] * (q + 1)
+    coeffs[0] = LaurentSeries.t_power(field, 1, coeff=field.from_int(unit), prec=prec)
+    coeffs[1] = LaurentSeries.t_power(field, c, coeff=field.from_int(lin_unit), prec=prec)
+    coeffs[q] = LaurentSeries.one(field, prec=prec)
+    return EisensteinExtension(SeriesPoly(field, coeffs))

@@ -302,6 +302,25 @@ def test_tate_domain_failure(capsys):
     assert rep.payload["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("poly", ["t;0;1", "t;0;t;0;1"])
+def test_tate_refuses_inseparable_polynomials(capsys, poly):
+    # x^2 + t and x^4 + t·x^2 + t over F_2 are x^2-polynomials: f' = 0
+    code, rep = report_of(capsys, "tate", "--p", "2", "--poly", poly)
+    assert code == 1
+    assert rep.status == "fail"
+    assert rep.payload["kind"] == "ValueError"
+    assert "inseparable" in rep.payload["error"]
+
+
+def test_tate_leading_minus_negates_over_f4(capsys):
+    # -t + t is the exact zero, so the polynomial is x^4 + t^3·x^3 + t
+    argv = ["tate", "--p", "2", "--field-ext", "2", "--poly"]
+    code, rep = report_of(capsys, *argv, "t;-t + t;0;t^3;1")
+    _, plain = report_of(capsys, *argv, "t;0;0;t^3;1")
+    assert code == 0 and rep.payload == plain.payload
+    assert rep.payload["breaks"] == ["11/3"]
+
+
 def test_tate_rejects_a_huge_non_prime_p(capsys):
     code, out, err = run(capsys, "tate", "--p", str(10**400), "--poly", "t;t;1")
     assert code == 64 and out == ""

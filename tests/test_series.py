@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ramtower.errors import InsufficientPrecision
 from ramtower.fq import fq_field
-from ramtower.series import LaurentSeries, format_series, parse_series
+from ramtower.series import INF, LaurentSeries, format_series, parse_series
 
 F2 = fq_field(2)
 F4 = fq_field(2, 2)
@@ -49,6 +49,8 @@ def test_format_parse_round_trip(a):
 def test_known_vs_exact_zero():
     z = LaurentSeries.zero(F2)
     assert z.is_exact_zero() and z.known_zero()
+    # exact means precision INF, which is also the exact zero's valuation
+    assert z.prec == z.valuation() == INF and LaurentSeries.zero(F2, prec=INF) == z
     fuzzy = LaurentSeries.zero(F2, prec=10)
     assert fuzzy.known_zero() and not fuzzy.is_exact_zero()
     with pytest.raises(InsufficientPrecision):
@@ -85,6 +87,11 @@ def test_precision_propagates_through_product():
     # v(b) = 2 shifts a's O(t^3) to O(t^5), tighter than b's own O(t^9)
     assert prod.prec == 5
     assert prod.valuation() == 2
+    # the bound is symmetric: either factor may carry the tighter one
+    assert b * a == prod
+    # an exact factor leaves the other's precision shifted by its valuation
+    assert (a * s("t^4")).prec == 7 and (s("t^4") * a).prec == 7
+    assert (s("t") * s("t^2")).prec == INF
 
 
 def test_truncate_and_coeff():
@@ -92,6 +99,10 @@ def test_truncate_and_coeff():
     assert a.coeff(3) == 1 and a.coeff(2) == 0
     t = a.truncate(2)
     assert t.prec == 2 and t.coeff(1) == 1
+    # t^2 is past what O(t^2) knows
+    with pytest.raises(InsufficientPrecision):
+        t.coeff(2)
+    assert a.truncate(INF) == a and a.prec == INF
 
 
 def test_scalar_multiplication():
@@ -100,3 +111,11 @@ def test_scalar_multiplication():
     assert (a * 0).known_zero()
     two = F9.from_int(2)
     assert (a * two).coeff(1) == two
+
+
+@pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+def test_leading_minus_negates(field):
+    # -1 is the field's own negative one, not the digit-map image of the int -1
+    assert s("-t + t", field).is_exact_zero()
+    assert s("-t", field) == s("0 - t", field) == -s("t", field)
+    assert s("-(1 + t) + O(t^3)", field) == s("0 - 1 - t + O(t^3)", field)
