@@ -199,10 +199,17 @@ MUTANTS = [
         ("tests/test_tate.py",),
     ),
     Mutant(
+        "expansion-binomial-unreduced",
+        "src/ramtower/tate.py",
+        "ck = math.comb(k, i) % p if k >= i else 0",
+        "ck = math.comb(k, i) if k >= i else 0",
+        ("tests/test_tate.py",),
+    ),
+    Mutant(
         "expansion-drops-lead-coefficient",
         "src/ramtower/tate.py",
-        "c = c + -(ak * an) * cn",
-        "c = c + -ak * cn",
+        "c = c + -(ak * an) * field.from_int(cn)",
+        "c = c + -ak * field.from_int(cn)",
         ("tests/test_tate.py::test_expansion_is_the_reduced_representative",),
     ),
     Mutant(
@@ -210,6 +217,13 @@ MUTANTS = [
         "src/ramtower/tate.py",
         "math.comb(n, i) % p",
         "math.comb(n - 1, i) % p",
+        ("tests/test_tate.py",),
+    ),
+    Mutant(
+        "is-monic-reads-only-the-valuation",
+        "src/ramtower/seriespoly.py",
+        "return lead.v0 == 0 and lead.coeffs == (self.field.one(),)",
+        "return lead.v0 == 0",
         ("tests/test_tate.py",),
     ),
     Mutant(
@@ -294,7 +308,7 @@ MUTANTS = [
         "parser-negates-by-the-int-minus-one",
         "src/ramtower/series.py",
         "            s = -s\n",
-        "            s = s * -1\n",
+        "            s = s * self.field.from_int(-1)\n",
         ("tests/test_series.py",),
     ),
     Mutant(
@@ -331,6 +345,13 @@ MUTANTS = [
         '        print(f"ramtower: usage error: {e}", file=sys.stderr)\n        return 64\n',
         '        print(f"ramtower: usage error: {e}", file=sys.stderr)\n        return 1\n',
         ("tests/test_cli.py", "tests/test_cli_contract.py"),
+    ),
+    Mutant(
+        "svg-fixed-point-unpadded",
+        "src/ramtower/svg.py",
+        'return f"{sign}{whole}.{frac:02d}"',
+        'return f"{sign}{whole}.{frac}"',
+        ("tests/test_cli.py::test_readme_command_output_is_byte_identical",),
     ),
     Mutant(
         "record-equality-drops-a-field",

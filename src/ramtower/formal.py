@@ -25,7 +25,8 @@ log_q D + 1 terms, so `_log_powers` reads each power straight off f by the
 power recurrence and returns the table as integer rows {e: c} in ascending
 e over one denominator for the whole table: the inverse, the brackets and
 the law read those rows as they are, so the hot loops run on plain integers
-for any rational input, and `_sum_rows` is their one row-summing loop.  A
+for any rational input, and `_sum_rows` is their one row-summing loop: it
+sums each bracket, each B_k of the law and each x^i row of the law.  A
 module keeps the table of the powers f^(1+k·s) that can meet a nonzero g_e,
 solves g from it as a triangular system, and sums every bracket from it;
 the law, which needs every power, reuses that table when s = 1 and builds
@@ -434,10 +435,11 @@ def _law_series(module: FormalModule) -> BivariateSeries:
     are this table past f^0 = den/den and are reused; otherwise the full
     table is built here.  Its rows share the one denominator P, and g is
     brought to the lcm G of its own, so the whole sum runs on integers over
-    P²·G.  That denominator is read off the actual table rather than
-    assumed from a p-adic bound, so there is no scale for a remainder check
-    to guard; the p-integrality that the functional-equation lemma promises
-    is asserted on the result."""
+    P²·G.  Each B_k and each row x^i of F, Σ_{k<=i} [T^i]f^k·B_k(y), is one
+    `_sum_rows` call.  That denominator is read off the actual table rather
+    than assumed from a p-adic bound, so there is no scale for a remainder
+    check to guard; the p-integrality that the functional-equation lemma
+    promises is asserted on each row as it is summed."""
     p, D, g = module.p, module.D, module.inv_coeffs
     if module._step == 1:
         table, P = [{0: module._den}, *module._powers], module._den
@@ -445,22 +447,19 @@ def _law_series(module: FormalModule) -> BivariateSeries:
         table, P = _log_powers(module.log_coeffs, module.q, D)
     G = math.lcm(*(c.denominator for c in g.values()))
     g_num = sorted((e, c.numerator * (G // c.denominator)) for e, c in g.items())
-    acc = {}
-    for k, row in enumerate(table):
+    B = []
+    for k in range(len(table)):
         bk = _sum_rows(((c * math.comb(e, k), table[e - k]) for e, c in g_num if e >= k), D - k)
-        bk = sorted(bk.items())
-        for i, v in row.items():
-            for j, w in bk:
-                if i + j > D:
-                    break
-                acc[(i, j)] = acc.get((i, j), 0) + v * w
-    scale = P * P * G
-    raw = {key: Fraction(v, scale) for key, v in acc.items() if v}
-    for (i, j), c in raw.items():
-        if c.denominator % p == 0:
-            raise IntegralityError(
-                f"law coefficient at ({i},{j}) = {c} not {p}-integral", (i, j)
-            )
+        B.append(dict(sorted(bk.items())))
+    scale, raw = P * P * G, {}
+    for i in range(D + 1):
+        row = _sum_rows(((fk[i], bk) for fk, bk in zip(table[: i + 1], B) if i in fk), D - i)
+        for j, v in row.items():  # BivariateSeries drops the zeros
+            c = raw[(i, j)] = Fraction(v, scale)
+            if c.denominator % p == 0:
+                raise IntegralityError(
+                    f"law coefficient at ({i},{j}) = {c} not {p}-integral", (i, j)
+                )
     return BivariateSeries(RATIONALS, D, raw)
 
 
@@ -599,33 +598,34 @@ def _assoc_exact(F: BivariateSeries):
     z^j (resp. x^i) axis.  A rational law is written F = N/L over the lcm L
     of its denominators, and each side is summed as Σ n_ij·N^i·L^(top−i)·z^j
     (resp. x^i·N^j·L^(top−j)) on integers: the true sums times L^(top+1), so
-    they differ at exactly the same keys.  An F_q law is its own N, with
-    L = 1.  Exact in any ring.  The cost is the top − 1 products
-    F^n = F^(n−1)·F, each visiting only the pairs that stay within degree D,
-    plus, for each term (i, j) of F, one pass over F^i and F^j sorted by
-    degree that stops at the first term past D.  For the law of
+    they differ at exactly the same keys.  An F_q law is summed on its own
+    coefficients, unweighted.  Exact in any ring.  The cost is the top − 1
+    products F^n = F^(n−1)·F, each visiting only the pairs that stay within
+    degree D, plus, for each term (i, j) of F, one pass over F^i and F^j
+    sorted by degree that stops at the first term past D.  For the law of
     `atypical_module(3, 3, (1, 2, 1), D=27)` the products visit 59,746 pairs
     of the 619,344 that all pairs would be, and the side passes visit
     24,186 (power term, law term) pairs and keep 23,848 of them, where
     visiting every term took 56,244; the sort costs less than the skipped
     visits save (the check ran about 5% faster, on one pinned CPU)."""
     D = F.D
+    top = max((max(key) for key in F.coeffs), default=0)
     if F.ring == RATIONALS:
         L = math.lcm(*(c.denominator for c in F.coeffs.values()))
         num = {key: c.numerator * (L // c.denominator) for key, c in F.coeffs.items()}
+        weight = [L ** (top - n) for n in range(top + 1)]
+        sides = [(i, j, c * weight[i], c * weight[j]) for (i, j), c in num.items()]
         one = 1
     else:
-        L, num, one = 1, F.coeffs, F.ring.one()
-    top = max((max(key) for key in num), default=0)
+        num, one = F.coeffs, F.ring.one()
+        sides = [(i, j, c, c) for (i, j), c in num.items()]
     powers = [{(0, 0): one}, num]
     while len(powers) <= top:
         powers.append(_mul(powers[-1], num, D))
     # each power sorted by total degree (keys unique: v never compared)
     powers = [sorted((a + bb, a, bb, v) for (a, bb), v in pw.items()) for pw in powers]
-    weight = [L ** (top - n) for n in range(top + 1)]
     lhs, rhs = {}, {}
-    for (i, j), c in num.items():
-        ci, cj = c * weight[i], c * weight[j]
+    for i, j, ci, cj in sides:
         for deg, a, bb, v in powers[i]:
             if deg > D - j:
                 break

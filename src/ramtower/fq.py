@@ -7,9 +7,12 @@ monic irreducible polynomial of degree m in the enumeration
     x^m + c_{m-1} x^{m-1} + ... + c_0,   where (c_0, ..., c_{m-1}) are the
     base-p digits of a counter n = 0, 1, 2, ...
 
-so the choice is reproducible from (p, m) alone.  Integers are identified
-with field elements through the same digit map: n < p^m corresponds to
-sum(n_i x^i) where n_i is the i-th base-p digit of n.
+so the choice is reproducible from (p, m) alone.  The same digit map is how
+integers are written as elements: `FqField.from_int(n)` is sum(n_i x^i),
+n_i the i-th base-p digit of n mod p^m, and `FqElem.to_int` inverts it.  It
+is an encoding, not the ring map Z -> F_q (over F_4, from_int(2) is x, not
+0), so field arithmetic never takes an int: + and * want two elements of
+one field, and an element never equals an int.
 """
 
 from __future__ import annotations
@@ -137,7 +140,10 @@ class FqField(Record):
         return self.p**self.m
 
     def from_int(self, n: int) -> "FqElem":
-        """Integer -> element through base-p digits on the power basis."""
+        """The element whose power-basis coordinates are the base-p digits
+        of n mod q: the encoding that series literals, `to_int` and the
+        modulus counter use, and the one way an integer becomes an element.
+        For n < p it is also the image of n in F_p."""
         n %= self.q
         digits = []
         for _ in range(self.m):
@@ -166,20 +172,14 @@ class FqElem:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.from_int(other)
-        return (
-            isinstance(other, FqElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, FqElem):
+            return NotImplemented
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field.p, self.field.m, self.coeffs))
 
     def _check(self, other) -> "FqElem":
-        if isinstance(other, int):
-            return self.field.from_int(other)
         if not isinstance(other, FqElem):
             return NotImplemented
         if other.field != self.field:
@@ -195,8 +195,6 @@ class FqElem:
         p = self.field.p
         return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = self.field.p
         return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
@@ -209,8 +207,6 @@ class FqElem:
         prod = _poly_mul(_trim(self.coeffs), _trim(other.coeffs), f.p)
         red = _poly_mod(prod, f.modulus, f.p) if len(prod) > f.m else prod
         return FqElem(f, red + (0,) * (f.m - len(red)))
-
-    __rmul__ = __mul__
 
     def to_int(self) -> int:
         n = 0

@@ -2,11 +2,12 @@
 
 A series is a finite table of known coefficients plus an absolute precision
 P, meaning "known modulo t^P".  The operations are the ring ones between
-series (+, -, *), multiplication by a scalar on the right, and truncation,
-plus a literal grammar that parses and formats series; there is no division
-or composition.  They propagate precision pessimistically and never
-fabricate digits; a question that the known digits cannot answer raises
-InsufficientPrecision instead of guessing.
+series (+, -, *), multiplication on the right by an element of F_q (never by
+an int: integers become elements only through `FqField.from_int`), and
+truncation, plus a literal grammar that parses and formats series; there is
+no division or composition.  They propagate precision pessimistically and
+never fabricate digits; a question that the known digits cannot answer
+raises InsufficientPrecision instead of guessing.
 
 An exact series has precision INF (+infinity), the same INF that is the
 valuation of the exact zero; `prec=None` in a constructor means INF.  So
@@ -54,15 +55,12 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, field: FqField, terms: dict[int, FqElem | int], prec: int | None = None):
+    def from_terms(cls, field: FqField, terms: dict[int, FqElem], prec: int | None = None):
         if not terms:
             return cls(field, 0, (), prec)
         lo = min(terms)
-        hi = max(terms) + 1
-        row = [field.zero()] * (hi - lo)
-        for e, c in terms.items():
-            row[e - lo] = field.from_int(c) if isinstance(c, int) else c
-        return cls(field, lo, tuple(row), prec)
+        row = tuple(terms.get(e, field.zero()) for e in range(lo, max(terms) + 1))
+        return cls(field, lo, row, prec)
 
     @classmethod
     def zero(cls, field: FqField, prec: int | None = None):
@@ -70,11 +68,14 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, field: FqField, prec: int | None = None):
-        return cls.from_terms(field, {0: 1}, prec)
+        return cls(field, 0, (field.one(),), prec)
 
     @classmethod
-    def t_power(cls, field: FqField, k: int, coeff: int | FqElem = 1, prec: int | None = None):
-        return cls.from_terms(field, {k: coeff}, prec)
+    def t_power(
+        cls, field: FqField, k: int, coeff: FqElem | None = None, prec: int | None = None
+    ):
+        """coeff·t^k, coeff one by default."""
+        return cls(field, k, (field.one() if coeff is None else coeff,), prec)
 
     # -- structure ---------------------------------------------------------
 
@@ -151,9 +152,9 @@ class LaurentSeries:
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, FqElem)):
-            c = self.field.from_int(other) if isinstance(other, int) else other
-            return LaurentSeries(self.field, self.v0, tuple(a * c for a in self.coeffs), self.prec)
+        if isinstance(other, FqElem):
+            coeffs = tuple(a * other for a in self.coeffs)
+            return LaurentSeries(self.field, self.v0, coeffs, self.prec)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check(other)
@@ -184,8 +185,9 @@ _TOKEN = re.compile(r"\s*(\d+|[tO()^*+-])")
 def parse_series(text: str, field: FqField, default_prec: int | None = None) -> LaurentSeries:
     """Parse a series literal like `t^2*(1 + 2*t) + O(t^10)`.
 
-    Integer coefficients are reduced into F_q through the base-p digit map;
-    a leading `-` negates in F_q, so `-t + t` is the exact zero.
+    An integer literal n is the element `field.from_int(n)`, the base-p
+    digit encoding of n mod q, so over F_4 `2` is x and `3` is x + 1; a
+    leading `-` negates in F_q, so `-t + t` is the exact zero.
     `O(t^P)` contributes a zero-known series of absolute precision P; its
     argument is read like a bare power, so `O(t)` is `O(t^1)`.  Scaling by
     t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
@@ -264,7 +266,7 @@ class _Parser:
             return LaurentSeries.t_power(self.field, self._t_exponent())
         if tok.isdigit():
             self.take()
-            return LaurentSeries.from_terms(self.field, {0: int(tok)})
+            return LaurentSeries.from_terms(self.field, {0: self.field.from_int(int(tok))})
         raise ValueError(f"unexpected token {tok!r} in series literal")
 
     def _t_exponent(self):

@@ -48,7 +48,7 @@ class SeriesPoly:
         if not self.coeffs:
             return False
         lead = self.coeffs[-1]
-        return bool(lead.coeffs) and lead.v0 == 0 and lead.coeffs[0] == 1 and len(lead.coeffs) == 1
+        return lead.v0 == 0 and lead.coeffs == (self.field.one(),)
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):

@@ -114,9 +114,9 @@ def _twisted_coefficient(f: SeriesPoly, i: int) -> list:
     for k in range(n):
         ak = f.coeff(k)
         ck = math.comb(k, i) % p if k >= i else 0
-        c = ak * ck if ck else LaurentSeries.zero(field)
+        c = ak * field.from_int(ck) if ck else LaurentSeries.zero(field)
         if cn:
-            c = c + -(ak * an) * cn
+            c = c + -(ak * an) * field.from_int(cn)
         out.append(c)
     return out
 
@@ -213,18 +213,16 @@ def tate_breaks(ext: EisensteinExtension) -> TateBreaks:
     )
 
 
-def eisenstein_trinomial(
-    field: FqField, c: int, unit: int = 1, lin_unit: int = 1, prec: int | None = None
-) -> EisensteinExtension:
-    """x^q + lin_unit·t^c·x + unit·t over F_q((t)), with enough precision for
-    break extraction (4·q·c digits unless overridden)."""
+def eisenstein_trinomial(field: FqField, c: int, prec: int | None = None) -> EisensteinExtension:
+    """x^q + t^c·x + t over F_q((t)), with enough precision for break
+    extraction (4·q·c digits unless overridden)."""
     q = field.q
     if c < 1:
         raise ValueError("c must be positive")
     if prec is None:
         prec = 4 * q * c + 8
     coeffs = [LaurentSeries.zero(field)] * (q + 1)
-    coeffs[0] = LaurentSeries.t_power(field, 1, coeff=field.from_int(unit), prec=prec)
-    coeffs[1] = LaurentSeries.t_power(field, c, coeff=field.from_int(lin_unit), prec=prec)
+    coeffs[0] = LaurentSeries.t_power(field, 1, prec=prec)
+    coeffs[1] = LaurentSeries.t_power(field, c, prec=prec)
     coeffs[q] = LaurentSeries.one(field, prec=prec)
     return EisensteinExtension(SeriesPoly(field, coeffs))

@@ -84,10 +84,8 @@ def test_criterion_1_newton_polygon_oracle():
             for _ in range(rng.randint(1, 6)):
                 m = rng.randint(0, 9)
                 u = rng.randrange(1, field.q)
-                factor = SeriesPoly(
-                    field,
-                    [LaurentSeries.t_power(field, m, coeff=u) * -1, LaurentSeries.one(field)],
-                )
+                root = LaurentSeries.t_power(field, m, coeff=field.from_int(u))
+                factor = SeriesPoly(field, [-root, LaurentSeries.one(field)])
                 f = f * factor
                 planted.append(m)
             got = []

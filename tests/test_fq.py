@@ -9,6 +9,7 @@ import pytest
 from ramtower.arith import exact_log, is_prime, prime_power
 from ramtower.errors import FieldMismatch
 from ramtower.fq import fq_field, is_irreducible
+from ramtower.series import parse_series
 
 
 def test_moduli_are_deterministic():
@@ -132,10 +133,17 @@ def test_mixed_field_arithmetic_rejected():
         a + b
 
 
-def test_int_coercion_in_equality():
-    f = fq_field(5)
-    assert f.from_int(3) == 3
-    assert f.from_int(3) != 4
+@pytest.mark.parametrize("m", [(2, 2), (3, 2)], ids=["F4", "F9"])
+def test_integers_do_not_enter_the_field_by_arithmetic(m):
+    # the base-p digit map is an encoding (over F_4, from_int(2) is x), so
+    # field and series arithmetic refuse an int operand instead of guessing
+    f = fq_field(*m)
+    one, a = f.one(), parse_series("t + t^2", f)
+    for op in (lambda: one * 2, lambda: 2 * one, lambda: one + 1, lambda: 1 + one,
+               lambda: a * 2, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            op()
+    assert one != 1 and not one == 1
 
 
 def smallest_factor(n):

@@ -14,7 +14,10 @@ only a verify worker pool loads multiprocessing.
 
 The one floating-point product in the package is `fastcheck._fft_mul`: a
 parse of the source finds a single inverse FFT, rounded by `_rint_exact`,
-and no module but `fastcheck` importing numpy.
+and no module but `fastcheck` importing numpy.  The same parse finds
+`FqElem(...)` called only in `fq`, so every field element comes from fq's
+own constructors and arithmetic, and integers enter F_q only through
+`FqField.from_int`.
 
 Each case runs in a fresh interpreter, so modules that other tests have
 already imported cannot hide an import edge.
@@ -29,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 PACKAGE = Path(SRC) / "ramtower"
 
 
@@ -209,3 +213,13 @@ def test_the_one_inverse_fft_is_fft_mul_and_is_rounded_by_rint_exact():
                     rounded.append((path.name, owner))
     assert inverse == rounded == [("fastcheck.py", "_fft_mul")]
     assert numpy_users == {"fastcheck.py"}
+
+
+def test_field_elements_are_constructed_only_in_fq():
+    makers = set()
+    sources = [*PACKAGE.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+    for path in sources:
+        for _, call in _calls(ast.parse(path.read_text())):
+            if _name(call.func) == "FqElem":
+                makers.add(path.relative_to(ROOT).as_posix())
+    assert makers == {"src/ramtower/fq.py"}

@@ -78,8 +78,8 @@ def _split_poly(field, rng, k):
     for _ in range(k):
         m = rng.randint(0, 9)
         u = rng.randrange(1, field.q)
-        root = LaurentSeries.t_power(field, m, coeff=u)
-        factor = SeriesPoly(field, [root * -1, LaurentSeries.one(field)])
+        root = LaurentSeries.t_power(field, m, coeff=field.from_int(u))
+        factor = SeriesPoly(field, [-root, LaurentSeries.one(field)])
         f = f * factor
         planted.append(m)
     return f, planted

@@ -104,6 +104,9 @@ def test_eisenstein_validation():
         _ext(f2, ["t", "1"])  # degree 1
     with pytest.raises(ValueError):
         _ext(f2, ["t", "t", "t"])  # not monic
+    for lead in ("2", "1 + t", "1 + t^-1"):  # a unit lead that is not 1
+        with pytest.raises(ValueError, match="monic"):
+            _ext(fq_field(3), ["t", "t", lead])
     with pytest.raises(ValueError, match="inseparable"):
         _ext(f2, ["t", "0", "1"])  # x^2 + t: f' = 0
     with pytest.raises(ValueError, match="inseparable"):
@@ -143,9 +146,14 @@ def test_trinomial_break_closed_form_generic(case):
     (p, m), c, unit_seed = case
     field = fq_field(p, m)
     q = field.q
-    unit = unit_seed % (q - 1) + 1 if q > 2 else 1
-    ext = eisenstein_trinomial(field, c, unit=unit, lin_unit=unit)
-    result = tate_breaks(ext)
+    u = field.from_int(unit_seed % (q - 1) + 1 if q > 2 else 1)
+    # x^q + u·t^c·x + u·t, with eisenstein_trinomial's precision
+    prec = 4 * q * c + 8
+    coeffs = [LaurentSeries.zero(field)] * (q + 1)
+    coeffs[0] = LaurentSeries.t_power(field, 1, coeff=u, prec=prec)
+    coeffs[1] = LaurentSeries.t_power(field, c, coeff=u, prec=prec)
+    coeffs[q] = LaurentSeries.one(field, prec=prec)
+    result = tate_breaks(EisensteinExtension(SeriesPoly(field, coeffs)))
     assert result.breaks == (closed_form_break(q, c),)
 
 
@@ -190,7 +198,7 @@ def _twisted_coefficients(f):
         for j in range(i, n + 1):
             c = math.comb(j, i) % field.p
             if c:
-                term = _reduce_mod((powers[j] * (f.coeff(j) * c)).coeffs, f)
+                term = _reduce_mod((powers[j] * (f.coeff(j) * field.from_int(c))).coeffs, f)
                 total = [a + b for a, b in zip(total, term)]
         out.append(total)
     return out
@@ -219,10 +227,10 @@ def _random_eisenstein(rng, field, n, lead="1"):
 def _accepted(f):
     """EisensteinExtension(f), or None after asserting that an inseparable f
     is refused.  f is inseparable when f' = 0: every j·a_j is known zero,
-    with j reduced mod p because an int scalar goes through the digit map.
-    The construction's earlier checks may raise first."""
-    p = f.field.p
-    if all((c * (j % p)).known_zero() for j, c in enumerate(f.coeffs)):
+    with j the element from_int(j % p) of the prime field.  The
+    construction's earlier checks may raise first."""
+    field = f.field
+    if all((c * field.from_int(j % field.p)).known_zero() for j, c in enumerate(f.coeffs)):
         with pytest.raises(ValueError, match="inseparable"):
             EisensteinExtension(f)
         return None
