@@ -72,17 +72,17 @@ MUTANTS = [
     Mutant(
         "verify-upper-below-lower",
         "src/ramtower/towers.py",
-        "            if not w < b:\n",
-        "            if not w <= b:\n",
+        "            if not wn * M < B * wd:\n",
+        "            if not wn * M <= B * wd:\n",
         ("tests/test_towers.py",),
     ),
     Mutant(
         "layer-chain-phi-at-the-break",
         "src/ramtower/towers.py",
-        "            if x > b:\n",
-        "            if x >= b:\n",
+        "        if X > Bs:\n",
+        "        if X >= Bs:\n",
         ("tests/test_towers.py",),
-        equivalent="at x = b the layer map gives b + (b - b)/q^g = b, the same as skipping it",
+        equivalent="at X = B·scale the layer map gives (B·scale·Q)/(M·scale·Q), the same value",
     ),
     Mutant(
         "bracket-linear-term-guard",
@@ -171,8 +171,8 @@ MUTANTS = [
     Mutant(
         "verify-first-layer-equality",
         "src/ramtower/towers.py",
-        "        if n == N + 1 and b != w:\n",
-        "        if n == N + 1 and b < w:\n",
+        "        if n == N + 1 and B * wd != wn * M:\n",
+        "        if n == N + 1 and B * wd < wn * M:\n",
         ("tests/test_towers.py",),
     ),
     Mutant(
@@ -298,6 +298,13 @@ MUTANTS = [
         ("tests/test_series.py",),
     ),
     Mutant(
+        "series-scalar-skips-the-field-check",
+        "src/ramtower/series.py",
+        "            self._check(other)\n            coeffs = tuple(a * other for a in self.coeffs)\n",
+        "            coeffs = tuple(a * other for a in self.coeffs)\n",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
         "series-coeff-at-the-precision",
         "src/ramtower/series.py",
         "        if e >= self.prec:\n",
@@ -352,6 +359,48 @@ MUTANTS = [
         'return f"{sign}{whole}.{frac:02d}"',
         'return f"{sign}{whole}.{frac}"',
         ("tests/test_cli.py::test_readme_command_output_is_byte_identical",),
+    ),
+    Mutant(
+        "svg-fmt-rounds-half-up",
+        "src/ramtower/svg.py",
+        "    if 2 * rem > d or (2 * rem == d and scaled % 2):\n",
+        "    if 2 * rem >= d:\n",
+        ("tests/test_svg.py",),
+    ),
+    Mutant(
+        "svg-y-flip-dropped",
+        "src/ramtower/svg.py",
+        "return (_H - _MARGIN) * twice * spany - (Y - twice * y0) * (_H - 2 * _MARGIN)",
+        "return _MARGIN * twice * spany + (Y - twice * y0) * (_H - 2 * _MARGIN)",
+        ("tests/test_svg.py",),
+    ),
+    Mutant(
+        "svg-label-offset",
+        "src/ramtower/svg.py",
+        "_fmt(nx + 6 * spanx, spanx)",
+        "_fmt(nx + 5 * spanx, spanx)",
+        ("tests/test_svg.py",),
+    ),
+    Mutant(
+        "compose-coincident-advances-one-list",
+        "src/ramtower/herbrand.py",
+        "            if t == tb:\n                j += 1\n",
+        "            elif t == tb:\n                j += 1\n",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "verify-psi-steps-by-q-minus-one",
+        "src/ramtower/towers.py",
+        "            Y = Bs + (Y - Bs) * Q\n",
+        "            Y = Bs + (Y - Bs) * (Q - 1)\n",
+        ("tests/test_towers.py",),
+    ),
+    Mutant(
+        "upper-numerator-drops-the-minus-one",
+        "src/ramtower/towers.py",
+        "    return params.c * q ** (N + 1) * bracket - _denominator(params)\n",
+        "    return params.c * q ** (N + 1) * bracket\n",
+        ("tests/test_towers.py",),
     ),
     Mutant(
         "record-equality-drops-a-field",

@@ -126,13 +126,39 @@ class PiecewiseLinear(Record):
         )
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
-        """self after inner: x -> self(inner(x))."""
-        xs = {x for x, _ in inner.breakpoints}
-        pull = inner.inverse()
-        for u, _ in self.breakpoints:
-            xs.add(pull(u))
-        bps = [(x, self(inner(x))) for x in sorted(xs)]
+        """self after inner: x -> self(inner(x)).
+
+        The composite can bend only where inner does and where inner reaches
+        a breakpoint of self.  Both lists increase in inner's values, so one
+        merge walk meets these points in order, keeping the piece of each
+        map it is on: at an inner breakpoint x and inner(x) are known and
+        self continues its piece, at a breakpoint u of self inner is pulled
+        back along its piece and self(u) is known, and a value that is both
+        is one point that moves both lists on.  The canonical form then
+        drops the points where the slope does not change."""
+        a, b = inner.breakpoints, self.breakpoints
+        sa, sb = inner._slopes(), self._slopes()
+        i = j = 0  # the pieces of inner and self the walk is on
+        bps = [a[0]]
+        while i + 1 < len(a) or j + 1 < len(b):
+            ta = a[i + 1][1] if i + 1 < len(a) else None  # inner's next value
+            tb = b[j + 1][0] if j + 1 < len(b) else None  # self's next argument
+            t = tb if ta is None or (tb is not None and tb < ta) else ta
+            x = a[i + 1][0] if t == ta else a[i][0] + (t - a[i][1]) / sa[i]
+            z = b[j + 1][1] if t == tb else b[j][1] + (t - b[j][0]) * sb[j]
+            bps.append((x, z))
+            if t == ta:
+                i += 1
+            if t == tb:
+                j += 1
         return PiecewiseLinear(bps, self.final_slope * inner.final_slope)
+
+    def _slopes(self) -> list:
+        """The slope of each piece, left to right, the last the final slope."""
+        bps = self.breakpoints
+        out = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
+        out.append(self.final_slope)
+        return out
 
     def as_json(self):
         return {

@@ -29,6 +29,13 @@ from .fq import FqElem, FqField
 INF = math.inf
 
 
+def _require_field(field: FqField, coeffs):
+    """FieldMismatch unless every one of `coeffs` is an element of `field`."""
+    for c in coeffs:
+        if not (isinstance(c, FqElem) and c.field == field):
+            raise FieldMismatch(f"{field} vs {getattr(c, 'field', type(c).__name__)}")
+
+
 class LaurentSeries:
     __slots__ = ("field", "v0", "coeffs", "prec")
 
@@ -58,6 +65,7 @@ class LaurentSeries:
     def from_terms(cls, field: FqField, terms: dict[int, FqElem], prec: int | None = None):
         if not terms:
             return cls(field, 0, (), prec)
+        _require_field(field, terms.values())
         lo = min(terms)
         row = tuple(terms.get(e, field.zero()) for e in range(lo, max(terms) + 1))
         return cls(field, lo, row, prec)
@@ -75,7 +83,10 @@ class LaurentSeries:
         cls, field: FqField, k: int, coeff: FqElem | None = None, prec: int | None = None
     ):
         """coeff·t^k, coeff one by default."""
-        return cls(field, k, (field.one() if coeff is None else coeff,), prec)
+        if coeff is None:
+            return cls(field, k, (field.one(),), prec)
+        _require_field(field, (coeff,))
+        return cls(field, k, (coeff,), prec)
 
     # -- structure ---------------------------------------------------------
 
@@ -153,6 +164,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, FqElem):
+            self._check(other)
             coeffs = tuple(a * other for a in self.coeffs)
             return LaurentSeries(self.field, self.v0, coeffs, self.prec)
         if not isinstance(other, LaurentSeries):

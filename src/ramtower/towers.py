@@ -12,13 +12,20 @@ linear coefficient.  Two exact quantities drive everything:
   relative index r = k - N the closed form is
   c·q^{N+1}(q^{g+r} - q^g - q^{r-1} + 1)/((q^g-1)(q-1)) - 1.
 
-`upper_break_by_composition` recomputes the second from the first by
-actually composing the piecewise-linear transition maps; agreement of the
-two is the main cross-check this module exists for.  `verify_tuple` runs
-the same check without building any piecewise-linear map: every layer map
-is x -> x up to b_k and b_k + (x - b_k)/q^g past it, so the transition of
-K_n/K_N at a point is those maps applied top layer first, and its inverse
-is their inverses applied bottom layer first (Serre, Local Fields, IV §3).
+Both are integers over M = (q^g - 1)(q - 1), so each has one private
+integer form, its numerator over M, and the values leave the module as
+`Fraction(numerator, M)`.  The schedule tables and the verify chain read
+the numerators and pay no gcd until a value is reported.
+
+`upper_break_by_composition` recomputes the upper break from the lower
+ones by actually composing the piecewise-linear transition maps; agreement
+of the two is the main cross-check this module exists for.  `verify_tuple`
+runs the same check without building any piecewise-linear map: every layer
+map is x -> x up to b_k and b_k + (x - b_k)/q^g past it, so the transition
+of K_n/K_N at a point is those maps applied top layer first, and its
+inverse is their inverses applied bottom layer first (Serre, Local Fields,
+IV §3).  Each map divides by q^g at most once, so on numerators over M the
+chain needs nothing but a power of q^g beside them.
 
 The torsion side iterates Newton polygons: v(y_i) is a root valuation of
 the i-times-twisted defining polynomial shifted by y_{i-1}, and from the
@@ -81,6 +88,25 @@ def linear_coefficient_valuation(params: TowerParams, k: int) -> Fraction:
     return Fraction(params.c) * params.q ** (params.g * (k - 1 - params.N))
 
 
+def _denominator(params: TowerParams) -> int:
+    """M = (q^g - 1)(q - 1), over which both closed forms are integers."""
+    return (params.q**params.g - 1) * (params.q - 1)
+
+
+def _layer_numerator(params: TowerParams, k: int) -> int:
+    """layer_break(k)·M: (q - 1)(c·q^{g(k-N)+k} - (q^g - 1))."""
+    q, g = params.q, params.g
+    return (q - 1) * (params.c * q ** (g * (k - params.N) + k) - (q**g - 1))
+
+
+def _upper_numerator(params: TowerParams, k: int) -> int:
+    """tower_upper_break(k)·M: c·q^{N+1}(q^{g+r} - q^g - q^{r-1} + 1) - M."""
+    q, g, N = params.q, params.g, params.N
+    r = k - N
+    bracket = q ** (g + r) - q**g - q ** (r - 1) + 1
+    return params.c * q ** (N + 1) * bracket - _denominator(params)
+
+
 def layer_break(params: TowerParams, k: int) -> Fraction:
     """Lower break of layer k over layer k-1 (k > N).
 
@@ -88,9 +114,7 @@ def layer_break(params: TowerParams, k: int) -> Fraction:
     the g = 1 case is literally the trinomial layer of the Eisenstein
     machinery."""
     _require_above_N(params, k)
-    q, g = params.q, params.g
-    v = linear_coefficient_valuation(params, k)
-    return Fraction(q ** (g + k)) * v / (q**g - 1) - 1
+    return Fraction(_layer_numerator(params, k), _denominator(params))
 
 
 def tower_upper_break(params: TowerParams, k: int) -> Fraction:
@@ -101,10 +125,7 @@ def tower_upper_break(params: TowerParams, k: int) -> Fraction:
     stability level enters the bracket, while the bottom normalization
     contributes the q^{N+1} prefactor."""
     _require_above_N(params, k)
-    q, g, c, N = params.q, params.g, params.c, params.N
-    r = k - N
-    num = Fraction(c) * q ** (N + 1) * (q ** (g + r) - q**g - q ** (r - 1) + 1)
-    return num / ((q**g - 1) * (q - 1)) - 1
+    return Fraction(_upper_numerator(params, k), _denominator(params))
 
 
 def layer_filtration(params: TowerParams, k: int):
@@ -194,8 +215,10 @@ def filtration_tables(params: TowerParams, n: int) -> BreakSchedule:
     the schedule is returned exactly as computed."""
     _require_above_N(params, n)
     ks = range(params.N + 1, n + 1)
-    lower = tuple(layer_break(params, k) for k in ks)
-    upper = tuple(tower_upper_break(params, k) for k in ks)
+    M = _denominator(params)
+    lower_nums = [_layer_numerator(params, k) for k in ks]
+    lower = tuple([Fraction(B, M) for B in lower_nums])
+    upper = tuple([Fraction(_upper_numerator(params, k), M) for k in ks])
     return BreakSchedule(
         params=params,
         n=n,
@@ -203,17 +226,17 @@ def filtration_tables(params: TowerParams, n: int) -> BreakSchedule:
         upper=upper,
         lower_table=_interval_table(lower, params, n),
         upper_table=_interval_table(upper, params, n),
-        diagnostics=tuple(_fractional_break_lints(ks, lower)),
+        diagnostics=tuple(_fractional_break_lints(ks, lower_nums, M)),
     )
 
 
-def _fractional_break_lints(ks, lower) -> list:
-    """One diagnostic per non-integral lower break b_k, k in ks."""
+def _fractional_break_lints(ks, numerators, M: int) -> list:
+    """One diagnostic per non-integral lower break b_k = B_k/M, k in ks."""
     return [
-        f"layer {k} lower break {format_rat(b)} is not an integer; "
+        f"layer {k} lower break {format_rat(Fraction(B, M))} is not an integer; "
         "an order-q^g Galois step cannot carry a fractional break"
-        for k, b in zip(ks, lower)
-        if b.denominator != 1
+        for k, B in zip(ks, numerators)
+        if B % M
     ]
 
 
@@ -422,29 +445,31 @@ DEFAULT_GRID = {
 }
 
 
-class _LayerChain:
-    """The transition of K_n/K_N kept as its layer breaks b_{N+1..n}, each
-    layer of degree `order` = q^g, and evaluated at single points: phi
-    applies x -> b + (x - b)/order past each break, top layer first; psi
-    applies the inverses y -> b + (y - b)·order, bottom layer first."""
+def _phi(chain, Q: int, X: int, scale: int):
+    """The transition of K_n/K_N at x = X/(M·scale), where `chain` holds the
+    layer breaks of K_{N+1} .. K_n as numerators B over M and Q = q^g.
 
-    __slots__ = ("order", "breaks")
+    Top layer first, each map x -> b + (x - b)/Q past its break.  Past
+    B·scale the map sends X/(M·scale) to (X + B·scale·(Q - 1))/(M·scale·Q),
+    so the value stays an integer numerator and only the power of Q in the
+    denominator grows.  Returns (X, scale) of the image."""
+    for B in reversed(chain):
+        Bs = B * scale
+        if X > Bs:
+            X += Bs * (Q - 1)
+            scale *= Q
+    return X, scale
 
-    def __init__(self, order: int):
-        self.order = order
-        self.breaks = []
 
-    def phi(self, x: Fraction) -> Fraction:
-        for b in reversed(self.breaks):
-            if x > b:
-                x = b + (x - b) / self.order
-        return x
-
-    def psi(self, y: Fraction) -> Fraction:
-        for b in self.breaks:
-            if y > b:
-                y = b + (y - b) * self.order
-        return y
+def _psi(chain, Q: int, Y: int, scale: int) -> int:
+    """The inverse transition at y = Y/(M·scale): bottom layer first, each
+    inverse map y -> b + (y - b)·Q past its break.  The denominator does not
+    change, so this returns the numerator of the image over M·scale."""
+    for B in chain:
+        Bs = B * scale
+        if Y > Bs:
+            Y = Bs + (Y - Bs) * Q
+    return Y
 
 
 def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
@@ -460,42 +485,50 @@ def verify_tuple(params: TowerParams, depth: int = 6) -> VerifyReport:
     filtration_tables(params, N + depth) reports, read off the breaks the
     loop has already computed.
 
-    The transition chain is the list of breaks from layer_break alone,
-    never from the closed form, extended by one break per layer.  phi and
-    psi are needed only at b_n and w_n, so they are evaluated there, layer
-    map by layer map, and no piecewise-linear function is built; the
+    The transition chain is the list of lower breaks as numerators B over
+    M = (q^g - 1)(q - 1), read from layer_break's integer form alone, never
+    from the closed form, and extended by one break per layer.  phi and psi
+    are needed only at b_n and w_n, so they are evaluated there, layer map
+    by layer map, on integers: phi(b_n) comes out as X/(M·q^{ge}) and is
+    compared with w_n by cross-multiplying, and psi(w_n) runs over that
+    same denominator.  No piecewise-linear function is built; the
     `herbrand` command and upper_break_by_composition keep the general
-    composition path."""
+    composition path.  A `Fraction` is built only for a failure or a lint
+    line, which print the values exactly as before."""
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     failures = []
-    N = params.N
-    prev_b = prev_w = None
-    chain = _LayerChain(params.q**params.g)  # transition of K_N/K_N
+    N, q = params.N, params.q
+    Q = q**params.g
+    M = _denominator(params)
+    prev_B = prev_w = None
+    chain = []  # layer breaks of K_{N+1} .. K_{n-1} over K_N, numerators over M
     for n in range(N + 1, N + depth + 1):
-        b = layer_break(params, n)
+        B = _layer_numerator(params, n)
         w = tower_upper_break(params, n)
-        composed = chain.phi(b)
-        if composed != w:
+        wn, wd = w.numerator, w.denominator
+        X, scale = _phi(chain, Q, B, 1)
+        composed_ok = X * wd == wn * M * scale
+        if not composed_ok:
+            composed = Fraction(X, M * scale)
             failures.append(f"{params}: upper break at {n}: closed form {w} != composed {composed}")
-        chain.breaks.append(b)
-        # the new layer fixes b, so phi(b) through K_n/K_N is still `composed`
-        if composed != w or chain.psi(w) != b:
+        chain.append(B)
+        # the new layer fixes b, so phi(b) through K_n/K_N is still X/(M·scale)
+        if not composed_ok or _psi(chain, Q, X, scale) != B * scale:
             failures.append(f"{params}: phi/psi round trip failed at layer {n}")
-        if n == N + 1 and b != w:
+        if n == N + 1 and B * wd != wn * M:
             failures.append(f"{params}: first layer must have equal breaks")
         if n > N + 1:
-            if not w < b:
-                failures.append(f"{params}: upper {w} not below lower {b} at {n}")
-            if not (b > prev_b and w > prev_w):
+            if not wn * M < B * wd:
+                failures.append(f"{params}: upper {w} not below lower {Fraction(B, M)} at {n}")
+            if not (B > prev_B and w > prev_w):
                 failures.append(f"{params}: breaks not strictly increasing at {n}")
-        prev_b, prev_w = b, w
-        alt = closed_form_break(
-            params.q**params.g, (params.q**n) * linear_coefficient_valuation(params, n)
-        )
-        if alt != b:
+        prev_B, prev_w = B, w
+        alt = closed_form_break(Q, (q**n) * linear_coefficient_valuation(params, n))
+        if alt.numerator * M != B * alt.denominator:
+            b = Fraction(B, M)
             failures.append(f"{params}: trinomial closed form {alt} != layer break {b} at {n}")
-    lints = _fractional_break_lints(range(N + 1, N + depth + 1), chain.breaks)
+    lints = _fractional_break_lints(range(N + 1, N + depth + 1), chain, M)
     return VerifyReport(depth, failures, lints)
 
 

@@ -1,0 +1,167 @@
+"""Reference implementations kept only to test the library against.
+
+Each is the straightforward `Fraction` version of a path the library now
+runs on integers or in one walk:
+
+- `layer_break_fraction`, `tower_upper_break_fraction`: the closed forms
+  evaluated in `Fraction` arithmetic term by term;
+- `LayerChain` and `verify_tuple_fraction`: the verify chain with every
+  break a `Fraction`, phi and psi applied layer map by layer map;
+- `compose_bisect`: Herbrand composition through the inverse of the inner
+  map, evaluating the composite at each candidate point by bisection;
+- `render_svg_fraction`: the SVG renderer with every coordinate a
+  `Fraction`, rounded by `round`.
+
+The verify oracle reads `layer_break`, `tower_upper_break` and
+`linear_coefficient_valuation` through the `ramtower.towers` module at call
+time, so a test that monkeypatches one of them changes both sides alike.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ramtower import towers
+from ramtower.arith import closed_form_break
+from ramtower.herbrand import PiecewiseLinear
+from ramtower.polygon import NewtonPolygon, format_rat
+
+
+def layer_break_fraction(params, k) -> Fraction:
+    q, g = params.q, params.g
+    v = Fraction(params.c) * q ** (g * (k - 1 - params.N))
+    return Fraction(q ** (g + k)) * v / (q**g - 1) - 1
+
+
+def tower_upper_break_fraction(params, k) -> Fraction:
+    q, g, c, N = params.q, params.g, params.c, params.N
+    r = k - N
+    num = Fraction(c) * q ** (N + 1) * (q ** (g + r) - q**g - q ** (r - 1) + 1)
+    return num / ((q**g - 1) * (q - 1)) - 1
+
+
+class LayerChain:
+    """The transition of K_n/K_N kept as its layer breaks b_{N+1..n}, each
+    layer of degree `order` = q^g: phi applies x -> b + (x - b)/order past
+    each break, top layer first; psi applies the inverses, bottom first."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self.breaks = []
+
+    def phi(self, x: Fraction) -> Fraction:
+        for b in reversed(self.breaks):
+            if x > b:
+                x = b + (x - b) / self.order
+        return x
+
+    def psi(self, y: Fraction) -> Fraction:
+        for b in self.breaks:
+            if y > b:
+                y = b + (y - b) * self.order
+        return y
+
+
+def verify_tuple_fraction(params, depth: int = 6) -> towers.VerifyReport:
+    """towers.verify_tuple with every value a Fraction: same checks, same
+    failure and lint lines, in the same order."""
+    failures = []
+    N = params.N
+    prev_b = prev_w = None
+    chain = LayerChain(params.q**params.g)
+    for n in range(N + 1, N + depth + 1):
+        b = towers.layer_break(params, n)
+        w = towers.tower_upper_break(params, n)
+        composed = chain.phi(b)
+        if composed != w:
+            failures.append(f"{params}: upper break at {n}: closed form {w} != composed {composed}")
+        chain.breaks.append(b)
+        if composed != w or chain.psi(w) != b:
+            failures.append(f"{params}: phi/psi round trip failed at layer {n}")
+        if n == N + 1 and b != w:
+            failures.append(f"{params}: first layer must have equal breaks")
+        if n > N + 1:
+            if not w < b:
+                failures.append(f"{params}: upper {w} not below lower {b} at {n}")
+            if not (b > prev_b and w > prev_w):
+                failures.append(f"{params}: breaks not strictly increasing at {n}")
+        prev_b, prev_w = b, w
+        alt = closed_form_break(
+            params.q**params.g, (params.q**n) * towers.linear_coefficient_valuation(params, n)
+        )
+        if alt != b:
+            failures.append(f"{params}: trinomial closed form {alt} != layer break {b} at {n}")
+    lints = [
+        f"layer {k} lower break {format_rat(b)} is not an integer; "
+        "an order-q^g Galois step cannot carry a fractional break"
+        for k, b in zip(range(N + 1, N + depth + 1), chain.breaks)
+        if b.denominator != 1
+    ]
+    return towers.VerifyReport(depth, failures, lints)
+
+
+def compose_bisect(outer: PiecewiseLinear, inner: PiecewiseLinear) -> PiecewiseLinear:
+    """outer after inner, evaluated at inner's breakpoints and at the
+    pull-backs of outer's."""
+    xs = {x for x, _ in inner.breakpoints}
+    pull = inner.inverse()
+    for u, _ in outer.breakpoints:
+        xs.add(pull(u))
+    bps = [(x, outer(inner(x))) for x in sorted(xs)]
+    return PiecewiseLinear(bps, outer.final_slope * inner.final_slope)
+
+
+_W, _H = 640, 420
+_MARGIN = 48
+
+
+def _fmt(x: Fraction) -> str:
+    scaled = round(Fraction(x) * 100)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    whole, frac = divmod(scaled, 100)
+    return f"{sign}{whole}.{frac:02d}"
+
+
+def render_svg_fraction(np: NewtonPolygon) -> str:
+    vs = [(Fraction(x), Fraction(y)) for x, y in np.vertices]
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    spanx = (x1 - x0) or Fraction(1)
+    spany = (y1 - y0) or Fraction(1)
+
+    def sx(x):
+        return _MARGIN + (x - x0) / spanx * (_W - 2 * _MARGIN)
+
+    def sy(y):
+        return _H - _MARGIN - (y - y0) / spany * (_H - 2 * _MARGIN)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+    ]
+    pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in vs)
+    if len(vs) > 1:
+        out.append(
+            f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>'
+        )
+    for x, y in vs:
+        cx, cy = _fmt(sx(x)), _fmt(sy(y))
+        label = f"({format_rat(x)}, {format_rat(y)})"
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="black"/>')
+        out.append(
+            f'<text x="{_fmt(sx(x) + 6)}" y="{_fmt(sy(y) - 6)}" '
+            f'font-family="monospace" font-size="12">{label}</text>'
+        )
+    for side, (a, b) in zip(np.sides, zip(vs, vs[1:])):
+        mx = (a[0] + b[0]) / 2
+        my = (a[1] + b[1]) / 2
+        out.append(
+            f'<text x="{_fmt(sx(mx) + 4)}" y="{_fmt(sy(my) + 14)}" '
+            f'font-family="monospace" font-size="11" fill="#444">'
+            f"slope {format_rat(side.slope)}</text>"
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -13,6 +13,7 @@ from ramtower.herbrand import (
     phi_from_filtration,
     upper_to_lower,
 )
+from oracles import compose_bisect
 
 
 def random_filtration(rng: random.Random, max_breaks=3) -> BreakFiltration:
@@ -88,6 +89,61 @@ def test_three_layer_composition_matches_nested_evaluation():
             # bottom layer outermost
             expect = phis[0](phis[1](phis[2](x)))
             assert tower(x) == expect
+
+
+def _random_function(rng: random.Random, knots=()) -> PiecewiseLinear:
+    """An increasing piecewise-linear map with up to four random pieces, its
+    breakpoint x-values drawn from `knots` as well as at random."""
+    xs = set(rng.sample(sorted(knots), rng.randint(0, len(knots)))) if knots else set()
+    xs |= {Fraction(rng.randint(1, 90), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))}
+    bps, y = [(0, 0)], Fraction(0)
+    prev = Fraction(0)
+    for x in sorted(xs):
+        y += Fraction(rng.randint(1, 9), rng.randint(1, 9)) * (x - prev)
+        bps.append((x, y))
+        prev = x
+    return PiecewiseLinear(bps, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+
+
+def test_compose_matches_the_bisect_composition():
+    # 600 seeded three-layer chains, composed by the merge walk and by
+    # pulling back through the inverse; every chain plants outer breakpoints
+    # on some inner values, so inner and outer breakpoints meet exactly
+    rng = random.Random(2024)
+    met = 0
+    for _ in range(600):
+        inner = _random_function(rng)
+        for _ in range(2):
+            outer = _random_function(rng, knots={y for _, y in inner.breakpoints[1:]})
+            met += bool({y for _, y in inner.breakpoints[1:]} & {x for x, _ in outer.breakpoints})
+            composed = outer.compose(inner)
+            assert composed == compose_bisect(outer, inner), (outer, inner)
+            inner = composed
+    assert met > 300
+
+
+def test_compose_tower_matches_the_bisect_composition():
+    rng = random.Random(7)
+    for _ in range(200):
+        layers = [random_filtration(rng) for _ in range(3)]
+        expect = PiecewiseLinear.identity()
+        for filt in layers:
+            expect = compose_bisect(expect, phi_from_filtration(filt))
+        assert compose_tower(layers) == expect
+
+
+def test_compose_at_coincident_breakpoints():
+    # inner bends at x = 2, where it takes the value 2, and outer bends at 2:
+    # one point, from which both maps are on their next pieces
+    inner = PiecewiseLinear([(0, 0), (2, 2)], Fraction(1, 2))
+    outer = PiecewiseLinear([(0, 0), (2, 2), (5, 11)], Fraction(1, 3))
+    composed = outer.compose(inner)
+    assert composed == PiecewiseLinear([(0, 0), (2, 2), (8, 11)], Fraction(1, 6))
+    assert composed == compose_bisect(outer, inner)
+    # slopes 1/2 then 2 meet a bend of outer from 2 to 1/2: no bend is left
+    inner = PiecewiseLinear([(0, 0), (2, 1)], 2)
+    outer = PiecewiseLinear([(0, 0), (1, 2)], Fraction(1, 2))
+    assert outer.compose(inner) == PiecewiseLinear.identity()
 
 
 @given(filtrations())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramtower.errors import InsufficientPrecision
+from ramtower.errors import FieldMismatch, InsufficientPrecision
 from ramtower.fq import fq_field
 from ramtower.series import INF, LaurentSeries, format_series, parse_series
 
@@ -119,3 +119,22 @@ def test_leading_minus_negates(field):
     assert s("-t + t", field).is_exact_zero()
     assert s("-t", field) == s("0 - t", field) == -s("t", field)
     assert s("-(1 + t) + O(t^3)", field) == s("0 - 1 - t + O(t^3)", field)
+
+
+def test_coefficients_and_scalars_from_another_field_are_refused():
+    F2, F4 = fq_field(2), fq_field(2, 2)
+    x = F4.from_int(2)
+    refused = [
+        lambda: LaurentSeries.t_power(F2, 1, coeff=x),
+        lambda: LaurentSeries.from_terms(F2, {0: F2.one(), 3: x}),
+        lambda: LaurentSeries.from_terms(F2, {0: 1}),
+        # a known-zero series has no coefficient to compare the scalar with
+        lambda: LaurentSeries.zero(F2, prec=3) * F4.one(),
+        lambda: LaurentSeries.zero(F2) * F4.one(),
+        lambda: LaurentSeries.t_power(F2, 1) * F4.one(),
+    ]
+    for build in refused:
+        with pytest.raises(FieldMismatch):
+            build()
+    assert LaurentSeries.t_power(F4, 2, coeff=x) == LaurentSeries.from_terms(F4, {2: x})
+    assert LaurentSeries.zero(F2, prec=3) * F2.one() == LaurentSeries.zero(F2, prec=3)

@@ -20,7 +20,10 @@ from ramtower.towers import (
     BottomLayer,
     TorsionTrace,
     TowerParams,
-    _LayerChain,
+    _denominator,
+    _layer_numerator,
+    _phi,
+    _psi,
     breaks_over_base,
     character_breaks,
     filtration_tables,
@@ -33,6 +36,11 @@ from ramtower.towers import (
     upper_break_by_composition,
     verify_grid,
     verify_tuple,
+)
+from oracles import (
+    layer_break_fraction,
+    tower_upper_break_fraction,
+    verify_tuple_fraction,
 )
 
 BASE = TowerParams(p=2, q=2, g=1, d=1, N=0, c=1)
@@ -520,13 +528,13 @@ def test_verify_tuple_catches_a_wrong_layer_break(monkeypatch):
     # every composed break above it, while the closed form stays right
     ps = TowerParams(p=3, q=3, g=2, d=1, N=1, c=2)
     bad = ps.N + 3
-    right = layer_break
+    right = _layer_numerator
 
     def skewed(params, k):
-        b = right(params, k)
-        return b + 1 if k == bad else b
+        B = right(params, k)
+        return B + _denominator(params) if k == bad else B  # layer_break + 1
 
-    monkeypatch.setattr("ramtower.towers.layer_break", skewed)
+    monkeypatch.setattr("ramtower.towers._layer_numerator", skewed)
     rep = verify_tuple(ps, 6)
     assert rep.cases == 6
     assert rep.failures == [
@@ -543,20 +551,87 @@ def test_verify_tuple_catches_a_wrong_layer_break(monkeypatch):
 
 
 def test_layer_chain_matches_the_composed_transition():
-    # verify_tuple's pointwise phi and psi against the PiecewiseLinear
-    # reference at every breakpoint (the first is 0), every midpoint between
-    # two and one point past the last
+    # verify_tuple's pointwise phi and psi on numerators over M against the
+    # PiecewiseLinear reference at every breakpoint (the first is 0), every
+    # midpoint between two and one point past the last
     for ps, _ in verify_grid(dict(DEFAULT_GRID, depth=8)):
-        chain = _LayerChain(ps.q**ps.g)
+        Q, M = ps.q**ps.g, _denominator(ps)
+        chain = []
         for n in range(ps.N + 1, ps.N + 9):
-            chain.breaks.append(layer_break(ps, n))
+            chain.append(_layer_numerator(ps, n))
             phi = transition_to_base(ps, n)
-            for reference, pointwise in ((phi, chain.phi), (phi.inverse(), chain.psi)):
+
+            def pointwise_phi(x):
+                X, scale = _phi(chain, Q, x.numerator * M, x.denominator)
+                return Fraction(X, M * scale)
+
+            def pointwise_psi(y):
+                return Fraction(_psi(chain, Q, y.numerator * M, y.denominator), M * y.denominator)
+
+            for reference, pointwise in ((phi, pointwise_phi), (phi.inverse(), pointwise_psi)):
                 xs = [x for x, _ in reference.breakpoints]
                 assert xs[0] == 0 and len(xs) == n - ps.N + 1
                 xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [2 * xs[-1] + 1]
                 for x in xs:
                     assert pointwise(x) == reference(x), (ps, n, x)
+
+
+WIDE_GRID = {"q": (2, 3, 4, 5, 7, 8, 9), "g": (1, 2, 3), "c": (1, 2, 3, 4), "N": (0, 1, 2, 3)}
+
+
+def test_closed_forms_match_their_fraction_evaluation():
+    for ps, _ in verify_grid(dict(WIDE_GRID, depth=0)):
+        for k in range(ps.N + 1, ps.N + 31):
+            assert layer_break(ps, k) == layer_break_fraction(ps, k), (ps, k)
+            assert tower_upper_break(ps, k) == tower_upper_break_fraction(ps, k), (ps, k)
+
+
+def test_verify_tuple_matches_the_fraction_chain_on_a_wide_grid():
+    linted = 0
+    for ps, _ in verify_grid(dict(WIDE_GRID, depth=12)):
+        rep = verify_tuple(ps, 12)
+        assert rep.ok, rep.failures
+        assert rep.as_json() == verify_tuple_fraction(ps, 12).as_json(), ps
+        linted += bool(rep.diagnostics)
+    assert linted
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        TowerParams(p=2, q=2, g=1, d=1, N=0, c=1),
+        TowerParams(p=3, q=3, g=2, d=1, N=1, c=2),
+        TowerParams(p=2, q=4, g=1, d=1, N=2, c=3),
+        TowerParams(p=7, q=7, g=3, d=1, N=0, c=4),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("skew", [Fraction(1, 7), Fraction(-1, 7)])
+def test_verify_tuple_failures_match_the_fraction_chain(monkeypatch, ps, skew):
+    # an upper break off by 1/7 has a denominator that need not divide M, at
+    # the first layer, in the middle and at the top, and a lower break off by
+    # one moves every composed break above it: the lines are the ones the
+    # Fraction chain prints
+    depth = 6
+    right_upper, right_lower = tower_upper_break, _layer_numerator
+    for bad in (ps.N + 1, ps.N + 3, ps.N + depth):
+        with monkeypatch.context() as m:
+            m.setattr(
+                "ramtower.towers.tower_upper_break",
+                lambda params, k: right_upper(params, k) + (skew if k == bad else 0),
+            )
+            rep = verify_tuple(ps, depth)
+            assert rep.failures, (ps, bad)
+            assert rep.as_json() == verify_tuple_fraction(ps, depth).as_json(), (ps, bad)
+        with monkeypatch.context() as m:
+            shift = _denominator(ps) if skew > 0 else -1
+            m.setattr(
+                "ramtower.towers._layer_numerator",
+                lambda params, k: right_lower(params, k) + (shift if k == bad else 0),
+            )
+            rep = verify_tuple(ps, depth)
+            assert rep.failures, (ps, bad)
+            assert rep.as_json() == verify_tuple_fraction(ps, depth).as_json(), (ps, bad)
 
 
 def test_verify_tuple_builds_no_piecewise_linear():
