@@ -243,8 +243,8 @@ MUTANTS = [
     Mutant(
         "canonical-form-keeps-every-point",
         "src/ramtower/herbrand.py",
-        "zip(bps[1:], slopes, slopes[1:]) if s0 != s1]",
-        "zip(bps[1:], slopes, slopes[1:]) if True]",
+        "range(1, len(slopes)) if slopes[i] != slopes[i - 1]]",
+        "range(1, len(slopes)) if True]",
         ("tests/test_herbrand.py",),
     ),
     Mutant(
@@ -257,8 +257,8 @@ MUTANTS = [
     Mutant(
         "walk-slopes-swapped",
         "src/ramtower/herbrand.py",
-        "        slope = slope * d if inverse else slope / d\n",
-        "        slope = slope / d if inverse else slope * d\n",
+        "        slopes.append(s * d if inverse else s / d)\n",
+        "        slopes.append(s / d if inverse else s * d)\n",
         ("tests/test_herbrand.py",),
     ),
     Mutant(
@@ -384,9 +384,30 @@ MUTANTS = [
     Mutant(
         "compose-coincident-advances-one-list",
         "src/ramtower/herbrand.py",
-        "            if t == tb:\n                j += 1\n",
-        "            elif t == tb:\n                j += 1\n",
+        "            if t == tb:\n                j += 1\n            slopes.append(",
+        "            elif t == tb:\n                j += 1\n            slopes.append(",
         ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "compose-slope-keeps-only-self",
+        "src/ramtower/herbrand.py",
+        "            slopes.append(sa[i] * sb[j])\n",
+        "            slopes.append(sb[j])\n",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "evaluation-reads-the-next-piece",
+        "src/ramtower/herbrand.py",
+        "        return y0 + self._slopes[i] * (x - x0)\n",
+        "        return y0 + self._slopes[min(i + 1, len(self._slopes) - 1)] * (x - x0)\n",
+        ("tests/test_herbrand.py",),
+    ),
+    Mutant(
+        "series-poly-keeps-exact-zero-leading",
+        "src/ramtower/seriespoly.py",
+        "        while coeffs and coeffs[-1].is_exact_zero():\n",
+        "        while False:\n",
+        ("tests/test_tate.py", "tests/test_polygon.py"),
     ),
     Mutant(
         "verify-psi-steps-by-q-minus-one",

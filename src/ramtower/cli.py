@@ -229,9 +229,7 @@ def _cmd_tower_torsion(args):
 def _run_tuple(job):
     from .towers import verify_tuple
 
-    params, depth = job
-    rep = verify_tuple(params, depth)
-    return rep.cases, rep.failures, rep.diagnostics
+    return verify_tuple(*job)
 
 
 def _cmd_verify(args):
@@ -249,9 +247,9 @@ def _cmd_verify(args):
 
         with get_context("fork").Pool(jobs) as pool:
             results = pool.map(_run_tuple, tuples)
-    cases = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    lints = [d for r in results for d in r[2]]
+    cases = sum(r.cases for r in results)
+    failures = [f for r in results for f in r.failures]
+    lints = [d for r in results for d in r.diagnostics]
     payload = {
         "grid": args.grid,
         "tuples": len(tuples),

@@ -15,7 +15,11 @@ lower indexing, and transition functions of towers compose bottom-to-top.
 Everything here is exact rational arithmetic.  A piecewise-linear function
 is kept canonical, so equality is structural: a breakpoint past (0, 0) is
 kept exactly when the slope into it differs from the slope out of it, the
-slope out of the last breakpoint being the final slope.
+slope out of the last breakpoint being the final slope.  Each function also
+keeps, privately, the slope out of every breakpoint.  Only the constructor
+checks its arguments and computes slopes from points; identity, inverse,
+composition and phi_from_filtration know the slopes of the pieces they
+build from canonical functions, and store those directly.
 """
 
 from __future__ import annotations
@@ -81,10 +85,13 @@ class PiecewiseLinear(Record):
 
     Stored as breakpoints ((x_i, y_i), ...) starting at (0, 0) plus the
     slope past the last breakpoint, in the canonical form of the module
-    docstring.
+    docstring, and privately the slope of the piece out of each breakpoint
+    (the last being the final slope).  Only the constructor checks its
+    arguments and computes slopes; identity, inverse, compose and
+    phi_from_filtration store the pieces they already know.
     """
 
-    __slots__ = ("breakpoints", "final_slope")
+    __slots__ = ("breakpoints", "final_slope", "_slopes")
 
     def __init__(self, breakpoints, final_slope):
         bps = [(Fraction(x), Fraction(y)) for x, y in breakpoints]
@@ -101,28 +108,32 @@ class PiecewiseLinear(Record):
                 raise ValueError("function must increase strictly")
             slopes.append((y1 - y0) / (x1 - x0))
         slopes.append(final_slope)
-        kept = [pt for pt, s0, s1 in zip(bps[1:], slopes, slopes[1:]) if s0 != s1]
-        self._store((bps[0], *kept), final_slope)
+        self._canonical(bps, slopes)
+
+    def _canonical(self, points, slopes) -> "PiecewiseLinear":
+        """Store the map whose i-th piece starts at points[i], a pair of
+        Fractions, with slope slopes[i], in canonical form: a start point is
+        dropped when its slope equals the slope before it.  Returns self."""
+        kept = [0] + [i for i in range(1, len(slopes)) if slopes[i] != slopes[i - 1]]
+        self._store(tuple([points[i] for i in kept]), slopes[-1])
+        object.__setattr__(self, "_slopes", tuple([slopes[i] for i in kept]))
+        return self
 
     @classmethod
     def identity(cls) -> "PiecewiseLinear":
-        return cls([(0, 0)], 1)
+        return cls.__new__(cls)._canonical([(Fraction(0), Fraction(0))], [Fraction(1)])
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0:
             raise ValueError("domain is [0, inf)")
-        bps = self.breakpoints
-        i = bisect_right(bps, x, key=itemgetter(0))
-        x0, y0 = bps[i - 1]
-        if i == len(bps):
-            return y0 + self.final_slope * (x - x0)
-        x1, y1 = bps[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        i = bisect_right(self.breakpoints, x, key=itemgetter(0)) - 1
+        x0, y0 = self.breakpoints[i]
+        return y0 + self._slopes[i] * (x - x0)
 
     def inverse(self) -> "PiecewiseLinear":
-        return PiecewiseLinear(
-            [(y, x) for x, y in self.breakpoints], 1 / self.final_slope
+        return PiecewiseLinear.__new__(PiecewiseLinear)._canonical(
+            [(y, x) for x, y in self.breakpoints], [1 / s for s in self._slopes]
         )
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -134,31 +145,27 @@ class PiecewiseLinear(Record):
         map it is on: at an inner breakpoint x and inner(x) are known and
         self continues its piece, at a breakpoint u of self inner is pulled
         back along its piece and self(u) is known, and a value that is both
-        is one point that moves both lists on.  The canonical form then
-        drops the points where the slope does not change."""
+        is one point that moves both lists on.  After each point the
+        composite's slope is the product of the two pieces' stored slopes;
+        the canonical store then drops the points where it does not change.
+        Neither map is checked again: both are canonical already."""
         a, b = inner.breakpoints, self.breakpoints
-        sa, sb = inner._slopes(), self._slopes()
+        sa, sb = inner._slopes, self._slopes
         i = j = 0  # the pieces of inner and self the walk is on
-        bps = [a[0]]
+        points, slopes = [a[0]], [sa[0] * sb[0]]
         while i + 1 < len(a) or j + 1 < len(b):
             ta = a[i + 1][1] if i + 1 < len(a) else None  # inner's next value
             tb = b[j + 1][0] if j + 1 < len(b) else None  # self's next argument
             t = tb if ta is None or (tb is not None and tb < ta) else ta
             x = a[i + 1][0] if t == ta else a[i][0] + (t - a[i][1]) / sa[i]
             z = b[j + 1][1] if t == tb else b[j][1] + (t - b[j][0]) * sb[j]
-            bps.append((x, z))
+            points.append((x, z))
             if t == ta:
                 i += 1
             if t == tb:
                 j += 1
-        return PiecewiseLinear(bps, self.final_slope * inner.final_slope)
-
-    def _slopes(self) -> list:
-        """The slope of each piece, left to right, the last the final slope."""
-        bps = self.breakpoints
-        out = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
-        out.append(self.final_slope)
-        return out
+            slopes.append(sa[i] * sb[j])
+        return PiecewiseLinear.__new__(PiecewiseLinear)._canonical(points, slopes)
 
     def as_json(self):
         return {
@@ -175,17 +182,14 @@ def _walk(filt: BreakFiltration, inverse: bool):
     """Walk from (0, 0) through the breaks b_i of `filt`: each b_i is reached
     with slope left/order (the order left before b_i over the total order),
     the slope of phi, or with its reciprocal order/left when `inverse`, the
-    slope of psi.  Returns the pairs (image of b_i, drop at b_i) and the
-    slope past the last break."""
-    moved = []
-    x = t = Fraction(0)
-    slope = Fraction(1)
+    slope of psi.  Returns the points (0, 0), (b_i, image of b_i), ... and
+    the slope out of each."""
+    points, slopes = [(Fraction(0), Fraction(0))], [Fraction(1)]
     for b, d in filt.breaks:
-        t += slope * (b - x)
-        x = b
-        moved.append((t, d))
-        slope = slope * d if inverse else slope / d
-    return tuple(moved), slope
+        (x, t), s = points[-1], slopes[-1]
+        points.append((b, t + s * (b - x)))
+        slopes.append(s * d if inverse else s / d)
+    return points, slopes
 
 
 def phi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
@@ -198,9 +202,7 @@ def phi_from_filtration(filt: BreakFiltration) -> PiecewiseLinear:
     >>> phi.final_slope
     Fraction(1, 4)
     """
-    moved, slope = _walk(filt, inverse=False)
-    bps = [(0, 0)] + [(b, y) for (b, _), (y, _) in zip(filt.breaks, moved)]
-    return PiecewiseLinear(bps, slope)
+    return PiecewiseLinear.__new__(PiecewiseLinear)._canonical(*_walk(filt, inverse=False))
 
 
 def compose_tower(filtrations) -> PiecewiseLinear:
@@ -215,10 +217,12 @@ def compose_tower(filtrations) -> PiecewiseLinear:
 def lower_to_upper(filt: BreakFiltration) -> BreakFiltration:
     """Push the break locations through phi (upper numbering); drops and
     order are unchanged."""
-    return BreakFiltration(filt.order, _walk(filt, inverse=False)[0])
+    moved = _walk(filt, inverse=False)[0][1:]
+    return BreakFiltration(filt.order, [(t, d) for (_, t), (_, d) in zip(moved, filt.breaks)])
 
 
 def upper_to_lower(filt: BreakFiltration) -> BreakFiltration:
     """Inverse of lower_to_upper: the input breaks are upper-numbering
     locations, pulled back through psi."""
-    return BreakFiltration(filt.order, _walk(filt, inverse=True)[0])
+    moved = _walk(filt, inverse=True)[0][1:]
+    return BreakFiltration(filt.order, [(t, d) for (_, t), (_, d) in zip(moved, filt.breaks)])

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -145,6 +146,52 @@ def test_compose_at_coincident_breakpoints():
     outer = PiecewiseLinear([(0, 0), (1, 2)], Fraction(1, 2))
     assert outer.compose(inner) == PiecewiseLinear.identity()
 
+
+
+def _assert_stored_as_constructed(f: PiecewiseLinear, rng: random.Random):
+    """f, built from stored slopes, is the map the checking constructor
+    builds from its breakpoints, at seeded points inside every piece too,
+    and comes back equal from a pickle round trip."""
+    g = PiecewiseLinear(f.breakpoints, f.final_slope)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f
+    xs = [x for x, _ in f.breakpoints]
+    ends = xs[1:] + [xs[-1] + rng.randint(1, 60)]
+    for x0, x1 in zip(xs, ends):
+        for _ in range(2):
+            x = x0 + Fraction(rng.randint(1, 99), 100) * (x1 - x0)
+            assert f(x) == g(x) == back(x), (f, x)
+
+
+def test_built_maps_are_the_constructed_ones():
+    rng = random.Random(34)
+    _assert_stored_as_constructed(PiecewiseLinear.identity(), rng)
+    # merge-walk chains, with outer breakpoints planted on inner values
+    for _ in range(200):
+        inner = _random_function(rng)
+        for _ in range(2):
+            outer = _random_function(rng, knots={y for _, y in inner.breakpoints[1:]})
+            composed = outer.compose(inner)
+            for f in (composed, composed.inverse(), outer.inverse()):
+                _assert_stored_as_constructed(f, rng)
+            inner = composed
+    # three-layer towers and their layers
+    for _ in range(100):
+        layers = [random_filtration(rng) for _ in range(3)]
+        tower = compose_tower(layers)
+        for f in (tower, tower.inverse(), *map(phi_from_filtration, layers)):
+            _assert_stored_as_constructed(f, rng)
+
+
+@given(filtrations(), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_built_maps_of_a_filtration_are_the_constructed_ones(filt, seed):
+    rng = random.Random(seed)
+    phi = phi_from_filtration(filt)
+    psi = phi.inverse()
+    for f in (phi, psi, phi.compose(psi), psi.compose(phi), compose_tower([filt, filt])):
+        _assert_stored_as_constructed(f, rng)
 
 @given(filtrations())
 @settings(max_examples=150, deadline=None)

@@ -28,6 +28,17 @@ def _ext(field, literals):
     return EisensteinExtension(SeriesPoly.from_literals(field, literals))
 
 
+
+def test_exact_zero_leading_coefficients_are_trimmed():
+    # x^2 + t written with exact zeros above x^2 is the same quadratic; zeros
+    # known only modulo t^10 are kept, and leave a polynomial that is not monic
+    f3 = fq_field(3)
+    padded = SeriesPoly.from_literals(f3, ["t", "0", "1", "0", "0"])
+    assert padded.degree == 2 and padded.is_monic()
+    assert tate_breaks(EisensteinExtension(padded)) == tate_breaks(_ext(f3, ["t", "0", "1"]))
+    fuzzy = SeriesPoly.from_literals(f3, ["t", "0", "1", "0"], default_prec=10)
+    assert fuzzy.degree == 3 and not fuzzy.is_monic()
+
 def test_quadratic_worked_example():
     # x^2 + t·x + t over F_2((t)): one wild break at 1
     f2 = fq_field(2)

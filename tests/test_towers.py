@@ -635,9 +635,11 @@ def test_verify_tuple_failures_match_the_fraction_chain(monkeypatch, ps, skew):
 
 
 def test_verify_tuple_builds_no_piecewise_linear():
-    with mock.patch.object(herbrand.PiecewiseLinear, "__init__", return_value=None) as init:
+    # every map, constructed or composed, inverted or read off a filtration,
+    # is stored through _canonical
+    with mock.patch.object(herbrand.PiecewiseLinear, "_canonical") as store:
         rep = verify_tuple(BASE, 12)
-    init.assert_not_called()
+    store.assert_not_called()
     assert rep.ok and rep.cases == 12
 
 
