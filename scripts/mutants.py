@@ -51,9 +51,30 @@ MUTANTS = [
     Mutant(
         "dense-steps-from-the-wrong-power",
         "src/ramtower/fastcheck.py",
-        "mul(powers[prev], gap_transform(n - prev))",
+        "mul(plane, gap_transform(n - prev))",
         "mul(base, gap_transform(n - prev))",
         ("tests/test_formal.py::test_fft_engines_agree_with_the_exact_engine",),
+    ),
+    Mutant(
+        "dense-frobenius-stride-one",
+        "src/ramtower/fastcheck.py",
+        "plane[p * A[:low], p * B[:low]] = vecs[n // p][:low]",
+        "plane[1 * A[:low], 1 * B[:low]] = vecs[n // p][:low]",
+        ("tests/test_formal.py::test_frobenius_power_is_the_fft_product",),
+    ),
+    Mutant(
+        "dense-row-slice-ends-one-short",
+        "src/ramtower/fastcheck.py",
+        "            lo, hi = lows[n], rows[row]\n",
+        "            lo, hi = lows[n], rows[row] - 1\n",
+        ("tests/test_formal.py::test_dense_engine_matches_the_cube_oracle",),
+    ),
+    Mutant(
+        "dense-gather-swaps-b-and-c",
+        "src/ramtower/fastcheck.py",
+        "V[row_of[:r] + _tri(B[:r] + z) + B[:r]]",
+        "V[row_of[:r] + _tri(B[:r] + z) + z]",
+        ("tests/test_formal.py::test_dense_engine_matches_the_cube_oracle",),
     ),
     Mutant(
         "residues-skip-prime-subfield-check",

@@ -14,10 +14,14 @@ on a random dense law at p = 65521, D = 200, the edge of the engines'
 domain, was 0.0098; at p = 3, D = 64 it was 9·10^-13.
 
 - dense_associativity: the powers F^n, for the degrees n that occur in the
-  law's support only, as (D+1)×(D+1) planes of residues mod p, each the
-  previous one times F^gap by one FFT product, and the associator
-  F(F(x,y),z) − F(x,F(y,z)) on the full (D+1)^3 coefficient grid.  Certain,
-  but memory-bound; guarded to moderate truncations.
+  law's support only, as residues mod p over the triangle a + b <= D.  A
+  degree n = p·m whose F^m is built takes F^m(x^p, y^p) with no product,
+  which is exact because the coefficients lie in F_p; each other F^n is
+  the previous one times F^gap by one FFT product: 28 products at
+  (2, 2, 64), 9 at (2, 4, 64).  The two sides F(F(x,y),z) and
+  F(x,F(y,z)) are compared cell by cell on the simplex x + y + z <= D, as
+  ragged arrays of contiguous rows.  Certain; guarded to moderate
+  truncations.
 
 - sampled_associativity: substitutes (a·t, b·t, c·t) for random a, b, c in
   a large extension of F_p and compares the two compositions as univariate
@@ -38,6 +42,7 @@ them for one call only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -138,35 +143,41 @@ def _halving_powers(x, mul, shape):
 
 
 # ---------------------------------------------------------------------------
-# dense grid
+# dense simplex
 
 
-def dense_associativity(F):
-    """Compare F(F(x,y),z) and F(x,F(y,z)) cell by cell on the full grid.
+def _tri(k):
+    """The number of cells (a, b) with a + b < k."""
+    return k * (k + 1) // 2
 
-    The associator needs F^n only for the degrees n that occur as an i or a
-    j of the law's support.  Walking those upwards, each F^n is the previous
-    one times F^gap, and the gap powers are built by halving
-    (`_halving_powers`), so the plane products number the occurring degrees
-    plus O(log gap) per distinct gap, not the largest degree: 26 instead of
-    55 at (2, 4, 64), where 21 of the degrees 1..56 occur.  When every
-    degree occurs it is one product per degree, as before: (2, 2, 64) has
-    61 of its 62 and takes 60.
 
-    Returns (ok, first_failing_monomial)."""
-    p, terms = _residues(F, "dense")
-    D = F.D
-    if D > DENSE_ASSOC_MAX_D:
-        raise ValueError(f"dense grid at D={D} would not fit; use the sampled check")
-    if not terms:
-        return True, None
+def _triangle(D):
+    """The cells (a, b) with a + b <= D in degree-major order, as the arrays
+    (A, B): cell (a, d − a) sits at d(d + 1)/2 + a."""
+    deg = np.repeat(np.arange(D + 1), np.arange(1, D + 2))
+    A = np.arange(_tri(D + 1)) - _tri(deg)
+    return A, deg - A
+
+
+def _powers(p, terms, D, degrees):
+    """{n: F^n mod p, truncated at total degree D} for n = 0 and each of
+    `degrees`, each a vector over `_triangle(D)`, for F = Σ c·X^i·Y^j over
+    `terms` with every c in F_p.
+
+    Walking the degrees upwards, n = p·m with F^m built is
+    F^m(x^p, y^p), truncated at D, with no product: in characteristic p,
+    (A + B)^p = A^p + B^p and c^p = c, so (Σ c·x^a·y^b)^p is
+    Σ c·x^(pa)·y^(pb); the terms the truncation of F^m dropped, all above
+    degree D, land above p·D.  Every other F^n is the previous one times
+    F^gap by one FFT product, the gap powers built by halving
+    (`_halving_powers`)."""
+    A, B = _triangle(D)
     base = np.zeros((D + 1, D + 1), dtype=np.int64)
     for i, j, c in terms:
         base[i, j] = c
     shape = (_fast_len(2 * D + 1),) * 2
-    x, y = np.indices((D + 1, D + 1))
-    degree = x + y
-    beyond = degree > D
+    beyond = np.add.outer(np.arange(D + 1), np.arange(D + 1)) > D
+    low = _tri(D // p + 1)  # the cells of degree <= D // p
 
     def mul(a, fb):  # mod p, truncated at total degree D
         out = _fft_mul(a, fb, shape, D + 1, D + 1) % p
@@ -174,25 +185,73 @@ def dense_associativity(F):
         return out
 
     gap_power, gap_transform = _halving_powers(base, mul, shape)
-    powers = {0: np.zeros_like(base)}
-    powers[0][0, 0] = 1
+    vecs = {0: (np.arange(_tri(D + 1)) == 0).astype(np.int64)}
     prev = 0
-    for n in sorted({n for i, j, _ in terms for n in (i, j) if n}):
-        powers[n] = gap_power(n) if not prev else mul(powers[prev], gap_transform(n - prev))
+    for n in sorted(degrees):
+        if n % p == 0 and n // p in vecs:
+            plane = np.zeros_like(base)
+            plane[p * A[:low], p * B[:low]] = vecs[n // p][:low]
+        elif prev:
+            plane = mul(plane, gap_transform(n - prev))
+        else:
+            plane = gap_power(n)
+        vecs[n] = plane[A, B]
         prev = n
-    # the associator F(F(x,y),z) - F(x,F(y,z)) on the (x, y, z) exponent grid
-    W = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
-    for i, j, c in terms:
-        W[:, :, j] += c * powers[i]
-        W[i] -= c * powers[j]
-    W %= p
-    for a in range(D + 1):  # the simplex x + y + z <= D, one x-plane at a time
-        W[a][degree > D - a] = 0
-    cells = np.argwhere(W)
-    if not len(cells):
+    return vecs
+
+
+def dense_associativity(F):
+    """Compare F(F(x,y),z) and F(x,F(y,z)) cell by cell on the simplex
+    x + y + z <= D.
+
+    The associator needs F^n only for the degrees n that occur as an i or a
+    j of the law's support, and `_powers` builds those: n = p·m with m
+    among them by the Frobenius substitution F^m(x^p, y^p), every other one
+    by an FFT product.  So the plane products number the other occurring
+    degrees, plus O(log gap) per distinct gap: 28 at (2, 2, 64), where 60 of
+    the degrees 1..62 occur and the even ones come from Frobenius, and 9 at
+    (2, 4, 64), where 21 of 1..56 occur.
+
+    Each F^n is a degree-major vector over the triangle a + b <= D, so its
+    cells of degree d..e are one contiguous slice.  A side is a ragged
+    simplex array: F(F(x,y),z) has one row per z, holding the cells (x, y)
+    with x + y <= D − z, and a term c·X^i·Y^j of F adds c·F^i to row j,
+    from degree i·v (v the law's lowest degree) to D − j; F(x,F(y,z)) has
+    one row per x, cells (y, z), and adds c·F^j to row i.  A gather, one
+    row at a time, puts the second side in the first one's order.
+
+    Returns (ok, first_failing_monomial), the first in (total degree, key)
+    order."""
+    p, terms = _residues(F, "dense")
+    D = F.D
+    if D > DENSE_ASSOC_MAX_D:
+        raise ValueError(f"dense grid at D={D} would not fit; use the sampled check")
+    if not terms:
         return True, None
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], cells.sum(axis=1)))
-    return False, tuple(cells[order[0]].tolist())
+    vecs = _powers(p, terms, D, {n for i, j, _ in terms for n in (i, j) if n})
+    A, B = _triangle(D)
+    rows = [_tri(D + 1 - r) for r in range(D + 1)]  # row r: cells of degree <= D − r
+    off = list(itertools.accumulate(rows, initial=0))
+    v = min(i + j for i, j, _ in terms)  # F^n has no term below degree n·v
+    lows = {n: _tri(n * v) for n in vecs}
+    W = np.zeros(off[-1], dtype=np.int64)  # F(F(x,y),z): row z, cells (x, y)
+    V = np.zeros_like(W)  # F(x,F(y,z)): row x, cells (y, z)
+    for i, j, c in terms:
+        for side, row, n in ((W, j, i), (V, i, j)):
+            lo, hi = lows[n], rows[row]
+            side[off[row] + lo : off[row] + hi] += c * vecs[n][lo:hi]
+    row_of = np.take(off, A)
+    for z, r in enumerate(rows):  # V holds cell (x, y, z) in row x, at cell (y, z)
+        W[off[z] : off[z + 1]] -= V[row_of[:r] + _tri(B[:r] + z) + B[:r]]
+    W %= p
+    bad = np.flatnonzero(W)
+    if not bad.size:
+        return True, None
+    Z = np.searchsorted(off, bad, side="right") - 1
+    cell = bad - np.take(off, Z)
+    X, Y = A[cell], B[cell]
+    k = np.lexsort((Z, Y, X, X + Y + Z))[0]
+    return False, (int(X[k]), int(Y[k]), int(Z[k]))
 
 
 # ---------------------------------------------------------------------------

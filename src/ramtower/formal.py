@@ -48,7 +48,7 @@ RATIONALS = "Q"
 # largest truncation whose associativity "auto" checks exactly, on the law
 # itself; above it the law is reduced mod p for the finite-field engines
 EXACT_ASSOC_MAX_D = 32
-# largest truncation whose (D+1)^3 grid the dense engine builds
+# largest truncation whose simplex x + y + z <= D the dense engine builds
 DENSE_ASSOC_MAX_D = 200
 
 
@@ -658,8 +658,9 @@ def check_group_law(
     - "exact": sparse trivariate assembly, any ring — the "auto" choice up to
       D = EXACT_ASSOC_MAX_D; a rational law is summed on integers over the
       lcm L of its denominators, an F_q law on its own coefficients;
-    - "dense": the full (D+1)^3 grid of residues mod p, built with
-      certified-exact FFT convolutions (prime-subfield coefficients only);
+    - "dense": every cell of the simplex x + y + z <= D, in residues mod p,
+      the powers of the law built with certified-exact FFT convolutions and
+      the Frobenius substitution (prime-subfield coefficients only);
     - "sampled": substitute (a·t, b·t, c·t) with a, b, c random in a large
       extension field and compare the two compositions as univariate series
       in t — each total-degree slice of the defect is a homogeneous

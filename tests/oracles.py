@@ -1,7 +1,7 @@
 """Reference implementations kept only to test the library against.
 
-Each is the straightforward `Fraction` version of a path the library now
-runs on integers or in one walk:
+Each is the straightforward version of a path the library now runs on
+integers, in one walk or with fewer products:
 
 - `layer_break_fraction`, `tower_upper_break_fraction`: the closed forms
   evaluated in `Fraction` arithmetic term by term;
@@ -10,7 +10,9 @@ runs on integers or in one walk:
 - `compose_bisect`: Herbrand composition through the inverse of the inner
   map, evaluating the composite at each candidate point by bisection;
 - `render_svg_fraction`: the SVG renderer with every coordinate a
-  `Fraction`, rounded by `round`.
+  `Fraction`, rounded by `round`;
+- `dense_associativity_cube`: the dense associativity check on the full
+  (D+1)^3 grid, every power of the law an FFT product.
 
 The verify oracle reads `layer_break`, `tower_upper_break` and
 `linear_coefficient_valuation` through the `ramtower.towers` module at call
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from ramtower import towers
 from ramtower.arith import closed_form_break
+from ramtower.fastcheck import _fast_len, _fft_mul, _halving_powers, _residues
 from ramtower.herbrand import PiecewiseLinear
 from ramtower.polygon import NewtonPolygon, format_rat
 
@@ -165,3 +170,46 @@ def render_svg_fraction(np: NewtonPolygon) -> str:
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def dense_associativity_cube(F):
+    """fastcheck.dense_associativity on the full (D+1)^3 grid: each power
+    F^n of an occurring degree n the previous one times F^gap, the associator
+    F(F(x,y),z) − F(x,F(y,z)) one (D+1)² plane add per term and side, the
+    cells beyond the simplex zeroed one x-plane at a time."""
+    p, terms = _residues(F, "dense")
+    D = F.D
+    if not terms:
+        return True, None
+    base = np.zeros((D + 1, D + 1), dtype=np.int64)
+    for i, j, c in terms:
+        base[i, j] = c
+    shape = (_fast_len(2 * D + 1),) * 2
+    x, y = np.indices((D + 1, D + 1))
+    degree = x + y
+    beyond = degree > D
+
+    def mul(a, fb):
+        out = _fft_mul(a, fb, shape, D + 1, D + 1) % p
+        out[beyond] = 0
+        return out
+
+    gap_power, gap_transform = _halving_powers(base, mul, shape)
+    powers = {0: np.zeros_like(base)}
+    powers[0][0, 0] = 1
+    prev = 0
+    for n in sorted({n for i, j, _ in terms for n in (i, j) if n}):
+        powers[n] = gap_power(n) if not prev else mul(powers[prev], gap_transform(n - prev))
+        prev = n
+    W = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
+    for i, j, c in terms:
+        W[:, :, j] += c * powers[i]
+        W[i] -= c * powers[j]
+    W %= p
+    for a in range(D + 1):
+        W[a][degree > D - a] = 0
+    cells = np.argwhere(W)
+    if not len(cells):
+        return True, None
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], cells.sum(axis=1)))
+    return False, tuple(cells[order[0]].tolist())

@@ -26,8 +26,12 @@ from hypothesis import strategies as st
 from ramtower.errors import IntegralityError, ParameterError
 from ramtower.fastcheck import (
     _fast_len,
+    _fft_mul,
+    _powers,
     _reduction_rows,
+    _residues,
     _rint_exact,
+    _triangle,
     _vec_mul,
     dense_associativity,
     sampled_associativity,
@@ -51,6 +55,8 @@ from ramtower.formal import (
     honda_module,
 )
 from ramtower.fq import fq_field
+
+from oracles import dense_associativity_cube
 
 
 def test_universal_log_coefficients():
@@ -552,17 +558,73 @@ def test_sampled_engine_steps_only_between_occurring_degrees():
 
 
 def test_dense_engine_builds_only_the_powers_the_law_uses():
-    # F^n is needed only for the n that occur as an i or a j; at (2, 4, 64)
-    # most degrees up to the top do not
+    # F^n is needed only for the n that occur as an i or a j, and F^(pm)
+    # comes from F^m with no product: at (2, 4, 64) 21 of the degrees
+    # 1..56 occur, at (2, 2, 64) 60 of 1..62, the even ones by Frobenius;
+    # a product for every occurring degree would take 26 and 60
     from ramtower import fastcheck
 
-    M = atypical_module(2, 4, (1, 2, 1), D=64)
+    for q, most in ((4, 9), (2, 28)):
+        M = atypical_module(2, q, (1, 2, 1), D=64)
+        F = M.law.reduce_mod_p(M.field)
+        with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
+            assert dense_associativity(F) == (True, None)
+        assert products.call_count <= most, q
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frobenius_power_is_the_fft_product(p):
+    # over F_p, F^(pm) = F^m(x^p, y^p); the engine takes it with no product,
+    # and it must be the FFT product F^(pm-1)·F, truncated at D
+    from ramtower import fastcheck
+
+    D = 40
+    A, B = _triangle(D)
+    shape = (_fast_len(2 * D + 1),) * 2
+
+    def plane(vec):
+        out = np.zeros((D + 1, D + 1), dtype=np.int64)
+        out[A, B] = vec
+        return out
+
+    rng = random.Random(p)
+    field = fq_field(p)
+    cells = [(i, d - i) for d in range(D + 1) for i in range(d + 1)]
+    for _ in range(3):
+        keys = [(1, 0), (0, 1), *rng.sample(cells, 25)]
+        F = BivariateSeries(field, D, {k: field.from_int(rng.randrange(1, p)) for k in keys})
+        _, terms = _residues(F, "dense")
+        F1 = np.fft.rfft2(plane(_powers(p, terms, D, {1})[1]), shape)
+        for m in range(1, D // p + 1):
+            n = p * m
+            with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
+                _powers(p, terms, D, {m})
+                alone = products.call_count
+                frobenius = _powers(p, terms, D, {m, n})[n]
+            assert products.call_count == 2 * alone, (p, m)  # F^n took no product
+            previous = plane(_powers(p, terms, D, {n - 1})[n - 1])
+            product = _fft_mul(previous, F1, shape, D + 1, D + 1)[A, B] % p
+            assert frobenius.tolist() == product.tolist(), (p, m)
+
+
+@pytest.mark.parametrize("p, q, D", [(2, 2, 64), (2, 4, 64), (3, 3, 81), (5, 5, 50)])
+def test_dense_engine_matches_the_cube_oracle(p, q, D):
+    # the full-cube engine, every power an FFT product, on a residue law and
+    # 24 seeded one-coefficient perturbations of it; here most powers come
+    # from Frobenius, which the hypothesis test's D <= 16 seldom reaches
+    M = atypical_module(p, q, (1, 2, 1), D=D)
     F = M.law.reduce_mod_p(M.field)
-    top = max(max(key) for key in F.coeffs)
-    assert len({n for key in F.coeffs for n in key}) < top
-    with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
-        assert dense_associativity(F) == (True, None)
-    assert products.call_count < top
+    rng = random.Random(D)
+    laws = [F]
+    for _ in range(24):
+        d = rng.randint(0, D)
+        i = rng.randint(0, d)
+        key = (i, d - i)
+        coeffs = {**F.coeffs, key: F.coeff(*key) + M.field.from_int(rng.randrange(1, p))}
+        laws.append(BivariateSeries(F.ring, D, coeffs))
+    results = [dense_associativity(law) for law in laws]
+    assert results == [dense_associativity_cube(law) for law in laws]
+    assert results[0] == (True, None) and sum(ok for ok, _ in results) < len(laws) // 2
 
 
 @st.composite
