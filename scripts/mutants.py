@@ -162,6 +162,30 @@ MUTANTS = [
         ("tests/test_formal.py::test_rational_composition_matches_power_table",),
     ),
     Mutant(
+        "sum-rows-floor-off-by-one",
+        "src/ramtower/formal.py",
+        "            if e >= floor:\n",
+        "            if e > floor:\n",
+        ("tests/test_formal.py::test_law_matches_the_full_plane_oracle",),
+    ),
+    Mutant(
+        "law-half-plane-drops-the-middle-row",
+        "src/ramtower/formal.py",
+        "    half, B = D // 2, []\n",
+        "    half, B = (D - 1) // 2, []\n",
+        (
+            "tests/test_formal.py::test_law_matches_the_full_plane_oracle",
+            "tests/test_formal.py::test_law_and_brackets_truncate_consistently",
+        ),
+    ),
+    Mutant(
+        "law-mirror-dropped",
+        "src/ramtower/formal.py",
+        "c = raw[(i, j)] = raw[(j, i)] = Fraction(v, scale)",
+        "c = raw[(i, j)] = Fraction(v, scale)",
+        ("tests/test_formal.py::test_law_matches_the_full_plane_oracle",),
+    ),
+    Mutant(
         "exact-assoc-side-cut",
         "src/ramtower/formal.py",
         "            if deg > D - j:\n",

@@ -26,11 +26,14 @@ power recurrence and returns the table as integer rows {e: c} in ascending
 e over one denominator for the whole table: the inverse, the brackets and
 the law read those rows as they are, so the hot loops run on plain integers
 for any rational input, and `_sum_rows` is their one row-summing loop: it
-sums each bracket, each B_k of the law and each x^i row of the law.  A
-module keeps the table of the powers f^(1+k·s) that can meet a nonzero g_e,
-solves g from it as a triangular system, and sums every bracket from it;
-the law, which needs every power, reuses that table when s = 1 and builds
-its own full table otherwise.  All character-zero staging is exact.
+sums each bracket, each B_k of the law and each x^i row of the law, and
+makes no product below its floor.  The law F = g(f(x) + f(y)) is symmetric,
+so only its half-plane i <= j is summed, the rows x^i with i <= D // 2 from
+y^i up, and each value is mirrored to (j, i).  A module keeps the table of
+the powers f^(1+k·s) that can meet a nonzero g_e, solves g from it as a
+triangular system, and sums every bracket from it; the law, which needs
+every power, reuses that table when s = 1 and builds its own full table
+otherwise.  All character-zero staging is exact.
 """
 
 from __future__ import annotations
@@ -179,15 +182,16 @@ def _log_powers(b, q, D, first=0, step=1):
     return [{e: c // common for e, c in row.items()} for row in table], L // common
 
 
-def _sum_rows(pairs, cap) -> dict:
+def _sum_rows(pairs, cap, floor=0) -> dict:
     """Σ c·row over the (c, row) pairs, for integer rows {e: v} in ascending
-    e, dropping every e above cap."""
+    e, keeping only floor <= e <= cap: no product is made outside."""
     acc = {}
     for c, row in pairs:
         for e, v in row.items():
             if e > cap:
                 break
-            acc[e] = acc.get(e, 0) + c * v
+            if e >= floor:
+                acc[e] = acc.get(e, 0) + c * v
     return acc
 
 
@@ -435,11 +439,17 @@ def _law_series(module: FormalModule) -> BivariateSeries:
     are this table past f^0 = den/den and are reused; otherwise the full
     table is built here.  Its rows share the one denominator P, and g is
     brought to the lcm G of its own, so the whole sum runs on integers over
-    P²·G.  Each B_k and each row x^i of F, Σ_{k<=i} [T^i]f^k·B_k(y), is one
-    `_sum_rows` call.  That denominator is read off the actual table rather
-    than assumed from a p-adic bound, so there is no scale for a remainder
-    check to guard; the p-integrality that the functional-equation lemma
-    promises is asserted on each row as it is summed."""
+    P²·G.  That denominator is read off the actual table rather than assumed
+    from a p-adic bound, so there is no scale for a remainder check to guard.
+
+    F = g(f(x) + f(y)) is symmetric by construction, so only its half-plane
+    i <= j is summed and each value is written at both (i, j) and (j, i):
+    one `Fraction` per pair, and one assertion of the p-integrality that the
+    functional-equation lemma promises.  The half-plane is the rows x^i,
+    i <= D // 2, each from j = i up.  Row i, Σ_{k<=i} [T^i]f^k·B_k(y), is one
+    `_sum_rows` call with floor i.  It reads B_k only at j >= i >= k, so
+    each B_k is built only for k <= D // 2 and from j = k up, by one
+    `_sum_rows` call with floor k."""
     p, D, g = module.p, module.D, module.inv_coeffs
     if module._step == 1:
         table, P = [{0: module._den}, *module._powers], module._den
@@ -447,15 +457,15 @@ def _law_series(module: FormalModule) -> BivariateSeries:
         table, P = _log_powers(module.log_coeffs, module.q, D)
     G = math.lcm(*(c.denominator for c in g.values()))
     g_num = sorted((e, c.numerator * (G // c.denominator)) for e, c in g.items())
-    B = []
-    for k in range(len(table)):
-        bk = _sum_rows(((c * math.comb(e, k), table[e - k]) for e, c in g_num if e >= k), D - k)
-        B.append(dict(sorted(bk.items())))
+    half, B = D // 2, []
+    for k in range(half + 1):
+        terms = ((c * math.comb(e, k), table[e - k]) for e, c in g_num if e >= k)
+        B.append(dict(sorted(_sum_rows(terms, D - k, k).items())))
     scale, raw = P * P * G, {}
-    for i in range(D + 1):
-        row = _sum_rows(((fk[i], bk) for fk, bk in zip(table[: i + 1], B) if i in fk), D - i)
+    for i in range(half + 1):
+        row = _sum_rows(((fk[i], bk) for fk, bk in zip(table[: i + 1], B) if i in fk), D - i, i)
         for j, v in row.items():  # BivariateSeries drops the zeros
-            c = raw[(i, j)] = Fraction(v, scale)
+            c = raw[(i, j)] = raw[(j, i)] = Fraction(v, scale)
             if c.denominator % p == 0:
                 raise IntegralityError(
                     f"law coefficient at ({i},{j}) = {c} not {p}-integral", (i, j)

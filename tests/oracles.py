@@ -12,7 +12,9 @@ integers, in one walk or with fewer products:
 - `render_svg_fraction`: the SVG renderer with every coordinate a
   `Fraction`, rounded by `round`;
 - `dense_associativity_cube`: the dense associativity check on the full
-  (D+1)^3 grid, every power of the law an FFT product.
+  (D+1)^3 grid, every power of the law an FFT product;
+- `law_series_full`: the formal law summed on the whole plane i + j <= D,
+  every B_k at every degree and one `Fraction` per coefficient.
 
 The verify oracle reads `layer_break`, `tower_upper_break` and
 `linear_coefficient_valuation` through the `ramtower.towers` module at call
@@ -21,6 +23,7 @@ time, so a test that monkeypatches one of them changes both sides alike.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from ramtower import towers
 from ramtower.arith import closed_form_break
 from ramtower.fastcheck import _fast_len, _fft_mul, _halving_powers, _residues
+from ramtower.formal import RATIONALS, BivariateSeries, _log_powers
 from ramtower.herbrand import PiecewiseLinear
 from ramtower.polygon import NewtonPolygon, format_rat
 
@@ -213,3 +217,33 @@ def dense_associativity_cube(F):
         return True, None
     order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], cells.sum(axis=1)))
     return False, tuple(cells[order[0]].tolist())
+
+
+def law_series_full(module) -> BivariateSeries:
+    """formal._law_series on the full plane: F(x, y) = Σ_k f(x)^k·B_k(y),
+    B_k = Σ_l g_{k+l}·C(k+l, k)·f^l for every k <= D, and every row x^i of
+    F, Σ_{k<=i} [T^i]f^k·B_k(y), summed at every j <= D − i on integers over
+    P²·G, with no use of the symmetry F(x, y) = F(y, x)."""
+    D, g = module.D, module.inv_coeffs
+    table, P = _log_powers(module.log_coeffs, module.q, D)
+
+    def sum_rows(pairs, cap):
+        acc = {}
+        for c, row in pairs:
+            for e, v in row.items():
+                if e <= cap:
+                    acc[e] = acc.get(e, 0) + c * v
+        return acc
+
+    G = math.lcm(*(c.denominator for c in g.values()))
+    g_num = sorted((e, c.numerator * (G // c.denominator)) for e, c in g.items())
+    B = [
+        sum_rows(((c * math.comb(e, k), table[e - k]) for e, c in g_num if e >= k), D - k)
+        for k in range(D + 1)
+    ]
+    scale, raw = P * P * G, {}
+    for i in range(D + 1):
+        row = sum_rows(((fk[i], bk) for fk, bk in zip(table[: i + 1], B) if i in fk), D - i)
+        for j, v in row.items():
+            raw[(i, j)] = Fraction(v, scale)
+    return BivariateSeries(RATIONALS, D, raw)

@@ -56,7 +56,7 @@ from ramtower.formal import (
 )
 from ramtower.fq import fq_field
 
-from oracles import dense_associativity_cube
+from oracles import dense_associativity_cube, law_series_full
 
 
 def test_universal_log_coefficients():
@@ -842,7 +842,12 @@ def test_bracket_composition_is_multiplicative():
 
 @pytest.mark.parametrize(
     "p,q,values,D",
-    [(2, 2, (1, 2, 1), 32), (3, 3, (1, 2), 27), (3, 3, (Fraction(1, 2), 1), 27)],
+    [
+        (2, 2, (1, 2, 1), 32),
+        (2, 2, (1, 2, 1), 31),
+        (3, 3, (1, 2), 27),
+        (3, 3, (Fraction(1, 2), 1), 27),
+    ],
 )
 def test_rational_composition_matches_power_table(p, q, values, D):
     """Composing g with f(x)+f(y) or a·f(T) over Fractions gives the law and
@@ -857,6 +862,57 @@ def test_rational_composition_matches_power_table(p, q, values, D):
     for a in (p, p + 1):
         exact = _compose(g, {(e, 0): a * c for e, c in f.items()}, D, Fraction(1))
         assert exact and exact == {(e, 0): c for e, c in M.bracket(a).coeffs.items()}
+
+
+def _oracle_degrees(q):
+    """1, 2, 3 and q^k − 1, q^k, q^k + 1 for k <= 2 and every q^k <= 64."""
+    ds, k = {1, 2, 3}, 1
+    while q**k <= 64 or k <= 2:
+        ds |= {q**k - 1, q**k, q**k + 1}
+        k += 1
+    return sorted(ds)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (2, 4), (5, 5), (3, 9)])
+def test_law_matches_the_full_plane_oracle(p, q):
+    """The half-plane law, mirrored, equals the full-plane assembly
+    coefficient for coefficient, at odd and even D around each q^k, for
+    values with zeros (the law graded by s > 1), with denominators prime to
+    p, and drawn from a seeded generator."""
+    rng = random.Random(p * 100 + q)
+    pool = [0, 1, -1, 2, -3, Fraction(1, p + 1), Fraction(-5, p * p + 1)]
+    value_sets = [
+        (1, 2, 1),
+        (0, 1),
+        (0, 0, 1),
+        (Fraction(1, p + 1), 0, Fraction(-2, p * p + 1)),
+    ]
+    graded = 0
+    for D in _oracle_degrees(q):
+        for values in value_sets + [tuple(rng.choice(pool) for _ in range(3))]:
+            M = FormalModule(p, q, values, D)
+            graded += 1 < M._step < D
+            assert M.law.coeffs == law_series_full(M).coeffs, (values, D)
+    assert graded
+
+
+def test_law_and_brackets_truncate_consistently():
+    """Precision is honest: the law, the [p] bracket and the inverse
+    logarithm of a module at D' > D, truncated to degree D, are those of the
+    module at D."""
+    rng = random.Random(23)
+    for _ in range(60):
+        p, q = rng.choice([(2, 2), (2, 4), (3, 3), (3, 9), (5, 5)])
+        pool = [0, 1, -1, 2, Fraction(1, p + 1)]
+        values = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        D = rng.randint(1, 40)
+        wide = D + rng.randint(1, 16)
+        small, big = atypical_module(p, q, values, D), atypical_module(p, q, values, wide)
+        law = {key: c for key, c in big.law.coeffs.items() if sum(key) <= D}
+        assert law == small.law.coeffs, (p, q, values, D, wide)
+        pi = {e: c for e, c in big.bracket(p).coeffs.items() if e <= D}
+        assert pi == small.bracket(p).coeffs, (p, q, values, D, wide)
+        assert {e: c for e, c in big.inv_coeffs.items() if e <= D} == small.inv_coeffs
 
 
 INVERSE_LOG_CASES = [
