@@ -364,6 +364,17 @@ MUTANTS = [
         ("tests/test_series.py",),
     ),
     Mutant(
+        "parse-series-recursion-escapes",
+        "src/ramtower/series.py",
+        "    try:\n        s = parser.parse_sum()\n    except RecursionError:\n"
+        '        raise ValueError("series literal nested too deeply") from None\n',
+        "    s = parser.parse_sum()\n",
+        (
+            "tests/test_series.py",
+            "tests/test_cli.py::test_a_too_deeply_nested_literal_is_a_usage_error",
+        ),
+    ),
+    Mutant(
         "eisenstein-accepts-inseparable",
         "src/ramtower/tate.py",
         "        if all(poly.coeff(j).is_exact_zero() for j",
@@ -390,6 +401,13 @@ MUTANTS = [
         "STATUS_PRECISION: 2}",
         "STATUS_PRECISION: 1}",
         ("tests/test_jsonio.py", "tests/test_cli.py", "tests/test_cli_contract.py"),
+    ),
+    Mutant(
+        "jsonio-writes-unknown-as-str",
+        "src/ramtower/jsonio.py",
+        '    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")\n',
+        "    return str(v)\n",
+        ("tests/test_jsonio.py",),
     ),
     Mutant(
         "cli-usage-error-exit-code",

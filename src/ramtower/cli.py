@@ -1,22 +1,25 @@
 """Command-line front end.
 
-Six subcommands — polygon, herbrand, formal, tate (alias tate-breaks),
-tower {schedule,torsion,verify}, verify — all print a single RunReport as
-JSON on stdout and use the exit-code contract
+Six subcommands — polygon, herbrand, formal, tate, tower
+{schedule,torsion}, verify — each with one spelling, all print a single
+RunReport as JSON on stdout and use the exit-code contract
 
     0  ok
     1  domain error: a well-formed object fails a hypothesis (a guard, a
        non-Eisenstein polynomial); any other exception is reported the same
        way, with payload.kind naming its class
     2  insufficient precision
-    64 usage error: malformed flags or literals, or a ParameterError (input
-       that names no object, such as a non-prime p); empty stdout
+    64 usage error: malformed flags or literals (a series literal nested
+       too deeply to parse is one), or a ParameterError (input that names
+       no object, such as a non-prime p); empty stdout
 
 `--svg PATH` on the polygon-producing commands additionally writes a
 deterministic SVG rendering, before the report is printed: a write that
 fails (an OSError) is the run's one fail report, and a run with no polygon
 writes nothing and says so in its diagnostics.  RAMTOWER_PREC sets the
-default series precision where one is needed.
+default series precision where one is needed.  `tower schedule --d` is
+echoed in the schedule's params but read by no computation (see
+towers.TowerParams).
 
 Each run is a fresh process, so import time is part of every command's
 latency.  The top level therefore loads only argparse, the errors, the
@@ -311,11 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_for.set_defaults(handler=_cmd_formal)
 
-    p_tate = sub.add_parser(
-        "tate",
-        aliases=["tate-breaks"],
-        help="ramification-polygon breaks of an Eisenstein extension",
-    )
+    p_tate = sub.add_parser("tate", help="ramification-polygon breaks of an Eisenstein extension")
     p_tate.add_argument("--p", type=int, required=True)
     p_tate.add_argument(
         "--field-ext", type=_positive_int, default=1, help="residue extension degree m"
@@ -350,21 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tors.add_argument("--svg", help="render the last step's polygon to this file")
     p_tors.set_defaults(handler=_cmd_tower_torsion)
 
-    def add_verify(node):
-        node.add_argument("--grid", default="default", choices=["default", "small"])
-        node.add_argument(
-            "--depth", type=_positive_int, help="layers per tuple (overrides grid)"
-        )
-        node.add_argument(
-            "--jobs",
-            type=_positive_int,
-            default=1,
-            help="worker processes; the default 1 runs the grid in this process",
-        )
-        node.set_defaults(handler=_cmd_verify)
-
-    add_verify(tower_sub.add_parser("verify", help="cross-validate the closed forms"))
-    add_verify(sub.add_parser("verify", help="cross-validate the closed forms"))
+    p_ver = sub.add_parser("verify", help="cross-validate the closed forms")
+    p_ver.add_argument("--grid", default="default", choices=["default", "small"])
+    p_ver.add_argument("--depth", type=_positive_int, help="layers per tuple (overrides grid)")
+    p_ver.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes; the default 1 runs the grid in this process",
+    )
+    p_ver.set_defaults(handler=_cmd_verify)
     return parser
 
 

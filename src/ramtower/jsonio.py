@@ -14,14 +14,13 @@ then runs an indented dump through its pure-Python encoder, which made
 writing the report the largest single cost of the towers benchmark on
 Python 3.11.7.  The writer joins each level once, escapes strings with the
 C helper json itself uses, and handles str-keyed dicts, lists, tuples, str,
-int, bool and None.  It hands any other value with its subtree to
-`json.dumps`, so floats, non-str keys and the TypeError for an
-unserialisable value come out exactly as json writes them.
+int, bool and None: the values a payload carries.  Anything else, a float
+or a non-str key included, raises TypeError; a value gets json's message,
+"Object of type X is not JSON serializable".
 """
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .record import Record
@@ -76,11 +75,10 @@ def _write(v, pad: str) -> str:
             return "[]"
         items = [_write(x, inner) for x in v]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if t is dict and all(type(k) is str for k in v):
+    if t is dict:
         if not v:
             return "{}"
+        # _encode_str raises TypeError for a key that is not a str
         items = [_encode_str(k) + ": " + _write(x, inner) for k, x in v.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # json escapes every newline inside a string, so each raw newline is a
-    # line break of the layout and gains the outer indent
-    return json.dumps(v, indent=2).replace("\n", "\n" + pad)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -182,9 +182,6 @@ class LaurentSeries:
                         out[i + j] = out[i + j] + a * b
         return LaurentSeries(self.field, self.v0 + other.v0, tuple(out), prec)
 
-    def truncate(self, prec: int):
-        return LaurentSeries(self.field, self.v0, self.coeffs, min(self.prec, prec))
-
     def __repr__(self):
         return f"LaurentSeries({format_series(self)!r})"
 
@@ -204,7 +201,8 @@ def parse_series(text: str, field: FqField, default_prec: int | None = None) -> 
     argument is read like a bare power, so `O(t)` is `O(t^1)`.  Scaling by
     t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
     be negative.  When the literal has no O-term the result is exact unless
-    `default_prec` is given.
+    `default_prec` is given.  A literal nested past the interpreter's
+    recursion limit is refused with a ValueError, like any malformed one.
     """
     tokens = []
     pos = 0
@@ -217,7 +215,10 @@ def parse_series(text: str, field: FqField, default_prec: int | None = None) -> 
         tokens.append(m.group(1))
         pos = m.end()
     parser = _Parser(tokens, field)
-    s = parser.parse_sum()
+    try:
+        s = parser.parse_sum()
+    except RecursionError:
+        raise ValueError("series literal nested too deeply") from None
     if parser.pos != len(tokens):
         raise ValueError(f"trailing tokens in series literal: {tokens[parser.pos:]}")
     if s.prec == INF:

@@ -50,6 +50,17 @@ from .record import Record
 
 
 class TowerParams(Record):
+    """The six integers of a tower.
+
+    No computation reads `d`: the closed forms, the schedule tables and
+    `verify_tuple` use (q, g, N, c) only, `verify_grid` fixes d = 1 and
+    `tower torsion` takes its d from the number of valuations.  `d` stays
+    because the schedule JSON echoes it in `params`, and that JSON is pinned
+    byte for byte by `tests/golden/` and by the benchmark's cli golden
+    digest; deleting it (and `tower schedule --d`) waits for a change that
+    re-records the benchmark's goldens.
+    """
+
     __slots__ = ("p", "q", "g", "d", "N", "c")
 
     def __init__(self, p: int, q: int, g: int, d: int, N: int, c: int):

@@ -77,11 +77,11 @@ def test_unknown_flag_exits_64(capsys):
         ("tate --p 2 --poly t;t;1 --prec -1", None),
         ("tower torsion --vals 1 --q 2 --g 1 --nmax -1", None),
         ("verify --grid small --jobs -1", None),
-        ("tower verify --grid small --jobs 0", None),
+        ("verify --grid small --jobs 0", None),
         ("verify --grid small --depth -1", None),
         ("verify --grid small --depth 0", None),
-        ("tower verify --grid small --depth -1", None),
-        ("tower verify --grid small --depth 0", None),
+        ("verify --depth -1", None),
+        ("verify --grid default --depth 0", None),
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n -1", None),
         ("tower schedule --p 2 --q 2 --g 1 --d 1 --N 0 --c 1 --n 0", None),
         ("tower schedule --p 4 --q 16 --g 1 --d 1 --N 0 --c 1 --n 2", None),
@@ -95,6 +95,9 @@ def test_unknown_flag_exits_64(capsys):
         ("herbrand --layer 4:3:3", None),
         ("herbrand --layer 2:0:2", None),
         ("tate --p 2 --poly t^2;t;1 --assume-totally-ramified", None),
+        # removed spellings: each command has one
+        ("tate-breaks --p 2 --poly t;t;1", None),
+        ("tower verify --grid small", None),
     ],
 )
 def test_bad_values_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -273,11 +276,18 @@ def test_tate_single_break(capsys):
     assert rep.payload == tate_breaks(eisenstein_trinomial(fq_field(2), 1)).as_json()
 
 
-def test_tate_alias(capsys):
-    # x^3 + t^3·x + t over F_3 through the long-form command name
-    code, rep = report_of(capsys, "tate-breaks", "--p", "3", "--poly", "t;t^3;0;1")
+def test_tate_cubic_over_f3(capsys):
+    # x^3 + t^3·x + t over F_3
+    code, rep = report_of(capsys, "tate", "--p", "3", "--poly", "t;t^3;0;1")
     assert code == 0
     assert rep.payload["breaks"] == ["7/2"]
+
+
+def test_a_too_deeply_nested_literal_is_a_usage_error(capsys):
+    deep = "(" * 5000 + "t" + ")" * 5000
+    code, out, err = run(capsys, "tate", "--p", "2", "--poly", f"{deep};t;1")
+    assert code == 64 and out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_tate_field_ext(capsys):
@@ -392,9 +402,7 @@ def test_tower_torsion_branch_choice(capsys):
 
 def test_verify_small_grid_serial_and_parallel(capsys):
     code1, rep1 = report_of(capsys, "verify", "--grid", "small", "--jobs", "1")
-    code2, rep2 = report_of(
-        capsys, "tower", "verify", "--grid", "small", "--jobs", "2", "--depth", "4"
-    )
+    code2, rep2 = report_of(capsys, "verify", "--grid", "small", "--jobs", "2", "--depth", "4")
     assert code1 == 0 and code2 == 0
     assert rep1.payload["counterexamples"] == 0
     assert rep2.payload["counterexamples"] == 0

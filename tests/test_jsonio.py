@@ -1,4 +1,5 @@
-"""RunReport.dumps writes exactly the bytes of json.dumps(..., indent=2)."""
+"""RunReport.dumps writes exactly the bytes of json.dumps(..., indent=2) for
+the values a payload carries, and raises TypeError for any other."""
 
 import json
 from fractions import Fraction
@@ -25,11 +26,6 @@ INTS = st.one_of(
     st.sampled_from([2**300, -(2**300), 2**300 - 1, 0, -1]),
 )
 SCALARS = st.one_of(STRINGS, INTS, st.booleans(), st.none())
-# floats and dicts with non-str keys are handed to json.dumps whole
-DELEGATED = st.one_of(
-    st.floats(),
-    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), SCALARS),
-)
 
 
 def containers(children):
@@ -37,11 +33,10 @@ def containers(children):
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(STRINGS, children, max_size=4),
-        st.dictionaries(st.integers(), children, max_size=3),
     )
 
 
-TREES = st.recursive(st.one_of(SCALARS, DELEGATED), containers, max_leaves=40)
+TREES = st.recursive(SCALARS, containers, max_leaves=40)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -51,7 +46,7 @@ def test_dumps_matches_json_indent_2(payload, diagnostics):
     assert report.dumps() == json.dumps(report.as_json(), indent=2)
 
 
-@pytest.mark.parametrize("wrap", [list, tuple, lambda v: {"k": v}, lambda v: {7: v}])
+@pytest.mark.parametrize("wrap", [list, tuple, lambda v: {"k": v}])
 def test_dumps_matches_json_when_deeply_nested(wrap):
     tree = []
     for depth in range(60):
@@ -65,8 +60,25 @@ def test_dumps_matches_json_when_deeply_nested(wrap):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"x": Fraction(1, 2)}, {"x": [1, {"y": Fraction(3)}]}, {1: Fraction(1, 2)}, [Fraction(0)]],
+    [{"x": Fraction(1, 2)}, {"x": [1, {"y": Fraction(3)}]}, [Fraction(0)]],
 )
 def test_a_fraction_left_in_a_payload_raises_type_error(payload):
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        RunReport("ok", payload).dumps()
+
+
+# no payload carries a float or a non-str key, so the writer has no path for
+# either; a value keeps json's message, and a key gets the string escaper's
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"x": 0.5}, "float is not JSON serializable"),
+        ([1, {"y": [float("nan")]}], "float is not JSON serializable"),
+        ({1: "one"}, None),
+        ({"x": {None: 1}}, None),
+        ({1: Fraction(1, 2)}, None),
+    ],
+)
+def test_a_float_or_a_non_str_key_raises_type_error(payload, message):
+    with pytest.raises(TypeError, match=message):
         RunReport("ok", payload).dumps()

@@ -69,6 +69,12 @@ def test_literal_grammar():
         s("t^^2")
 
 
+def test_a_literal_nested_past_the_recursion_limit_is_a_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        s("(" * 5000 + "t" + ")" * 5000)
+    assert s("(" * 50 + "t" + ")" * 50) == s("t")
+
+
 def test_o_term_reads_its_argument_like_a_bare_power():
     # `t` is t^1, so `O(t)` is O(t^1); the canonical form still writes t^1
     assert s("O(t)") == s("O(t^1)") == LaurentSeries.zero(F2, prec=1)
@@ -94,15 +100,15 @@ def test_precision_propagates_through_product():
     assert (s("t") * s("t^2")).prec == INF
 
 
-def test_truncate_and_coeff():
+def test_adding_o_t_k_truncates_and_coeff():
     a = s("1 + t + t^3")
     assert a.coeff(3) == F2.one() and a.coeff(2) == F2.zero()
-    t = a.truncate(2)
+    t = a + LaurentSeries.zero(F2, 2)
     assert t.prec == 2 and t.coeff(1) == F2.one()
     # t^2 is past what O(t^2) knows
     with pytest.raises(InsufficientPrecision):
         t.coeff(2)
-    assert a.truncate(INF) == a and a.prec == INF
+    assert a + LaurentSeries.zero(F2) == a and a.prec == INF
 
 
 def test_scalar_multiplication():

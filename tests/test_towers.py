@@ -1,6 +1,7 @@
 """Break schedules, character bookkeeping, and torsion traces."""
 
 import json
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -206,6 +207,15 @@ def test_schedule_fractional_break_lint():
     assert "not an integer" in sched.diagnostics[0]
     # the schedule itself is still the exact computation
     assert sched.lower == (Fraction(7, 2), Fraction(79, 2))
+
+
+@given(params_strategy)
+@settings(max_examples=40, deadline=None)
+def test_a_shorter_schedule_is_a_prefix_of_a_longer_one(ps):
+    # precision is honest: asking for fewer layers truncates the answer
+    short, long = filtration_tables(ps, ps.N + 5), filtration_tables(ps, ps.N + 12)
+    assert short.lower == long.lower[:5] and short.upper == long.upper[:5]
+    assert short.diagnostics == long.diagnostics[: len(short.diagnostics)]
 
 
 def test_transition_inverse_spot():
@@ -414,6 +424,24 @@ def test_torsion_trace_matches_the_hull_at_every_step(case):
     assert trace.valuations == vals
     assert trace.m == ref_m == (None if n_max < m else m)
     assert [s.vertices for s in trace.snapshots] == [s.vertices for s in snapshots]
+
+
+def test_a_shorter_torsion_trace_is_a_prefix_of_a_longer_one():
+    """Precision is honest: the trace to n_max = n is the trace to a larger
+    n_max cut at step n, and its m is the longer trace's m if that falls
+    within n steps."""
+    rng = random.Random(29)
+    pool = [None, *(Fraction(k, den) for den in (1, 2, 3, 4) for k in range(1, 13))]
+    for _ in range(300):
+        q, g, branch = rng.choice((2, 3, 4, 5)), rng.randint(1, 3), rng.choice(("max", "min"))
+        a_vals = (rng.choice(pool[1:]), *(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+        n = rng.randint(0, 4)
+        short = torsion_valuations(a_vals, q=q, g=g, n_max=n, branch=branch)
+        long = torsion_valuations(a_vals, q=q, g=g, n_max=n + rng.randint(1, 4), branch=branch)
+        case = (q, g, a_vals, branch, n)
+        assert short.valuations == long.valuations[: n + 1], case
+        assert short.snapshots == long.snapshots[:n], case
+        assert short.m == (long.m if long.m is not None and long.m <= n else None), case
 
 
 def _q_layer(a_vals, twist):
