@@ -44,9 +44,30 @@ MUTANTS = [
     Mutant(
         "sampled-place-shift-off-by-one",
         "src/ramtower/fastcheck.py",
-        "            k = ((1 - outer) % s + g * e0 - (1 - nxt) % s) // s\n",
-        "            k = ((1 - outer) % s + (g - 1) * e0 - (1 - nxt) % s) // s\n",
+        "            k = ((1 - o) % s + g * e0 - (1 - nxt) % s) // s\n",
+        "            k = ((1 - o) % s + (g - 1) * e0 - (1 - nxt) % s) // s\n",
         ("tests/test_formal.py::test_fft_engines_agree_with_the_exact_engine",),
+    ),
+    Mutant(
+        "sampled-walk-steps-over-the-first-chains-degrees",
+        "src/ramtower/fastcheck.py",
+        "    outers = sorted(set(outer.ravel().tolist()), reverse=True)  # of any chain\n",
+        "    outers = sorted(set(outer[0].tolist()), reverse=True)  # of any chain\n",
+        ("tests/test_formal.py::test_sampled_engine_matches_the_line_oracle_on_lopsided_laws",),
+    ),
+    Mutant(
+        "sampled-both-chains-step-over-x-degrees",
+        "src/ramtower/fastcheck.py",
+        "outer, inner = np.array([I, J] * reps), np.array([J, I] * reps)",
+        "outer, inner = np.array([I, I] * reps), np.array([J, J] * reps)",
+        ("tests/test_formal.py::test_sampled_engine_matches_the_line_oracle_on_lopsided_laws",),
+    ),
+    Mutant(
+        "sampled-walk-reads-the-first-chains-powers",
+        "src/ramtower/fastcheck.py",
+        "    values = pow_z[chain, inner] * V[:, None]\n",
+        "    values = pow_z[0, inner] * V[:, None]\n",
+        ("tests/test_formal.py::test_each_chain_of_the_batched_walk_is_its_own_walk",),
     ),
     Mutant(
         "dense-steps-from-the-wrong-power",
@@ -86,8 +107,8 @@ MUTANTS = [
     Mutant(
         "extension-fold-drops-reduction-rows",
         "src/ramtower/fastcheck.py",
-        "    return (C[:, :r] + C[:, r:] @ R) % p\n",
-        "    return C[:, :r] % p\n",
+        "    return (C[..., :r] + C[..., r:] @ R) % p\n",
+        "    return C[..., :r] % p\n",
         ("tests/test_formal.py::test_vec_mul_is_the_field_multiplication",),
     ),
     Mutant(
@@ -373,6 +394,20 @@ MUTANTS = [
             "tests/test_series.py",
             "tests/test_cli.py::test_a_too_deeply_nested_literal_is_a_usage_error",
         ),
+    ),
+    Mutant(
+        "series-nesting-limit-one-short",
+        "src/ramtower/series.py",
+        "            if self.depth > MAX_NESTING:\n",
+        "            if self.depth >= MAX_NESTING:\n",
+        ("tests/test_series.py::test_the_nesting_limit_is_a_property_of_the_literal",),
+    ),
+    Mutant(
+        "series-nesting-counts-every-parenthesis",
+        "src/ramtower/series.py",
+        "            self.take(\")\")\n            self.depth -= 1\n",
+        "            self.take(\")\")\n",
+        ("tests/test_series.py::test_the_nesting_limit_is_a_property_of_the_literal",),
     ),
     Mutant(
         "eisenstein-accepts-inseparable",

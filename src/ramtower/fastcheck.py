@@ -28,13 +28,18 @@ domain, was 0.0098; at p = 3, D = 64 it was 9·10^-13.
   series in t.  Each coefficient of t^e in the difference is a homogeneous
   form of degree e evaluated at (a, b, c), so by Schwartz–Zippel a nonzero
   slice survives a random point with probability <= e/p^r; the exact bound
-  for the run is reported in the detail dict.  Both sides run on the law's
-  t^s grading, s = gcd(i + j − 1) over its support: every Horner
-  accumulator is t^off·A(t^s), so the series hold D//s + 1 places instead
-  of D + 1 coefficients; a law with no grading (s = 1) runs on the plain
-  series in t.  Horner steps only between the outer degrees that occur,
-  multiplying by u^gap, so a side costs about one FFT product per occurring
-  degree, not one per degree.
+  for the run is reported in the detail dict.  Every side of every line is
+  one chain of a single batched Horner walk: F(F(a,b),c) is the left side
+  of F at (a, b, c), and F(a,F(b,c)) the left side of the transposed law
+  F(y, x) at (c, b, a), so the two sides differ only in data, and each FFT
+  product, power table and field product serves all 2·reps chains at once.
+  The chains run on the law's t^s grading, s = gcd(i + j − 1) over its
+  support: every Horner accumulator is t^off·A(t^s), so the series hold
+  D//s + 1 places instead of D + 1 coefficients; a law with no grading
+  (s = 1) runs on the plain series in t.  Horner steps only between the
+  outer degrees that occur in some chain, multiplying by u^gap, so the walk
+  costs about one batched FFT product per occurring degree, whatever reps
+  is: 55 at (3, 9, 243).  Memory grows with the 2·reps chains.
 
 Both engines build the gap powers by halving (`_halving_powers`) and keep
 them for one call only.
@@ -109,16 +114,17 @@ def _rint_exact(raw: np.ndarray) -> np.ndarray:
 
 
 def _fft_mul(a, fb, shape, rows, cols):
-    """a·b cropped to rows × cols, where fb is b's transform at `shape`: the
-    one floating-point product, certified by `_rint_exact`."""
-    return _rint_exact(np.fft.irfft2(np.fft.rfft2(a, shape) * fb, shape)[:rows, :cols])
+    """a·b cropped to rows × cols on the last two axes, broadcast over the
+    leading ones, where fb is b's transform at `shape`: the one
+    floating-point product, certified by `_rint_exact`."""
+    return _rint_exact(np.fft.irfft2(np.fft.rfft2(a, shape) * fb, shape)[..., :rows, :cols])
 
 
 def _reduce_ext(C, R, p):
-    """Fold the rows C of 2r − 1 coefficients into the power basis of
-    F_{p^r}, by the rows R of `_reduction_rows`, mod p."""
+    """Fold the 2r − 1 coefficients along C's last axis into the power basis
+    of F_{p^r}, by the rows R of `_reduction_rows`, mod p."""
     r = R.shape[1]
-    return (C[:, :r] + C[:, r:] @ R) % p
+    return (C[..., :r] + C[..., r:] @ R) % p
 
 
 def _halving_powers(x, mul, shape):
@@ -259,82 +265,91 @@ def dense_associativity(F):
 
 
 def _vec_mul(A, B, R, p):
-    """Batched product in F_{p^r}: A is (n, r), B is (n, r) or (r,)."""
+    """Products in F_{p^r} of the elements along the last axes of A and B,
+    broadcast over their leading axes."""
     r = R.shape[1]
-    if B.ndim == 1:
-        B = np.broadcast_to(B, A.shape)
-    n = A.shape[0]
-    C = np.zeros((n, 2 * r - 1), dtype=np.int64)
+    C = np.zeros(np.broadcast_shapes(A.shape, B.shape)[:-1] + (2 * r - 1,), dtype=np.int64)
     for k in range(r):
-        col = A[:, k]
+        col = A[..., k, None]
         if not col.any():
             continue
-        C[:, k : k + r] += col[:, None] * B
+        C[..., k : k + r] += col * B
     return _reduce_ext(C, R, p)
 
 
 def _pow_table(x, n, R, p):
-    """x^0..x^n, doubling the filled rows with each batched product."""
-    r = R.shape[1]
-    out = np.zeros((n + 1, r), dtype=np.int64)
-    out[0, 0] = 1
-    m = 1  # rows 0..m-1 are filled
+    """x^0..x^n for each point of the (P, r) array x, as a (P, n + 1, r)
+    array, doubling the filled powers with each batched product."""
+    out = np.zeros((x.shape[0], n + 1, x.shape[1]), dtype=np.int64)
+    out[:, 0, 0] = 1
+    m = 1  # powers 0..m-1 are filled
     while m <= n:
         k = min(m, n + 1 - m)
-        xm = _vec_mul(out[m - 1 : m], x, R, p)[0]
-        out[m : m + k] = _vec_mul(out[:k], xm, R, p)
+        xm = _vec_mul(out[:, m - 1], x, R, p)
+        out[:, m : m + k] = _vec_mul(out[:, :k], xm[:, None], R, p)
         m += k
     return out
 
 
-def _line_value(support, pow_a, pow_b, L, R, p):
-    """F(a·t, b·t) = t^e0·U(t^s) as the (L, r) series U over F_{p^r}."""
-    I, J, V, places = support
-    terms = _vec_mul(pow_a[I], pow_b[J], R, p) * V[:, None]
-    u = np.zeros((L, R.shape[1]), dtype=np.int64)
-    np.add.at(u, places, terms)
+def _line_values(outer, inner, V, pow_x, pow_y, places, L, R, p):
+    """u = F(x·t, y·t) = t^e0·U(t^s) on each chain, as the (C, L, r) series
+    U over F_{p^r}: chain c reads the term V·X^outer·Y^inner of its law at
+    its points x and y, whose powers are pow_x[c] and pow_y[c]."""
+    chain = np.arange(len(outer))[:, None]
+    terms = _vec_mul(pow_x[chain, outer], pow_y[chain, inner], R, p) * V[:, None]
+    u = np.zeros((len(outer), L, R.shape[1]), dtype=np.int64)
+    np.add.at(u, (chain, places), terms)
     return u % p
 
 
-def _horner_side(by_outer, u, pow_inner, grading, mul, p, shape):
-    """Σ_outer u^outer · Σ_inner c·(x·t)^inner = t^off·A(t^s), as the
-    (D//s + 1, r) series A of places.
+def _horner(outer, inner, V, u, pow_z, grading, mul, p, shape):
+    """Σ_outer u^outer · Σ_inner V·(z·t)^inner = t^off·A(t^s) on each chain,
+    as the (C, D//s + 1, r) series A of places: chain c's law has the terms
+    V·X^outer[c]·Y^inner[c], u[c] is its line value and pow_z[c] holds the
+    powers of its point z.
 
-    Horner runs down the outer degrees that occur, and from one to the next,
-    o to o' = o − g (the last step ends at 0), multiplies by u^g.  With
+    Horner runs down the outer degrees that occur in any chain, and from one
+    to the next, o to o' = o − g (the last step ends at 0), multiplies every
+    chain by its u^g; a chain with no term at o adds nothing there.  With
     u = t^e0·U(t^s), the accumulator after outer degree o is t^off(o)·A(t^s)
-    with off(o) = (1 − o) mod s, so the product t^(off(o) + g·e0)·(A·U^g)(t^s)
-    is t^off(o')·A'(t^s) with A' = A·U^g moved up
-    k = (off(o) + g·e0 − off(o')) / s places.  The U^g come from
-    `_halving_powers`, each transform computed once per call.  So a side
-    costs one FFT product per occurring outer degree plus O(log g) per
-    distinct gap, not one per degree: 55 instead of 171 at (3, 9, 243), whose
-    law has 48 outer degrees up to 171.  `mul` is the engine's product in
-    F_{p^r}, truncated at L = D//s + 1 places, which is exact, since a place
-    only feeds higher ones."""
+    with off(o) = (1 − o) mod s on every chain, so the product
+    t^(off(o) + g·e0)·(A·U^g)(t^s) is t^off(o')·A'(t^s) with A' = A·U^g moved
+    up k = (off(o) + g·e0 − off(o')) / s places.  The U^g of all chains come
+    from one `_halving_powers`, each transform computed once per call.  So a
+    walk costs one batched FFT product per occurring outer degree plus
+    O(log g) per distinct gap, not one per degree and chain: 55 instead of
+    4·171 at (3, 9, 243), whose law has 48 outer degrees up to 171, for the
+    four chains of two reps.  `mul` is the engine's product in F_{p^r},
+    truncated at L = D//s + 1 places, which is exact, since a place only
+    feeds higher ones."""
     s, e0 = grading
     _, gap_transform = _halving_powers(u, mul, shape)
+    chain = np.arange(len(outer))[:, None]
+    places = (inner - (1 - outer) % s) // s  # a term's place in its chain
+    values = pow_z[chain, inner] * V[:, None]
+    outers = sorted(set(outer.ravel().tolist()), reverse=True)  # of any chain
     acc = np.zeros_like(u)
-    outers = sorted(by_outer, reverse=True)
-    for outer, nxt in zip(outers, outers[1:] + [0]):
-        J, V, places = by_outer[outer]
-        np.add.at(acc, places, pow_inner[J] * V[:, None])
+    for o, nxt in zip(outers, [*outers[1:], 0]):
+        rows = np.nonzero(outer == o)  # (chain, term) of every term at o
+        np.add.at(acc, (rows[0], places[rows]), values[rows])
         acc %= p
-        g = outer - nxt
+        g = o - nxt
         if g:
             acc = mul(acc, gap_transform(g))
-            k = ((1 - outer) % s + g * e0 - (1 - nxt) % s) // s
+            k = ((1 - o) % s + g * e0 - (1 - nxt) % s) // s
             if k:
-                acc = np.concatenate((np.zeros_like(acc[:k]), acc[:-k]))
+                acc = np.concatenate((np.zeros_like(acc[:, :k]), acc[:, :-k]), axis=1)
     return acc
 
 
 def sampled_associativity(F, seed=0, reps=2):
     """Probabilistic associativity check on random scalar lines.
 
-    Needs prime-subfield coefficients (every law built here reduces from
-    rational integrality, so that is the common case).  Returns
-    (ok, first_failing_t_degree_or_None, detail)."""
+    All lines run as one batch of 2·reps chains, so memory grows with reps:
+    each chain holds its line value, its accumulator and the power tables
+    and transforms of its gap powers.  Needs prime-subfield coefficients
+    (every law built here reduces from rational integrality, so that is the
+    common case).  Returns (ok, first_failing_t_degree_or_None, detail)."""
     p, terms = _residues(F, "sampled")
     D = F.D
     r = 1  # extension degree: the least with p^r >= 2^26
@@ -356,7 +371,6 @@ def sampled_associativity(F, seed=0, reps=2):
     s = math.gcd(*(i + j - 1 for i, j, _ in terms)) or 1
     e0 = 1 % s
     L = D // s + 1
-    grading = (s, e0)
     R = _reduction_rows(fq_field(p, r))
     width = 2 * r - 1
     shape = (_fast_len(2 * L - 1), _fast_len(width))
@@ -365,39 +379,25 @@ def sampled_associativity(F, seed=0, reps=2):
         return _reduce_ext(_fft_mul(a, fb, shape, L, width), R, p)
 
     I, J, V = np.array(terms, dtype=np.int64).T
-    support = (I, J, V, (I + J - e0) // s)
     top = int(max(I.max(), J.max()))  # the largest power of a, b or c read
-
-    def rows(outer, inner):
-        # outer degree o: its inner degrees are ≡ 1 − o mod s
-        by_outer = {}
-        for o in set(outer.tolist()):
-            mask = outer == o
-            by_outer[o] = (inner[mask], V[mask], (inner[mask] - (1 - o) % s) // s)
-        return by_outer
-
-    by_i, by_j = rows(I, J), rows(J, I)
     rng = random.Random(seed)
 
     def sample_point():
         while True:
             vec = [rng.randrange(p) for _ in range(r)]
             if any(vec):
-                return np.array(vec, dtype=np.int64)
+                return vec
 
-    first_bad = None
-    for _ in range(reps):
-        av, bv, cv = sample_point(), sample_point(), sample_point()
-        pow_a = _pow_table(av, top, R, p)
-        pow_b = _pow_table(bv, top, R, p)
-        pow_c = _pow_table(cv, top, R, p)
-        u = _line_value(support, pow_a, pow_b, L, R, p)
-        w1 = _horner_side(by_i, u, pow_c, grading, mul, p, shape)
-        v = _line_value(support, pow_b, pow_c, L, R, p)
-        w2 = _horner_side(by_j, v, pow_a, grading, mul, p, shape)
-        # both sides end at outer degree 0, at offset e0: place k is t^(e0 + k·s)
-        bad = e0 + s * np.flatnonzero(np.any(w1 != w2, axis=1))
-        bad = bad[bad <= D]
-        if bad.size and (first_bad is None or bad[0] < first_bad):
-            first_bad = int(bad[0])
-    return first_bad is None, first_bad, detail
+    # rep k draws a, b, c, the points 3k, 3k + 1, 3k + 2
+    points = np.array([sample_point() for _ in range(3 * reps)], dtype=np.int64)
+    pows = _pow_table(points, top, R, p)
+    # chain 2k is F(F(a,b),c), the left side of F at (a, b, c); chain 2k + 1
+    # is F(a,F(b,c)), the left side of the transposed law F(y, x) at (c, b, a)
+    x, y, z = (3 * np.arange(reps)[:, None, None] + [[0, 1, 2], [2, 1, 0]]).reshape(-1, 3).T
+    outer, inner = np.array([I, J] * reps), np.array([J, I] * reps)
+    u = _line_values(outer, inner, V, pows[x], pows[y], (I + J - e0) // s, L, R, p)
+    w = _horner(outer, inner, V, u, pows[z], (s, e0), mul, p, shape)
+    # both sides end at outer degree 0, at offset e0: place k is t^(e0 + k·s)
+    bad = e0 + s * np.flatnonzero(np.any(w[0::2] != w[1::2], axis=(0, 2)))
+    bad = bad[bad <= D]
+    return not bad.size, int(bad[0]) if bad.size else None, detail

@@ -673,7 +673,8 @@ def check_group_law(
       the Frobenius substitution (prime-subfield coefficients only);
     - "sampled": substitute (a·t, b·t, c·t) with a, b, c random in a large
       extension field and compare the two compositions as univariate series
-      in t — each total-degree slice of the defect is a homogeneous
+      in t, every side of every line one chain of a single batched Horner
+      walk — each total-degree slice of the defect is a homogeneous
       polynomial, so the failure odds are bounded by Schwartz–Zippel and
       reported in the detail dict (finite prime-field coefficients only);
     - "skip": leave associativity unchecked (associative_ok = None).

@@ -189,6 +189,7 @@ class LaurentSeries:
 # -- literal parsing -------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[tO()^*+-])")
+MAX_NESTING = 100  # parentheses open at once; the parser recurses 3 frames per level
 
 
 def parse_series(text: str, field: FqField, default_prec: int | None = None) -> LaurentSeries:
@@ -201,8 +202,10 @@ def parse_series(text: str, field: FqField, default_prec: int | None = None) -> 
     argument is read like a bare power, so `O(t)` is `O(t^1)`.  Scaling by
     t^k shifts it, so `t^3*(1 + O(t^2))` means t^3 + O(t^5).  Exponents may
     be negative.  When the literal has no O-term the result is exact unless
-    `default_prec` is given.  A literal nested past the interpreter's
-    recursion limit is refused with a ValueError, like any malformed one.
+    `default_prec` is given.  Parentheses may nest MAX_NESTING deep; a
+    literal nested deeper is refused with a ValueError, like any malformed
+    one, and so is one that a caller deep in its own stack cannot parse
+    within the interpreter's recursion limit.
     """
     tokens = []
     pos = 0
@@ -231,6 +234,7 @@ class _Parser:
         self.tokens = tokens
         self.field = field
         self.pos = 0
+        self.depth = 0  # parentheses open
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -266,8 +270,12 @@ class _Parser:
             raise ValueError("unexpected end of series literal")
         if tok == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError("series literal nested too deeply")
             s = self.parse_sum()
             self.take(")")
+            self.depth -= 1
             return s
         if tok == "O":
             self.take("O")

@@ -14,7 +14,9 @@ integers, in one walk or with fewer products:
 - `dense_associativity_cube`: the dense associativity check on the full
   (D+1)^3 grid, every power of the law an FFT product;
 - `law_series_full`: the formal law summed on the whole plane i + j <= D,
-  every B_k at every degree and one `Fraction` per coefficient.
+  every B_k at every degree and one `Fraction` per coefficient;
+- `sampled_associativity_lines`: the sampled associativity check one random
+  line and one side at a time, each side its own Horner walk.
 
 The verify oracle reads `layer_break`, `tower_upper_break` and
 `linear_coefficient_valuation` through the `ramtower.towers` module at call
@@ -24,15 +26,25 @@ time, so a test that monkeypatches one of them changes both sides alike.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from ramtower import towers
 from ramtower.arith import closed_form_break
-from ramtower.fastcheck import _fast_len, _fft_mul, _halving_powers, _residues
+from ramtower.fastcheck import (
+    _fast_len,
+    _fft_mul,
+    _halving_powers,
+    _reduce_ext,
+    _reduction_rows,
+    _residues,
+    _vec_mul,
+)
 from ramtower.formal import RATIONALS, BivariateSeries, _log_powers
 from ramtower.herbrand import PiecewiseLinear
+from ramtower.fq import fq_field
 from ramtower.polygon import NewtonPolygon, format_rat
 
 
@@ -247,3 +259,110 @@ def law_series_full(module) -> BivariateSeries:
         for j, v in row.items():
             raw[(i, j)] = Fraction(v, scale)
     return BivariateSeries(RATIONALS, D, raw)
+
+
+def _pow_table_one(x, n, R, p):
+    """x^0..x^n for one point x of F_{p^r}, as an (n + 1, r) array,
+    doubling the filled rows with each product."""
+    out = np.zeros((n + 1, R.shape[1]), dtype=np.int64)
+    out[0, 0] = 1
+    m = 1  # rows 0..m-1 are filled
+    while m <= n:
+        k = min(m, n + 1 - m)
+        xm = _vec_mul(out[m - 1], x, R, p)
+        out[m : m + k] = _vec_mul(out[:k], xm, R, p)
+        m += k
+    return out
+
+
+def _line_value(support, pow_a, pow_b, L, R, p):
+    """F(a·t, b·t) = t^e0·U(t^s) as the (L, r) series U over F_{p^r}."""
+    I, J, V, places = support
+    terms = _vec_mul(pow_a[I], pow_b[J], R, p) * V[:, None]
+    u = np.zeros((L, R.shape[1]), dtype=np.int64)
+    np.add.at(u, places, terms)
+    return u % p
+
+
+def _horner_side(by_outer, u, pow_inner, grading, mul, p, shape):
+    """Σ_outer u^outer · Σ_inner c·(x·t)^inner = t^off·A(t^s), as the
+    (D//s + 1, r) series A of places, Horner stepping by u^gap between the
+    outer degrees of `by_outer` that occur."""
+    s, e0 = grading
+    _, gap_transform = _halving_powers(u, mul, shape)
+    acc = np.zeros_like(u)
+    outers = sorted(by_outer, reverse=True)
+    for outer, nxt in zip(outers, outers[1:] + [0]):
+        J, V, places = by_outer[outer]
+        np.add.at(acc, places, pow_inner[J] * V[:, None])
+        acc %= p
+        g = outer - nxt
+        if g:
+            acc = mul(acc, gap_transform(g))
+            k = ((1 - outer) % s + g * e0 - (1 - nxt) % s) // s
+            if k:
+                acc = np.concatenate((np.zeros_like(acc[:k]), acc[:-k]))
+    return acc
+
+
+def sampled_associativity_lines(F, seed=0, reps=2):
+    """fastcheck.sampled_associativity one line at a time: for each rep its
+    own power tables of a, b and c, and the two
+    sides F(F(a,b),c) and F(a,F(b,c)) as two Horner walks, each over its
+    own outer degrees.  Same points, same grading, same answer."""
+    p, terms = _residues(F, "sampled")
+    D = F.D
+    r = 1
+    while p**r < 1 << 26:
+        r += 1
+    detail = {
+        "strategy": "sampled",
+        "extension_degree": r,
+        "reps": reps,
+        "seed": seed,
+        "false_pass_bound": f"{(D + 1) * (D / p**r) ** reps:.3e}",
+    }
+    if not terms:
+        return True, None, detail
+    s = math.gcd(*(i + j - 1 for i, j, _ in terms)) or 1
+    e0 = 1 % s
+    L = D // s + 1
+    R = _reduction_rows(fq_field(p, r))
+    width = 2 * r - 1
+    shape = (_fast_len(2 * L - 1), _fast_len(width))
+
+    def mul(a, fb):
+        return _reduce_ext(_fft_mul(a, fb, shape, L, width), R, p)
+
+    I, J, V = np.array(terms, dtype=np.int64).T
+    support = (I, J, V, (I + J - e0) // s)
+    top = int(max(I.max(), J.max()))
+
+    def rows(outer, inner):
+        by_outer = {}
+        for o in set(outer.tolist()):
+            mask = outer == o
+            by_outer[o] = (inner[mask], V[mask], (inner[mask] - (1 - o) % s) // s)
+        return by_outer
+
+    by_i, by_j = rows(I, J), rows(J, I)
+    rng = random.Random(seed)
+
+    def sample_point():
+        while True:
+            vec = [rng.randrange(p) for _ in range(r)]
+            if any(vec):
+                return np.array(vec, dtype=np.int64)
+
+    first_bad = None
+    for _ in range(reps):
+        pow_a, pow_b, pow_c = (_pow_table_one(sample_point(), top, R, p) for _ in "abc")
+        u = _line_value(support, pow_a, pow_b, L, R, p)
+        w1 = _horner_side(by_i, u, pow_c, (s, e0), mul, p, shape)
+        v = _line_value(support, pow_b, pow_c, L, R, p)
+        w2 = _horner_side(by_j, v, pow_a, (s, e0), mul, p, shape)
+        bad = e0 + s * np.flatnonzero(np.any(w1 != w2, axis=1))
+        bad = bad[bad <= D]
+        if bad.size and (first_bad is None or bad[0] < first_bad):
+            first_bad = int(bad[0])
+    return first_bad is None, first_bad, detail

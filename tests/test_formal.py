@@ -56,7 +56,7 @@ from ramtower.formal import (
 )
 from ramtower.fq import fq_field
 
-from oracles import dense_associativity_cube, law_series_full
+from oracles import dense_associativity_cube, law_series_full, sampled_associativity_lines
 
 
 def test_universal_log_coefficients():
@@ -502,6 +502,66 @@ def test_sampled_engine_pins(name, seed):
     assert sampled_associativity(_sampled_case(name), seed=seed) == (ok, fail, detail)
 
 
+def _lopsided_law(seed):
+    """X + Y plus a few seeded terms on a t^s grading, over F_2, F_3 or F_5,
+    whose X-degrees and Y-degrees differ, so the two sides of the sampled
+    check step over different outer degrees."""
+    rng = random.Random(seed)
+    p, s, D = rng.choice([2, 3, 5]), rng.choice([1, 2, 3]), rng.randint(8, 30)
+    field = fq_field(p)
+    cells = [(i, d - i) for d in range(2, D + 1) if (d - 1) % s == 0 for i in range(d + 1)]
+    while True:
+        coeffs = {(1, 0): field.one(), (0, 1): field.one()}
+        for key in rng.sample(cells, min(6, len(cells))):
+            coeffs[key] = field.from_int(rng.randrange(1, p))
+        if {i for i, _ in coeffs} != {j for _, j in coeffs}:
+            return BivariateSeries(field, D, coeffs)
+
+
+@pytest.mark.parametrize("name, seed", sorted(SAMPLED_PINS))
+def test_sampled_engine_matches_the_line_oracle(name, seed):
+    # the batched walk draws the same points as the per-line engine and
+    # must return the same (ok, degree, detail) for every number of lines
+    F = _sampled_case(name)
+    for reps in (1, 2, 3):
+        expected = sampled_associativity_lines(F, seed=seed, reps=reps)
+        assert sampled_associativity(F, seed=seed, reps=reps) == expected, reps
+
+
+def test_sampled_engine_matches_the_line_oracle_on_lopsided_laws():
+    # non-commutative laws: F(F(a,b),c) steps over the X-degrees, F(a,F(b,c))
+    # over the Y-degrees, and the batch walks their union
+    for seed in range(20):
+        F = _lopsided_law(seed)
+        for reps in (1, 2, 3):
+            result = sampled_associativity(F, seed=seed, reps=reps)
+            assert result == sampled_associativity_lines(F, seed=seed, reps=reps), (seed, reps)
+
+
+@pytest.mark.parametrize("law", ["q9", "q2:bump1", "lopsided"])
+def test_each_chain_of_the_batched_walk_is_its_own_walk(monkeypatch, law):
+    # chain c's accumulator must not depend on the other chains of the batch:
+    # the same walk on chain c alone gives the same series
+    from ramtower import fastcheck
+
+    walks = []
+    original = fastcheck._horner
+
+    def recording(*args):
+        walks.append((args, original(*args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(fastcheck, "_horner", recording)
+    F = _lopsided_law(5) if law == "lopsided" else _sampled_case(law)
+    sampled_associativity(F, seed=1, reps=3)
+    ((outer, inner, V, u, pow_z, *rest), batched), = walks
+    assert batched.shape[0] == 6
+    for c in range(6):
+        one = slice(c, c + 1)
+        alone = original(outer[one], inner[one], V, u[one], pow_z[one], *rest)
+        assert alone.tolist() == batched[one].tolist(), c
+
+
 def _exact_case(name):
     kind, _, variant = name.partition(":")
     if kind == "f4":  # a residue law over F_4, bumped off the prime subfield
@@ -528,14 +588,15 @@ def test_exact_engine_pins(name):
 
 def test_sampled_check_runs_on_the_grading(monkeypatch):
     # the (3, 9) law lives on i + j ≡ 1 mod 8, so every Horner product is a
-    # series of D//8 + 1 places of t^8, not D + 1 coefficients of t
+    # series of D//8 + 1 places of t^8, not D + 1 coefficients of t; the
+    # places are the second-to-last axis, after the batch of chains
     from ramtower import fastcheck
 
     lengths = set()
     original = fastcheck._fft_mul
 
     def recording(acc, *args):
-        lengths.add(acc.shape[0])
+        lengths.add(acc.shape[-2])
         return original(acc, *args)
 
     monkeypatch.setattr(fastcheck, "_fft_mul", recording)
@@ -547,14 +608,19 @@ def test_sampled_check_runs_on_the_grading(monkeypatch):
 
 def test_sampled_engine_steps_only_between_occurring_degrees():
     # Horner multiplies by u^gap from one outer degree of the law to the
-    # next, so a side no longer pays one product per degree up to the top
+    # next, so a walk pays no product per degree up to the top; and all
+    # lines are one batched walk, so the products do not grow with reps:
+    # 55 at (3, 9, 243) for any reps
     from ramtower import fastcheck
 
-    F = _sampled_case("q9")
-    top = max(i for i, _ in F.coeffs)
-    with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
-        assert sampled_associativity(F, seed=0, reps=2)[:2] == (True, None)
-    assert products.call_count < 2 * 2 * top  # reps × sides × one per degree
+    M = atypical_module(3, 9, (1, 2, 1), D=243)
+    F = M.law.reduce_mod_p(M.field)
+    counts = []
+    for reps in (1, 2, 3):
+        with mock.patch.object(fastcheck, "_fft_mul", wraps=fastcheck._fft_mul) as products:
+            assert sampled_associativity(F, seed=0, reps=reps)[:2] == (True, None)
+        counts.append(products.call_count)
+    assert counts[0] == counts[1] == counts[2] <= 60
 
 
 def test_dense_engine_builds_only_the_powers_the_law_uses():

@@ -5,13 +5,15 @@ knows, and valuation questions that precision cannot answer raise
 InsufficientPrecision instead of guessing.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramtower.errors import FieldMismatch, InsufficientPrecision
 from ramtower.fq import fq_field
-from ramtower.series import INF, LaurentSeries, format_series, parse_series
+from ramtower.series import INF, MAX_NESTING, LaurentSeries, format_series, parse_series
 
 F2 = fq_field(2)
 F4 = fq_field(2, 2)
@@ -73,6 +75,29 @@ def test_a_literal_nested_past_the_recursion_limit_is_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         s("(" * 5000 + "t" + ")" * 5000)
     assert s("(" * 50 + "t" + ")" * 50) == s("t")
+
+
+def test_the_nesting_limit_is_a_property_of_the_literal():
+    # a literal at the limit parses from 200 frames deep, one past it is
+    # refused at the top of the stack: the caller's stack decides neither
+    def nested(depth):
+        return "(" * depth + "t" + ")" * depth
+
+    def from_deep(frames, text):
+        return from_deep(frames - 1, text) if frames else s(text)
+
+    assert from_deep(200, nested(MAX_NESTING)) == s("t")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        s(nested(MAX_NESTING + 1))
+    # the count is of parentheses open at once, not of parentheses
+    assert s("+".join([nested(MAX_NESTING)] * 3)) == s("3*t")
+    # a caller with too little stack left for a literal under the limit
+    # still gets the ValueError, not a RecursionError
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_deep(sys.getrecursionlimit() - depth - 60, nested(MAX_NESTING))
 
 
 def test_o_term_reads_its_argument_like_a_bare_power():

@@ -15,7 +15,9 @@ from ramtower.fq import fq_field
 from ramtower.herbrand import BreakFiltration, compose_tower
 from ramtower.jsonio import RunReport
 from ramtower.polygon import brute_force_hull, build_polygon
-from ramtower.tate import closed_form_break, eisenstein_trinomial, tate_breaks
+from ramtower.series import LaurentSeries
+from ramtower.seriespoly import SeriesPoly
+from ramtower.tate import EisensteinExtension, closed_form_break, tate_breaks
 from ramtower.towers import (
     DEFAULT_GRID,
     BottomLayer,
@@ -138,22 +140,32 @@ def test_layer_break_is_trinomial_break(case):
     assert layer_break(ps, n) == closed_form_break(ps.q**ps.g, v)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("c", [1, 2])
-def test_closed_forms_match_actual_layer_trinomials(q, c):
-    # layer k is x^q + t^(e_k)·x + t: a trinomial's ramification polygon has
-    # the points (1, q·v(A) + 1 - q) and (q, 0), so its break depends only on
-    # v(A) and v(B), and re-uniformising the layer changes only units
-    ps = TowerParams(p=q, q=q, g=1, d=1, N=0, c=c)
-    field = fq_field(q)
-    lower = []
-    for k in (1, 2, 3):
-        e_k = q**k * c * q ** (k - 1)
-        (b,) = tate_breaks(eisenstein_trinomial(field, e_k)).breaks
-        assert b == layer_break(ps, k)
-        phi = compose_tower(BreakFiltration(q, ((bj, q),)) for bj in lower)
-        assert phi(b) == tower_upper_break(ps, k)
-        lower.append(b)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("g", [1, 2])
+def test_closed_forms_match_actual_layer_trinomials(q, g):
+    # layer k as the actual trinomial X^(q^g) + t^(e_k)·X + t over F_q, with
+    # e_k = q^k·v the twisted linear valuation: a trinomial's ramification
+    # polygon has the points (1, n·v(A) + 1 − n) and (n, 0), n = q^g, so its
+    # break is layer_break(k), and the earlier layers' maps carry it to
+    # tower_upper_break(k)
+    p = min(f for f in (2, 3, 5) if q % f == 0)
+    field = fq_field(p, {2: 1, 3: 1, 4: 2, 5: 1, 8: 3, 9: 2}[q])
+    n = q**g
+    for N in (0, 1):
+        for c in (1, 2):
+            ps = TowerParams(p=p, q=q, g=g, d=1, N=N, c=c)
+            lower = []
+            for k in (N + 1, N + 2):
+                e_k = q**k * linear_coefficient_valuation(ps, k)
+                coeffs = [LaurentSeries.zero(field)] * (n + 1)
+                coeffs[0] = LaurentSeries.t_power(field, 1)
+                coeffs[1] = LaurentSeries.t_power(field, int(e_k))
+                coeffs[n] = LaurentSeries.one(field)
+                (b,) = tate_breaks(EisensteinExtension(SeriesPoly(field, coeffs))).breaks
+                assert b == layer_break(ps, k), (ps, k)
+                phi = compose_tower(BreakFiltration(n, ((bj, n),)) for bj in lower)
+                assert phi(b) == tower_upper_break(ps, k), (ps, k)
+                lower.append(b)
 
 
 def test_layer_guard():
