@@ -228,6 +228,30 @@ MUTANTS = [
         ("tests/test_polygon.py",),
     ),
     Mutant(
+        "hull-right-scan-skipped",
+        "src/ramtower/polygon.py",
+        "    for x in reversed(xs):\n",
+        "    for x in ():\n",
+        ("tests/test_polygon.py::test_hull_matches_the_chain_over_every_abscissa",),
+    ),
+    Mutant(
+        "hull-right-scan-stops-one-abscissa-early",
+        "src/ramtower/polygon.py",
+        "    for x in reversed(xs):\n",
+        "    for x in reversed(xs[xs.index(lowest) + 2 :]):\n",
+        ("tests/test_polygon.py::test_hull_matches_the_chain_over_every_abscissa",),
+    ),
+    Mutant(
+        "hull-left-scan-keeps-ties",
+        "src/ramtower/polygon.py",
+        "    for x in xs:\n        y = best[x]\n        if y.numerator * d < n * y.denominator:\n",
+        "    for x in xs:\n        y = best[x]\n        if y.numerator * d <= n * y.denominator:\n",
+        ("tests/test_polygon.py",),
+        equivalent="keeping ties adds the flat bottom's points and makes the rightmost "
+        "lowest point the last one kept, so the right scan stops there; the candidates "
+        "are still a superset of the vertices, and the chain drops collinear points",
+    ),
+    Mutant(
         "torsion-single-segment-step",
         "src/ramtower/towers.py",
         "            if i and len(poly.vertices) == 2:\n",

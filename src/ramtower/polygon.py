@@ -5,12 +5,17 @@ The polygon of f(x) = sum a_i x^i is the lower convex hull of the points
 length mu certifies exactly mu roots of valuation -s, and the y-intercept of
 a side is the data consumed by the ramification-break extraction.
 
-`build_polygon` is a monotone-chain hull whose orientation test runs on
-integers: each ordinate is split into numerator and denominator once, and
-"on or above the chord" is decided by cross-multiplying, so the loop makes
-no `Fraction` and pays no gcd.  `brute_force_hull` re-derives the same
-polygon straight from the definition, also on cross-multiplied integers but
-sharing no code with `build_polygon`, and exists purely as an oracle.
+`build_polygon` runs Andrew's monotone chain (IPL 1979) only on the strict
+running minima of the points, from the left up to the leftmost lowest point
+and from the right down to it, which contain every vertex (the lemma in its
+docstring): Akl and Toussaint's throw-away step (IPL 1978).  On the towers
+benchmark's 10^5 random points that is about two dozen of some 63,000
+abscissas.  The chain's orientation test runs on integers: each ordinate is
+split into numerator and denominator once, and "on or above the chord" is
+decided by cross-multiplying, so the loop makes no `Fraction` and pays no
+gcd.  `brute_force_hull` re-derives the same polygon straight from the
+definition, also on cross-multiplied integers but sharing no code with
+`build_polygon`, and exists purely as an oracle.
 
 The module imports nothing from the rest of ramtower except the record
 base: `root_valuations` reads a polynomial only through its `.coeffs` and
@@ -113,7 +118,20 @@ def build_polygon(points) -> NewtonPolygon:
     dropped, so the vertex list is canonical.
 
     Each point keeps the lowest ordinate given for its abscissa, and the
-    vertices are those (x, Fraction) pairs as given.  The chain drops the
+    vertices are those (x, Fraction) pairs as given.  The chain runs only
+    on the strict running minima, by this lemma.  Let m_L and m_R be the
+    leftmost and the rightmost lowest point.  Then
+
+    - a vertex left of m_L is a strict running minimum from the left: the
+      hull strictly decreases up to it, so every earlier point lies
+      strictly above it;
+    - a vertex right of m_R is a strict running minimum from the right, by
+      the mirror argument;
+    - no vertex lies strictly between m_L and m_R, where the hull is flat.
+
+    The last strict running minimum from the left is m_L, and the scan from
+    the right stops there, so the candidates are a superset of the vertices
+    in increasing x, and their hull is the hull.  The chain drops the
     middle of three points (x0, n0/d0), (x1, n1/d1), (x, n/d) when
 
         (n1·d0 − n0·d1)·d·(x − x0) >= (n·d0 − n0·d)·d1·(x1 − x0),
@@ -137,10 +155,29 @@ def build_polygon(points) -> NewtonPolygon:
             best[x] = y
     if not best:
         raise ValueError("no points with finite valuation")
-    hull: list[tuple[int, int, int, Fraction]] = []
-    for x in sorted(best):
+    xs = sorted(best)
+    # strict running minima from the left; (n, d) = (1, 0) stands for +inf,
+    # so the first point is one, and the last one kept is the leftmost lowest
+    keep, n, d = [], 1, 0
+    for x in xs:
         y = best[x]
-        n, d = y.numerator, y.denominator
+        if y.numerator * d < n * y.denominator:
+            n, d = y.numerator, y.denominator
+            keep.append((x, n, d, y))
+    lowest = keep[-1][0]
+    # strict running minima from the right, down to (not including) it
+    right, n, d = [], 1, 0
+    for x in reversed(xs):
+        if x == lowest:
+            break
+        y = best[x]
+        if y.numerator * d < n * y.denominator:
+            n, d = y.numerator, y.denominator
+            right.append((x, n, d, y))
+    keep += reversed(right)
+    hull: list[tuple[int, int, int, Fraction]] = []
+    for point in keep:
+        x, n, d, _ = point
         while len(hull) >= 2:
             x0, n0, d0, _ = hull[-2]
             x1, n1, d1, _ = hull[-1]
@@ -149,7 +186,7 @@ def build_polygon(points) -> NewtonPolygon:
                 hull.pop()
             else:
                 break
-        hull.append((x, n, d, y))
+        hull.append(point)
     return NewtonPolygon(tuple((x, y) for x, _, _, y in hull))
 
 

@@ -16,7 +16,9 @@ integers, in one walk or with fewer products:
 - `law_series_full`: the formal law summed on the whole plane i + j <= D,
   every B_k at every degree and one `Fraction` per coefficient;
 - `sampled_associativity_lines`: the sampled associativity check one random
-  line and one side at a time, each side its own Horner walk.
+  line and one side at a time, each side its own Horner walk;
+- `build_polygon_chain`: the lower hull by a monotone chain over every
+  abscissa, with no running-minima scan in front of it.
 
 The verify oracle reads `layer_break`, `tower_upper_break` and
 `linear_coefficient_valuation` through the `ramtower.towers` module at call
@@ -366,3 +368,34 @@ def sampled_associativity_lines(F, seed=0, reps=2):
         if bad.size and (first_bad is None or bad[0] < first_bad):
             first_bad = int(bad[0])
     return first_bad is None, first_bad, detail
+
+
+def build_polygon_chain(points) -> NewtonPolygon:
+    """polygon.build_polygon with the chain run over every abscissa: the
+    lowest ordinate per abscissa, then Andrew's monotone chain with the same
+    integer orientation test, dropping collinear interior points."""
+    best: dict[int, Fraction] = {}
+    for x, y in points:
+        x = int(x)
+        if not isinstance(y, Fraction):
+            y = Fraction(y)
+        low = best.get(x)
+        if low is None or y.numerator * low.denominator < low.numerator * y.denominator:
+            best[x] = y
+    if not best:
+        raise ValueError("no points with finite valuation")
+    hull: list[tuple[int, int, int, Fraction]] = []
+    for x in sorted(best):
+        y = best[x]
+        n, d = y.numerator, y.denominator
+        while len(hull) >= 2:
+            x0, n0, d0, _ = hull[-2]
+            x1, n1, d1, _ = hull[-1]
+            # drop the middle point if it sits on or above the chord
+            if (n1 * d0 - n0 * d1) * d * (x - x0) >= (n * d0 - n0 * d) * d1 * (x1 - x0):
+                hull.pop()
+            else:
+                break
+        hull.append((x, n, d, y))
+    return NewtonPolygon(tuple((x, y) for x, _, _, y in hull))
+

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import build_polygon_chain
 from ramtower.fq import fq_field
 from ramtower.polygon import (
     NewtonPolygon,
@@ -244,3 +245,100 @@ def test_large_hull_with_distinct_denominators():
         k = min(bisect.bisect_right(vx, x) - 1, len(vs) - 2)
         (x0, y0), (x1, y1) = vs[k], vs[k + 1]
         assert y * (x1 - x0) >= y0 * (x1 - x) + y1 * (x - x0)
+
+
+# --- the running-minima scan in front of the chain ---------------------------
+
+small_rationals = st.fractions(min_value=0, max_value=50, max_denominator=12)
+flat_bottom_points = st.builds(
+    # several abscissas share the lowest ordinate, each with its own Fraction
+    lambda pts, low, xs: pts + [(x, Fraction(low)) for x in xs],
+    st.lists(st.tuples(st.integers(0, 60), small_rationals), max_size=30),
+    st.fractions(min_value=-5, max_value=0, max_denominator=6),
+    st.lists(st.integers(0, 60), min_size=2, max_size=6, unique=True),
+)
+end_minimum_points = st.builds(
+    # the strict minimum at the first abscissa or at the last
+    lambda pts, end, low: pts + [(end, low)],
+    st.lists(st.tuples(st.integers(1, 59), small_rationals), max_size=30),
+    st.sampled_from([0, 60]),
+    st.fractions(min_value=-10, max_value=-1, max_denominator=6),
+)
+
+
+def _convex(xs, scale, shift, shape):
+    """Points of y = scale·(x − c)² + shift at the distinct xs, with c at the
+    last abscissa (decreasing), at the first (increasing) or between them
+    (V-shaped): every point is a vertex."""
+    xs = sorted(xs)
+    c = {"decreasing": xs[-1], "increasing": xs[0], "V": Fraction(xs[0] + xs[-1], 2)}[shape]
+    return [(x, scale * (x - c) ** 2 + shift) for x in xs]
+
+
+convex_points = st.builds(
+    _convex,
+    st.lists(st.integers(-100, 200), min_size=1, max_size=40, unique=True),
+    st.fractions(min_value=Fraction(1, 30), max_value=20, max_denominator=30),
+    rationals,
+    st.sampled_from(["decreasing", "increasing", "V"]),
+)
+collinear_points = st.builds(
+    # a run of points on one line, whatever its slope, below a few others
+    lambda xs, slope, top, pts: [(x, slope * x) for x in xs] + [(x, y + top) for x, y in pts],
+    st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(160, 200),
+    st.lists(st.tuples(st.integers(0, 40), small_rationals), max_size=8),
+)
+single_points = st.tuples(st.integers(-50, 50), rationals).map(lambda p: [p])
+lower_copy_second_points = st.lists(
+    # each abscissa given twice, the higher ordinate first
+    st.tuples(st.integers(0, 30), rationals, st.fractions(min_value=Fraction(1, 12), max_value=9)),
+    min_size=1,
+    max_size=20,
+).map(lambda rows: [(x, y + up) for x, y, up in rows] + [(x, y) for x, y, _ in rows])
+
+
+@given(
+    st.one_of(
+        integer_points,
+        large_denominator_points,
+        repeated_abscissa_points,
+        flat_bottom_points,
+        end_minimum_points,
+        convex_points,
+        collinear_points,
+        single_points,
+        lower_copy_second_points,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_hull_matches_the_chain_over_every_abscissa(pts):
+    # the same vertex objects as the chain run over every lowest point; the
+    # ordinates are made Fractions first, so both sides see the same objects
+    pts = [(x, y if isinstance(y, Fraction) else Fraction(y)) for x, y in pts]
+    got, want = build_polygon(pts).vertices, build_polygon_chain(pts).vertices
+    assert len(got) == len(want)
+    assert all(x is wx and y is wy for (x, y), (wx, wy) in zip(got, want))
+
+
+@given(convex_points)
+@settings(max_examples=100, deadline=None)
+def test_every_point_of_a_strictly_convex_set_is_a_vertex(pts):
+    assert build_polygon(pts).vertices == tuple(pts)
+
+
+@pytest.mark.parametrize(
+    "pts, xs",
+    [
+        ([(0, 0), (1, 1)], [0, 1]),  # the minimum first: the right scan keeps the rest
+        ([(0, 1), (1, 0)], [0, 1]),  # the minimum last: the left scan keeps all
+        ([(0, 2), (1, 0), (2, 0), (3, 0), (4, 2)], [0, 1, 3, 4]),  # a flat bottom
+        ([(0, 3), (1, 0), (2, 1), (5, 9)], [0, 1, 2, 5]),
+        ([(7, 5)], [7]),
+        ([(0, 2), (1, 1), (2, 0)], [0, 2]),  # collinear running minima
+        ([(0, 0), (1, 1), (2, 2), (3, 4)], [0, 2, 3]),
+    ],
+)
+def test_hull_keeps_the_vertices_on_both_sides_of_the_minimum(pts, xs):
+    assert [x for x, _ in build_polygon(pts).vertices] == xs

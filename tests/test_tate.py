@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ramtower.errors import InsufficientPrecision
 from ramtower.fq import fq_field
+from ramtower.herbrand import BreakFiltration, PiecewiseLinear, phi_from_filtration
+from ramtower.polygon import build_polygon
 from ramtower.series import LaurentSeries
 from ramtower.seriespoly import SeriesPoly, resultant
 from ramtower.tate import (
@@ -379,3 +381,66 @@ def test_dense_high_degree_matches_greve_pauli(n):
         vals = [1] + [rng.randint(1, 3) for _ in range(n - 1)] + [0]
         lits = [_unit_literal(rng, field.q, v, None) for v in vals[:-1]] + ["1"]
         assert ramification_polynomial(_ext(field, lits)) == _greve_pauli_points(vals, p)
+
+
+# --- the hull's breaks against the Hasse-Herbrand function ------------------
+
+
+def _herbrand_phi(points, n):
+    """phi_{L/K} from the roots rho of g(x)/x: a side of slope −l and length
+    mu of the v_L polygon of `points` gives mu roots with v(rho) = l, and
+    phi(x) = (1/n)·∫_0^x |G_t| dt with |G_t| = 1 + #{rho : v(rho) >= t}
+    (Serre, Local Fields, IV §3).  Returns phi, the lower breaks l_1 < ...
+    (the positive v(rho)) and |G_t| on the piece (l_{j-1}, l_j] ending at
+    each."""
+    vals = []
+    for side in build_polygon(points).sides:
+        vals += [-side.slope] * side.length
+    assert len(vals) == n - 1 and min(vals) >= 0
+    lower = sorted({v for v in vals if v > 0})
+    counts = [1 + sum(v >= l for v in vals) for l in lower]
+    x = y = Fraction(0)
+    breakpoints = [(x, y)]
+    for l, c in zip(lower, counts):
+        x, y = l, y + Fraction(c, n) * (l - x)
+        breakpoints.append((x, y))
+    return PiecewiseLinear(breakpoints, Fraction(1, n)), lower, counts
+
+
+def _phi_cases():
+    """Seeded trinomials x^q + t^c·x + t and random exact Eisenstein
+    polynomials of degree p, p², 2p, 8 and 9, over F_2, F_3, F_4 and F_9."""
+    for p, m in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        field = fq_field(p, m)
+        for c in range(1, 4):
+            yield eisenstein_trinomial(field, c)
+    rng = random.Random(2301)
+    for _ in range(180):
+        for p, m in ((2, 1), (3, 1), (2, 2), (3, 2)):
+            field = fq_field(p, m)
+            n = rng.choice([p, p * p, 2 * p, 8, 9])
+            vals = [1] + [rng.choice([1, 2, 3, math.inf]) for _ in range(n - 1)]
+            lits = ["0" if v == math.inf else _unit_literal(rng, field.q, v, None) for v in vals]
+            ext = _accepted(SeriesPoly.from_literals(field, lits + ["1"]))
+            if ext is not None:
+                yield ext
+
+
+def test_upper_breaks_are_phi_of_the_lower_breaks():
+    # the breaks tate_breaks reads off the normalized hull are phi_{L/K} of
+    # the lower breaks, phi's inverse maps them back, and where the |G_t|
+    # form a divisor chain from n, phi is the filtration's transition map
+    cases = chains = 0
+    for ext in _phi_cases():
+        n, res = ext.n, tate_breaks(ext)
+        phi, lower, counts = _herbrand_phi(res.points, n)
+        assert res.breaks == tuple(phi(l) for l in lower), ext
+        psi = phi.inverse()
+        assert [psi(b) for b in res.breaks] == lower, ext
+        orders = counts + [1]
+        if counts and counts[0] == n and all(a % b == 0 for a, b in zip(orders, orders[1:])):
+            drops = [(l, a // b) for l, a, b in zip(lower, orders, orders[1:])]
+            assert phi == phi_from_filtration(BreakFiltration(n, drops)), ext
+            chains += 1
+        cases += 1
+    assert cases > 600 and chains > 400
